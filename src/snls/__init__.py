@@ -16,6 +16,7 @@ from .experiments import (
 from .integrator import (
     TABLEAUX,
     FixedPointConfig,
+    FixedPointResult,
     RunRecord,
     StepOutcome,
     StepRejectedError,
@@ -50,6 +51,7 @@ from .noise import (
     increment,
     refine,
     sample_path,
+    stack_paths,
     strat_integral,
     strat_pair_integrals,
     symmetrized_midpoint_double,

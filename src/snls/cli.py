@@ -47,13 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    overrides = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        overrides["seed"] = args.seed
-    cfg = parse_config(args.config, overrides)
-    return cfg
+    overrides = {} if args.seed is None else {"seed": args.seed}
+    return parse_config(args.config, overrides)
 
 
 def _out_path(args, cfg):

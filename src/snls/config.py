@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import sobolev_norm
+from .noise import MAX_SEED
 from .torus import SpectralField, make_grid, read_snapshot
 
 
@@ -37,13 +38,16 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        # written as `not x > bound` so that NaN fails too
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be in 0..2^64-1, got {self.seed}")
         if self.K < 1:
             raise ConfigError(f"K must be >= 1, got {self.K}")
-        if self.t <= 0:
+        if not self.t > 0:
             raise ConfigError(f"t must be > 0, got {self.t}")
         if self.n_steps < 0:
             raise ConfigError(f"n_steps must be >= 0, got {self.n_steps}")
-        if self.alpha <= 1:
+        if not self.alpha > 1:
             raise ConfigError(f"alpha must be > 1, got {self.alpha}")
         if self.kernel_d not in (1, 2):
             raise ConfigError(f"kernel_d must be 1 or 2, got {self.kernel_d}")

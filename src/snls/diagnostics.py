@@ -3,6 +3,8 @@ symplecticity test."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .torus import SpectralField, cubic_convolution
@@ -24,12 +26,23 @@ def energy_h0(u: SpectralField, lam: float) -> float:
     return kinetic + 0.25 * lam * float(np.real(quartic))
 
 
-def sobolev_norm(u: SpectralField, alpha: float) -> float:
-    """sqrt( sum_k (1+k^2)^alpha |u_k|^2 )."""
-    if alpha < 0:
+def sobolev_norm(u: SpectralField, alpha: float):
+    """sqrt( sum_k (1+k^2)^alpha |u_k|^2 ): a float for one field, an
+    array over the batch axes for a batch."""
+    if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    k = u.grid.modes().astype(float)
-    return float(np.sqrt(np.sum((1.0 + k**2) ** alpha * np.abs(u.coefficients) ** 2)))
+    norm = np.sqrt(np.sum(_sobolev_weights(u.grid.K, alpha) * np.abs(u.coefficients) ** 2,
+                          axis=-1))
+    return float(norm) if norm.ndim == 0 else norm
+
+
+@lru_cache(maxsize=64)
+def _sobolev_weights(K: int, alpha: float) -> np.ndarray:
+    """(1+k^2)^alpha for k = -K..K (read-only: shared by every call)."""
+    k = np.arange(-K, K + 1).astype(float)
+    weights = (1.0 + k**2) ** alpha
+    weights.flags.writeable = False
+    return weights
 
 
 def _pack(u: SpectralField) -> np.ndarray:

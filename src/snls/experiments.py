@@ -16,7 +16,7 @@ from .diagnostics import sobolev_norm, symplectic_defect
 from .integrator import (
     TABLEAUX,
     FixedPointConfig,
-    StepRejectedError,
+    StepOutcome,
     midpoint_tableau,
     simulate,
     step,
@@ -24,7 +24,14 @@ from .integrator import (
 )
 from .kernels import ModeQuad, default_kernel_spec, kernel_K2d, kernel_exact
 from .maps import ModelParams
-from .noise import BrownianPath, CovarianceOp, default_phi, increment, sample_path
+from .noise import (
+    BrownianPath,
+    CovarianceOp,
+    default_phi,
+    increment,
+    sample_path,
+    stack_paths,
+)
 from .torus import SpectralField, free_propagator
 
 
@@ -48,9 +55,7 @@ class ErrorTable:
 
     def fit_slope(self) -> None:
         """Least-squares slope over non-degenerate rows."""
-        pts = [(t, e) for t, e, *_rest, deg in
-               [(r[0], r[1], r[2], r[3], r[4], r[5]) for r in self.rows]
-               if not deg]
+        pts = [(r[0], r[1]) for r in self.rows if not r[5]]
         if len(pts) < 2:
             self.slope = float("nan")
             self.fit_residual = float("nan")
@@ -78,9 +83,15 @@ def reference_solution(
     path: BrownianPath,
     t_end: float,
     fp: FixedPointConfig | None = None,
-) -> SpectralField:
+) -> SpectralField | StepOutcome:
     """Midpoint run at the path's finest resolution over [0, t_end];
-    the strong-error oracle for coarse runs on the same randomness."""
+    the strong-error oracle for coarse runs on the same randomness.
+
+    One field on one path gives the final field, and a rejected substep
+    raises StepRejectedError.  A batch of fields on a stacked path gives
+    a StepOutcome whose converged mask marks the samples that passed
+    every substep, with per-sample iterations summed and the largest
+    residual over the substeps."""
     n_sub = path.cell_index(t_end)
     if t_end / n_sub > t_end / 256 + 1e-15:
         raise ValueError(
@@ -90,10 +101,17 @@ def reference_solution(
         fp = FixedPointConfig()
     tab = midpoint_tableau()
     dt = path.dt
-    u = u0.copy()
+    u = u0
+    iterations, residual, converged = 0, 0.0, True
     for j in range(n_sub):
-        u = step(u, tab, params, phi, path, j * dt, dt, fp).state
-    return u
+        outcome = step(u, tab, params, phi, path, j * dt, dt, fp)
+        u = outcome.state
+        iterations = iterations + outcome.iterations
+        residual = np.maximum(residual, outcome.residual)
+        converged = converged & outcome.converged
+    if np.ndim(converged) == 0:
+        return u
+    return StepOutcome(u, iterations, residual, converged)
 
 
 def cmd_local_error(
@@ -103,7 +121,10 @@ def cmd_local_error(
     ref_level: int = 8,
 ) -> ErrorTable:
     """One-step H^alpha error of the midpoint scheme against a same-path
-    refined reference, averaged in root mean square over sample paths."""
+    refined reference, averaged in root mean square over sample paths.
+
+    Each step size runs its sample paths as one batch; a sample whose
+    coarse step or reference is rejected counts as a rejection."""
     if samples < 16:
         raise ValueError(f"need at least 16 samples, got {samples}")
     params = ModelParams(lam=config.lam, kappa=config.kappa, alpha=config.alpha)
@@ -113,24 +134,22 @@ def cmd_local_error(
     u0 = initial_field(config.initial_data, config.K, seed=config.seed)
     scale = sobolev_norm(u0, config.alpha)
 
+    u = SpectralField(np.broadcast_to(u0.coefficients, (samples, u0.grid.n_modes)), u0.grid)
+
     table = ErrorTable()
     for t in t_values:
-        errors = []
-        rejections = 0
-        for i in range(samples):
-            path = sample_path(config.seed + 1000 * i + 1, t, ref_level, config.K)
-            try:
-                coarse = step(u0, tab, params, phi, path, 0.0, t, fp).state
-                ref = reference_solution(u0, params, phi, path, t, fp)
-            except StepRejectedError:
-                rejections += 1
-                continue
-            errors.append(sobolev_norm(coarse - ref, config.alpha))
+        path = stack_paths([sample_path(config.seed + 1000 * i + 1, t, ref_level, config.K)
+                            for i in range(samples)])
+        coarse = step(u, tab, params, phi, path, 0.0, t, fp)
+        ref = reference_solution(u, params, phi, path, t, fp)
+        accepted = coarse.converged & ref.converged
+        rejections = samples - int(np.count_nonzero(accepted))
+        errors = sobolev_norm(coarse.state - ref.state, config.alpha)[accepted]
         if rejections > 0.2 * samples:
             raise ExperimentInvalidError(
                 f"{rejections}/{samples} rejected steps at t={t}"
             )
-        rms = float(np.sqrt(np.mean(np.array(errors) ** 2)))
+        rms = float(np.sqrt(np.mean(errors**2)))
         degenerate = rms < 1e-13 * scale
         table.add_row(t, rms, float(np.max(errors)), len(errors), rejections, degenerate)
     table.fit_slope()

@@ -122,59 +122,114 @@ class FixedPointConfig:
     divergence_factor: float = 10.0
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1 or self.divergence_factor <= 1:
+        if not self.tol > 0 or self.max_iter < 1 or not self.divergence_factor > 1:
             raise ValueError("invalid fixed-point configuration")
 
 
 @dataclass
 class StepOutcome:
+    """Result of a step.  For a batch, iterations, residual and converged
+    hold one entry per sample, and a sample that was not converged keeps
+    its input state."""
+
     state: SpectralField
-    iterations: int
-    residual: float
-    converged: bool
+    iterations: int | np.ndarray
+    residual: float | np.ndarray
+    converged: bool | np.ndarray
 
 
 class StepRejectedError(RuntimeError):
-    """Fixed-point iteration failed; the step bound is violated."""
+    """Fixed-point iteration failed; the step bound is violated.
 
-    def __init__(self, message, residual, iterations, step_index=None):
+    Once the failing step is known, step_index and time (its start)
+    are set and the message names them."""
+
+    def __init__(self, message, residual, iterations, step_index=None, time=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
         self.step_index = step_index
+        self.time = time
+
+    def __str__(self):
+        message = super().__str__()
+        if self.step_index is None:
+            return message
+        return f"step {self.step_index} from t={self.time:.6g}: {message}"
 
 
-def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm):
-    """Iterate x <- map(x) until norm(map(x) - x) <= tol.
+@dataclass
+class FixedPointResult:
+    """What fixed_point_solve found; unpacks as the tuple
+    (x, iterations, residual, history).
 
-    Returns (solution, iterations, residual, residual_history).  Aborts
-    when the residual grows past divergence_factor times its running
-    minimum, or when max_iter is exhausted.
+    For a batch, residual, sample_iterations and converged hold one
+    entry per sample, iterations counts the sweeps made (the largest
+    per-sample count) and history the largest residual over the samples
+    still iterating at each sweep.
+    """
+
+    x: object
+    iterations: int
+    residual: float | np.ndarray
+    history: list
+    sample_iterations: int | np.ndarray
+    converged: bool | np.ndarray
+
+    def __iter__(self):
+        return iter((self.x, self.iterations, self.residual, self.history))
+
+
+def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> FixedPointResult:
+    """Iterate x <- map(x) until norm(map(x), x) <= tol.
+
+    A sample aborts when its residual grows past divergence_factor times
+    its running minimum, or when max_iter is exhausted.  With one
+    problem, norm returns a number and an abort raises StepRejectedError.
+    With a batch, norm returns one residual per sample, x ends in the
+    batch axes and one more axis, and each sample stops on its own: a
+    converged sample is frozen at its solution and a rejected one at the
+    guess, while the others iterate on; nothing is raised.
     """
     x = guess
     history = []
-    best = np.inf
     for it in range(1, fp.max_iter + 1):
         x_new = iteration_map(x)
-        res = norm(x_new, x)
-        history.append(res)
-        x = x_new
-        if res <= fp.tol:
-            return x, it, res, history
-        best = min(best, res)
-        if res > fp.divergence_factor * best:
+        res = np.asarray(norm(x_new, x), dtype=float)
+        if it == 1:
+            active = np.ones(res.shape, dtype=bool)
+            converged = np.zeros(res.shape, dtype=bool)
+            best = np.full(res.shape, np.inf)
+            counts = np.zeros(res.shape, dtype=int)
+            residual = res
+        history.append(float(res[active].max()))
+        residual = np.where(active, res, residual)
+        counts += active
+        # fmin, unlike min, keeps the running minimum when res is NaN
+        best = np.fmin(best, res)
+        done = active & (res <= fp.tol)
+        failed = active & ~done & (res > fp.divergence_factor * best)
+        converged |= done
+        active &= ~(done | failed)
+        take = active | done
+        if take.all():
+            x = x_new
+        else:
+            held = np.where(np.expand_dims(failed, -1), guess, x) if failed.any() else x
+            x = np.where(np.expand_dims(take, -1), x_new, held)
+        if not active.any():
+            break
+    if res.ndim == 0:
+        if not converged:
+            reason = (f"diverging after {it} iterations" if failed else
+                      f"did not converge in {fp.max_iter} iterations")
             raise StepRejectedError(
-                f"fixed-point iteration diverging after {it} iterations "
-                f"(residual {res:.3e})",
-                residual=res,
+                f"fixed-point iteration {reason} (residual {float(res):.3e})",
+                residual=float(res),
                 iterations=it,
             )
-    raise StepRejectedError(
-        f"fixed-point iteration did not converge in {fp.max_iter} iterations "
-        f"(residual {history[-1]:.3e})",
-        residual=history[-1],
-        iterations=fp.max_iter,
-    )
+        return FixedPointResult(x, it, float(res), history, it, True)
+    return FixedPointResult(x, it, residual, history, counts, converged)
 
 
 def _stage_uses_fast_path(tab: Tableau, stage_idx: int) -> bool:
@@ -187,17 +242,18 @@ def _stage_uses_fast_path(tab: Tableau, stage_idx: int) -> bool:
     )
 
 
-def _stage_maps(tab, params, phi, t, X, stages_fields):
-    """Evaluate K_alpha and L_alpha for every stage field."""
+def _stage_maps(tab, params, phi, t, X, stages, grid):
+    """K_alpha and L_alpha coefficients for every stage iterate."""
     Ks, Ls = [], []
-    for idx, U in enumerate(stages_fields):
+    for idx, coeffs in enumerate(stages):
+        U = SpectralField(coeffs, grid)
         p, q, _ = tab.stages[idx]
         c = tab.c[q]
         if _stage_uses_fast_path(tab, idx):
-            Ks.append(map_F_midpoint_physical(params, t, U) * (1.0 / t))
+            Ks.append(map_F_midpoint_physical(params, t, U).coefficients * (1.0 / t))
         else:
-            Ks.append(map_F(params, tab.kernel, t, c, p, U))
-        Ls.append(map_P_frozen(params, phi, tab.kernel, t, c, p, U, X))
+            Ks.append(map_F(params, tab.kernel, t, c, p, U).coefficients)
+        Ls.append(map_P_frozen(params, phi, tab.kernel, t, c, p, U, X).coefficients)
     return Ks, Ls
 
 
@@ -210,43 +266,47 @@ def step_with_increment(
     t: float,
     fp: FixedPointConfig,
 ) -> StepOutcome:
-    """One step with a frozen noise increment (deterministic given X)."""
-    if t <= 0:
+    """One step with a frozen noise increment (deterministic given X).
+
+    u_n and X.w may carry a batch of samples along their leading axes;
+    see StepOutcome for what a batch returns."""
+    if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
     n = tab.n_stages
     sqrt_t = np.sqrt(t)
+    grid = u_n.grid
 
-    def iteration(stages_fields):
-        Ks, Ls = _stage_maps(tab, params, phi, t, X, stages_fields)
-        out = []
-        for s in range(n):
-            U = u_n.copy()
-            for st in range(n):
-                if tab.a0[s, st] != 0.0:
-                    U = U + (t * tab.a0[s, st]) * Ks[st]
-                if tab.a1[s, st] != 0.0:
-                    U = U + (sqrt_t * tab.a1[s, st]) * Ls[st]
-            out.append(U)
-        return out
+    def combine(Ks, Ls, a, b):
+        # u_n + sum_st (t a_st K_st + sqrt(t) b_st L_st), zero weights skipped
+        U = u_n.coefficients
+        for st in range(n):
+            if a[st] != 0.0:
+                U = U + (t * a[st]) * Ks[st]
+            if b[st] != 0.0:
+                U = U + (sqrt_t * b[st]) * Ls[st]
+        return U
+
+    def iteration(stages):
+        Ks, Ls = _stage_maps(tab, params, phi, t, X, stages, grid)
+        return np.stack([combine(Ks, Ls, tab.a0[s], tab.a1[s]) for s in range(n)])
 
     def norm(new, old):
-        return max(sobolev_norm(a - b, params.alpha) for a, b in zip(new, old))
+        # the largest stage residual of each sample
+        return np.max(sobolev_norm(SpectralField(new - old, grid), params.alpha), axis=0)
 
-    guess = [u_n.copy() for _ in range(n)]
-    stages, iters, residual, _ = fixed_point_solve(iteration, guess, fp, norm)
+    guess = np.stack([u_n.coefficients] * n)
+    solve = fixed_point_solve(iteration, guess, fp, norm)
 
-    Ks, Ls = _stage_maps(tab, params, phi, t, X, stages)
-    u = u_n.copy()
-    for s in range(n):
-        if tab.b0[s] != 0.0:
-            u = u + (t * tab.b0[s]) * Ks[s]
-        if tab.b1[s] != 0.0:
-            u = u + (sqrt_t * tab.b1[s]) * Ls[s]
+    Ks, Ls = _stage_maps(tab, params, phi, t, X, solve.x, grid)
+    state = free_propagator(SpectralField(combine(Ks, Ls, tab.b0, tab.b1), grid), t)
+    if not np.all(solve.converged):
+        kept = np.where(np.expand_dims(solve.converged, -1), state.coefficients, u_n.coefficients)
+        state = SpectralField(kept, grid)
     return StepOutcome(
-        state=free_propagator(u, t),
-        iterations=iters,
-        residual=residual,
-        converged=True,
+        state=state,
+        iterations=solve.sample_iterations,
+        residual=solve.residual,
+        converged=solve.converged,
     )
 
 
@@ -261,7 +321,8 @@ def step(
     fp: FixedPointConfig,
 ) -> StepOutcome:
     """One step of the scheme; the noise increment is drawn from the
-    path over [t_n, t_n + t] and frozen for the whole solve."""
+    path over [t_n, t_n + t] and frozen for the whole solve.  A stacked
+    path with a batch of fields steps every sample at once."""
     X = increment(path, t_n, t_n + t)
     return step_with_increment(u_n, tab, params, phi, X, t, fp)
 
@@ -340,7 +401,7 @@ def simulate(config, u0: SpectralField | None = None) -> RunRecord:
         try:
             outcome = step(u, tab, params, phi, path, n * config.t, config.t, fp)
         except StepRejectedError as exc:
-            exc.step_index = n
+            exc.step_index, exc.time = n, n * config.t
             raise
         u = outcome.state
         record.add_row(n + 1, (n + 1) * config.t, mass(u),

@@ -7,11 +7,15 @@ equivalent multiplier-operator form of t * map_F for the d=1 symplectic
 kernel with p=0, c=1, evaluated with padded transforms; it is what
 production stepping uses.  The operator form is derived from the
 Fourier-side definition and tested against it.
+
+Every map takes one field or a batch of fields (leading axes of the
+coefficient array) and returns the same shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +36,7 @@ class ModelParams:
     def __post_init__(self):
         if not np.isfinite(self.lam) or not np.isfinite(self.kappa):
             raise ValueError("lambda and kappa must be finite")
-        if self.alpha <= 1:
+        if not self.alpha > 1:
             raise ValueError(f"alpha must be > 1, got {self.alpha}")
 
 
@@ -45,13 +49,13 @@ def map_F(
     v: SpectralField,
 ) -> SpectralField:
     """Deterministic resonance map, direct O(K^3) sum over quads."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
     K = v.grid.K
-    cf = v.coefficients
-    out = np.zeros(2 * K + 1, dtype=np.complex128)
+    cf = np.moveaxis(v.coefficients, -1, 0)  # modes first: cf[i] is mode i-K of every sample
+    out = np.zeros_like(cf)
     if params.lam == 0.0:
-        return SpectralField(out, v.grid)
+        return SpectralField(np.moveaxis(out, 0, -1), v.grid)
     for i1 in range(2 * K + 1):
         k1 = i1 - K
         for i2 in range(2 * K + 1):
@@ -63,7 +67,7 @@ def map_F(
                     continue
                 w = kernel_weight(spec, ModeQuad(k, k1, k2, k3), t, c, p)
                 out[k + K] += w * np.conj(cf[i1]) * cf[i2] * cf[i3]
-    return SpectralField(-1j * params.lam * out, v.grid)
+    return SpectralField(-1j * params.lam * np.moveaxis(out, 0, -1), v.grid)
 
 
 def map_P_frozen(
@@ -80,27 +84,47 @@ def map_P_frozen(
     -i kappa sum_{k = k1 + k2} v_{k1} Phi_{k2} X_{k2}.
 
     Only the full-Taylor case p=0 has a frozen form; X is the normalized
-    increment over the stage interval.
+    increment over the stage interval.  Batch axes of v and X.w broadcast.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
     if p != 0:
         raise ValueError("the frozen stochastic map is defined for p=0 only")
     K = v.grid.K
     if phi.K != K:
         raise ValueError(f"covariance has K={phi.K}, field has K={K}")
-    if len(X.w) != 2 * K + 1:
+    if X.w.shape[-1] != 2 * K + 1:
         raise ValueError("noise increment has wrong number of modes")
     if abs(X.step - c * t) > 1e-9 * t:
         raise ValueError(
             f"noise increment was built for step {X.step}, stage interval is {c * t}"
         )
-    full = np.convolve(v.coefficients, phi.phi * X.w)  # index i <-> mode i-2K
-    return SpectralField(-1j * params.kappa * full[K : 3 * K + 1], v.grid)
+    coeffs, noise = v.coefficients, phi.phi * X.w
+    if coeffs.shape != noise.shape:
+        coeffs, noise = np.broadcast_arrays(coeffs, noise)
+    out = np.empty(coeffs.shape, dtype=np.complex128)
+    m = 2 * K + 1
+    for row, a, b in zip(out.reshape(-1, m), coeffs.reshape(-1, m), noise.reshape(-1, m)):
+        row[:] = np.convolve(a, b)[K : 3 * K + 1]  # index i <-> mode i-2K
+    return SpectralField(-1j * params.kappa * out, v.grid)
 
 
-def _padded_physical(coeffs: np.ndarray, K: int, n: int) -> np.ndarray:
-    return np.fft.ifft(_embed(coeffs, K, n)) * n
+@lru_cache(maxsize=64)
+def _midpoint_multipliers(K: int, t: float):
+    """Padded size n and the padded-grid multipliers e^{-itk^2},
+    e^{itk^2}, 1/(ik) (0 at k=0), e^{-itk^2}/(ik) and (i/2)/(ik) of
+    map_F_midpoint_physical (read-only: shared by every call)."""
+    n = _pad_size(K)
+    kpad = np.fft.fftfreq(n, d=1.0 / n)  # mode numbers of the padded grid
+    e_minus = np.exp(-1j * t * kpad**2)  # e^{it Laplacian}
+    e_plus = np.exp(1j * t * kpad**2)
+    inv_d = np.zeros(n, dtype=np.complex128)
+    nz = kpad != 0
+    inv_d[nz] = 1.0 / (1j * kpad[nz])
+    mults = (e_minus, e_plus, inv_d, e_minus * inv_d, 0.5j * inv_d)
+    for m in mults:
+        m.flags.writeable = False
+    return (n, *mults)
 
 
 def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> SpectralField:
@@ -117,57 +141,52 @@ def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> 
     corrections); all products are formed without intermediate
     truncation on a 4K-padded grid.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
     grid = v.grid
     K = grid.K
+    c = v.coefficients
     if params.lam == 0.0:
-        return SpectralField(np.zeros(2 * K + 1, dtype=np.complex128), grid)
-    n = _pad_size(K)
-    kpad = np.fft.fftfreq(n, d=1.0 / n)  # mode numbers of the padded grid
-    e_minus = np.exp(-1j * t * kpad**2)  # e^{it Laplacian}
-    e_plus = np.exp(1j * t * kpad**2)
-    inv_d = np.zeros(n, dtype=np.complex128)
-    nz = kpad != 0
-    inv_d[nz] = 1.0 / (1j * kpad[nz])
+        return SpectralField(np.zeros_like(c), grid)
+    n, e_minus, e_plus, inv_d, e_minus_inv_d, half_i_inv_d = _midpoint_multipliers(K, t)
 
-    cv = _embed(v.coefficients, K, n)  # spectrum on padded grid
-    u = np.fft.ifft(cv) * n  # physical samples
-    v0 = v.coefficients[K]  # zero mode
+    # transforms whose inputs are ready together share one FFT call
+    def phys(*specs):
+        return np.fft.ifft(np.array(specs)) * n
 
-    def phys(spec):
-        return np.fft.ifft(spec) * n
+    def spect(*samples):
+        return np.fft.fft(np.array(samples)) / n
 
-    def spect(samples):
-        return np.fft.fft(samples) / n
-
-    u_sq_spec = spect(u * u)  # (v*v)_m, untruncated
-    inv_u = phys(inv_d * cv)  # inverse derivative of v
-    einv_u = phys(e_minus * inv_d * cv)  # E(t) d^-1 v
-
-    # S_A, kk1 != 0: (i/2) d^-1 { E(-t)[ conj(E(t)d^-1 v) * E(t)(v^2) ]
-    #                             - conj(d^-1 v) * v^2 }
-    piece1 = spect(np.conj(einv_u) * phys(e_minus * u_sq_spec))
-    piece2 = spect(np.conj(inv_u) * u * u)
-    s_a = 0.5j * inv_d * (e_plus * piece1 - piece2)
-
-    # S_A, kk1 = 0: t conj(v0) (v*v)_k for k != 0;
-    # at k = 0 the k1 sum runs over all retained modes
-    s_a0 = t * np.conj(v0) * u_sq_spec
-    ks = np.arange(-K, K + 1)
-    s_a0[0] = t * np.sum(np.conj(v.coefficients) * u_sq_spec[ks % n])
+    cv = _embed(c, K, n)  # spectrum on padded grid
+    v0 = c[..., K, None]  # zero mode, broadcast over modes
+    # physical samples of v, of its inverse derivative d^-1 v and of E(t) d^-1 v
+    u, inv_u, einv_u = phys(cv, inv_d * cv, e_minus_inv_d * cv)
+    # (v*v)_m untruncated, the S_A kk1 != 0 second piece, the two S_B
+    # squares and the cubic convolution
+    u_sq_spec, piece2, einv_sq, inv_sq, cubic = spect(
+        u * u, np.conj(inv_u) * u * u, einv_u * einv_u, inv_u * inv_u, np.conj(u) * u * u
+    )
 
     # S_B: convolve conj(v) with G, where
     # G = (i/2)[ E(-t)((E(t)d^-1 v)^2) - (d^-1 v)^2 ]  (k2 k3 != 0 pairs)
     #   + t (2 v0 v - delta_0 v0^2)                    (k2 k3 = 0 pairs)
-    g_spec = 0.5j * (e_plus * spect(einv_u * einv_u) - spect(inv_u * inv_u))
+    g_spec = 0.5j * (e_plus * einv_sq - inv_sq)
     g_spec += t * 2.0 * v0 * cv
-    g_spec[0] -= t * v0 * v0
-    s_b = spect(np.conj(u) * phys(g_spec))
+    g_spec[..., 0] -= t * v0[..., 0] * v0[..., 0]
+
+    # S_A, kk1 != 0: (i/2) d^-1 { E(-t)[ conj(E(t)d^-1 v) * E(t)(v^2) ]
+    #                             - conj(d^-1 v) * v^2 };
+    # the same two transforms finish S_B
+    e_u_sq, g = phys(e_minus * u_sq_spec, g_spec)
+    piece1, s_b = spect(np.conj(einv_u) * e_u_sq, np.conj(u) * g)
+    s_a = half_i_inv_d * (e_plus * piece1 - piece2)
+
+    # S_A, kk1 = 0: t conj(v0) (v*v)_k for k != 0;
+    # at k = 0 the k1 sum runs over all retained modes
+    s_a0 = t * np.conj(v0) * u_sq_spec
+    s_a0[..., 0] = t * np.sum(np.conj(c) * _extract(u_sq_spec, K), axis=-1)
 
     # -t * cubic convolution
-    cubic = spect(np.conj(u) * u * u)
-
     total = -1j * params.lam * (s_a + s_a0 + s_b - t * cubic)
     return SpectralField(_extract(total, K), grid)
 

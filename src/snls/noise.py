@@ -28,6 +28,8 @@ import numpy as np
 
 # quantization grain for increments; keeps dyadic sums exact in doubles
 _GRAIN = 2.0**-40
+# seeds are the first word of the uint64 Philox key
+MAX_SEED = 2**64 - 1
 
 
 def _quantize(x: np.ndarray) -> np.ndarray:
@@ -36,6 +38,8 @@ def _quantize(x: np.ndarray) -> np.ndarray:
 
 def _normals(seed: int, mode: int, level: int, n: int) -> np.ndarray:
     """n standard normals from a stream keyed by (seed, mode, level)."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
     key = np.array([np.uint64(seed), np.uint64(((mode + (1 << 20)) << 24) + level)])
     return np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
 
@@ -77,9 +81,14 @@ class BrownianPath:
     Rows for -k and k are identical by construction.  n_base > 1 lets a
     path align with a non-dyadic number of simulation steps while each
     base cell stays dyadically refinable.
+
+    A stacked path (see stack_paths) has increments of shape
+    (S, 2K+1, n_cells) and a tuple of S seeds; it drives a batch of S
+    samples through `increment`.  refine, mode_row, values and the
+    Stratonovich sums take single paths.
     """
 
-    seed: int
+    seed: int | tuple
     K: int
     level: int
     horizon: float
@@ -95,6 +104,8 @@ class BrownianPath:
         return self.horizon / self.n_cells
 
     def mode_row(self, k: int) -> np.ndarray:
+        if self.increments.ndim != 2:
+            raise ValueError("mode rows are read from a single path, not a stacked one")
         if not -self.K <= k <= self.K:
             raise ValueError(f"mode {k} outside -{self.K}..{self.K}")
         return self.increments[k + self.K]
@@ -118,7 +129,7 @@ def sample_path(seed: int, horizon: float, level: int, K: int, n_base: int = 1) 
     """Level-`level` path, deterministic in (seed, horizon, K, n_base)."""
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    if horizon <= 0:
+    if not horizon > 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     if n_base < 1:
         raise ValueError(f"n_base must be >= 1, got {n_base}")
@@ -148,6 +159,8 @@ def _split(row: np.ndarray, seed: int, mode: int, level: int, horizon: float) ->
 
 def refine(path: BrownianPath) -> BrownianPath:
     """Bridge refinement; coarse increments are exact sums of children."""
+    if path.increments.ndim != 2:
+        raise ValueError("refine takes a single path, not a stacked one")
     inc = np.empty((2 * path.K + 1, 2 * path.n_cells))
     for k in range(0, path.K + 1):
         row = _split(path.increments[path.K + k], path.seed, k, path.level + 1, path.horizon)
@@ -163,16 +176,33 @@ def coarsen(path: BrownianPath) -> BrownianPath:
     """Pairwise-sum inverse of refine (bit-exact)."""
     if path.level == 0:
         raise ValueError("cannot coarsen a level-0 path")
-    inc = path.increments[:, 0::2] + path.increments[:, 1::2]
+    inc = path.increments[..., 0::2] + path.increments[..., 1::2]
     return BrownianPath(
         seed=path.seed, K=path.K, level=path.level - 1,
         horizon=path.horizon, increments=inc, n_base=path.n_base,
     )
 
 
+def stack_paths(paths) -> BrownianPath:
+    """One path holding the increments of `paths` (same K, level,
+    horizon and n_base) along a leading sample axis."""
+    first = paths[0]
+    for p in paths:
+        if (p.K, p.level, p.horizon, p.n_base) != (first.K, first.level, first.horizon,
+                                                   first.n_base):
+            raise ValueError("stacked paths must share K, level, horizon and n_base")
+    return BrownianPath(
+        seed=tuple(p.seed for p in paths), K=first.K, level=first.level,
+        horizon=first.horizon, increments=np.stack([p.increments for p in paths]),
+        n_base=first.n_base,
+    )
+
+
 @dataclass(frozen=True)
 class NoiseIncrement:
-    """Normalized increments W_{n,k} = (W_k(t1) - W_k(t0)) / sqrt(t1-t0)."""
+    """Normalized increments W_{n,k} = (W_k(t1) - W_k(t0)) / sqrt(t1-t0).
+
+    w has shape (2K+1,), or (S, 2K+1) for a stacked path."""
 
     w: np.ndarray
     step: float
@@ -184,7 +214,7 @@ def increment(path: BrownianPath, t0: float, t1: float) -> NoiseIncrement:
     if j1 <= j0:
         raise ValueError(f"need t1 > t0 on the grid, got [{t0}, {t1}]")
     step = (j1 - j0) * path.dt
-    w = path.increments[:, j0:j1].sum(axis=1) / np.sqrt(step)
+    w = path.increments[..., j0:j1].sum(axis=-1) / np.sqrt(step)
     return NoiseIncrement(w=w, step=step)
 
 

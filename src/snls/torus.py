@@ -1,14 +1,16 @@
 """Fourier representation of fields on the torus [0, 2pi).
 
 Fields are stored as the 2K+1 complex coefficients c_k, k = -K..K, in
-ascending-k order.  All inner products and norms use the plain Fourier
-convention sum_k |c_k|^2 (the 2*pi factor of the physical integral is
-dropped uniformly).
+ascending-k order along the last axis.  Leading axes, if any, index a
+batch of independent fields (Monte-Carlo samples) on the same grid.  All
+inner products and norms use the plain Fourier convention sum_k |c_k|^2
+(the 2*pi factor of the physical integral is dropped uniformly).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -50,20 +52,24 @@ def make_grid(K: int) -> TorusGrid:
 
 @dataclass
 class SpectralField:
-    """Complex Fourier coefficients c_k, k = -K..K, on a TorusGrid."""
+    """Complex Fourier coefficients c_k, k = -K..K, on a TorusGrid.
+
+    coefficients has shape (..., 2K+1): one field, or a batch of fields
+    along the leading axes.
+    """
 
     coefficients: np.ndarray
     grid: TorusGrid
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.complex128)
-        if c.shape != (self.grid.n_modes,):
+        c = np.array(self.coefficients, dtype=np.complex128)  # always a copy
+        if c.ndim == 0 or c.shape[-1] != self.grid.n_modes:
             raise ValueError(
                 f"expected {self.grid.n_modes} coefficients, got shape {c.shape}"
             )
-        if not np.all(np.isfinite(c.view(np.float64))):
+        if not np.isfinite(c).all():
             raise ValueError("non-finite coefficient")
-        self.coefficients = c.copy()
+        self.coefficients = c
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.coefficients, self.grid)
@@ -92,15 +98,18 @@ def zero_field(grid: TorusGrid) -> SpectralField:
 
 
 def _embed(coeffs: np.ndarray, K: int, n: int) -> np.ndarray:
-    """Place modes -K..K into an n-length FFT spectrum (n >= 2K+1)."""
-    spec = np.zeros(n, dtype=np.complex128)
-    ks = np.arange(-K, K + 1)
-    spec[ks % n] = coeffs
+    """Place modes -K..K into an n-length FFT spectrum (n >= 2K+1),
+    along the last axis."""
+    spec = np.zeros(coeffs.shape[:-1] + (n,), dtype=np.complex128)
+    spec[..., : K + 1] = coeffs[..., K:]
+    spec[..., n - K :] = coeffs[..., :K]
     return spec
 
+
 def _extract(spec: np.ndarray, K: int) -> np.ndarray:
-    ks = np.arange(-K, K + 1)
-    return spec[ks % len(spec)]
+    """Modes -K..K of FFT spectra along the last axis."""
+    n = spec.shape[-1]
+    return np.concatenate((spec[..., n - K :], spec[..., : K + 1]), axis=-1)
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
@@ -122,8 +131,16 @@ def free_propagator(f: SpectralField, t: float) -> SpectralField:
     """e^{it Laplacian}: multiply coefficient k by e^{-i t k^2}."""
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
-    k = f.grid.modes()
-    return SpectralField(f.coefficients * np.exp(-1j * t * k.astype(float) ** 2), f.grid)
+    return SpectralField(f.coefficients * _propagator(f.grid.K, t), f.grid)
+
+
+@lru_cache(maxsize=64)
+def _propagator(K: int, t: float) -> np.ndarray:
+    """e^{-i t k^2} for k = -K..K (read-only: shared by every call)."""
+    k = np.arange(-K, K + 1).astype(float)
+    mult = np.exp(-1j * t * k**2)
+    mult.flags.writeable = False
+    return mult
 
 
 def derivative(f: SpectralField) -> SpectralField:

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, flags, output files, exit codes."""
 
 import numpy as np
+import pytest
 
 from snls.cli import main
 
@@ -107,3 +108,17 @@ def test_out_path_from_config(tmp_path):
     cfg = write_cfg(tmp_path, BASE + f"out={out}\n")
     assert main(["simulate", "--config", cfg]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("seed", [-3, 2**64])
+def test_out_of_range_config_seed_exit_1(tmp_path, capsys, seed):
+    cfg = write_cfg(tmp_path, f"seed={seed}\nK=4\nt=0.01\nn_steps=3\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "error: seed must be in 0..2^64-1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["fp_tol", "alpha", "t"])
+def test_nan_config_value_exit_1(tmp_path, capsys, key):
+    cfg = write_cfg(tmp_path, BASE + f"{key}=nan\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "error:" in capsys.readouterr().err

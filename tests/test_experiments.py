@@ -13,9 +13,11 @@ from snls.experiments import (
     linear_flow_defect,
     reference_solution,
 )
-from snls.integrator import FixedPointConfig
+from snls.diagnostics import sobolev_norm
+from snls.integrator import FixedPointConfig, StepRejectedError, midpoint_tableau, step
 from snls.maps import ModelParams
-from snls.noise import default_phi, sample_path
+from snls.noise import default_phi, sample_path, stack_paths
+from snls.torus import SpectralField
 
 
 def test_error_table_slope_of_exact_power_law():
@@ -72,7 +74,6 @@ def test_reference_solution_convergence_on_same_path():
     p9 = refine(p8)
     r8 = reference_solution(u0, params, phi, p8, t)
     r9 = reference_solution(u0, params, phi, p9, t)
-    from snls.diagnostics import sobolev_norm
 
     # refinement-to-refinement gap is O(substep); a path misalignment
     # would instead show up at the O(sqrt(t)) noise scale (~0.2 here)
@@ -123,3 +124,42 @@ def test_cmd_symplectic_midpoint_vs_linear():
     out = cmd_symplectic(cfg)
     assert out["defect"] < 1e-5
     assert linear_flow_defect(cfg) < 1e-10
+
+
+def test_batched_local_error_step_matches_serial_steps():
+    # cmd_local_error's 16 paths at t=2^-4 for config seed 8, run as one
+    # batch and one path at a time; the serial solver rejects sample 14
+    # (path seed 14009)
+    cfg = RunConfig(seed=8, K=8, lam=1.0, kappa=1.0, alpha=2.0)
+    t, samples = 2.0**-4, 16
+    u0 = initial_field(cfg.initial_data, cfg.K, seed=cfg.seed)
+    params = ModelParams(lam=cfg.lam, kappa=cfg.kappa, alpha=cfg.alpha)
+    phi = default_phi(cfg.K)
+    tab = midpoint_tableau()
+    fp = FixedPointConfig(tol=cfg.fp_tol, max_iter=cfg.fp_max_iter)
+    paths = [sample_path(cfg.seed + 1000 * i + 1, t, 8, cfg.K) for i in range(samples)]
+
+    u = SpectralField(np.tile(u0.coefficients, (samples, 1)), u0.grid)
+    path = stack_paths(paths)
+    coarse = step(u, tab, params, phi, path, 0.0, t, fp)
+    ref = reference_solution(u, params, phi, path, t, fp)
+
+    rejected = set()
+    for i, p in enumerate(paths):
+        try:
+            one = step(u0, tab, params, phi, p, 0.0, t, fp)
+        except StepRejectedError as exc:
+            rejected.add(i)
+            assert coarse.iterations[i] == exc.iterations
+            continue
+        assert coarse.iterations[i] == one.iterations
+        try:
+            one_ref = reference_solution(u0, params, phi, p, t, fp)
+        except StepRejectedError:
+            rejected.add(i)
+            continue
+        for batched, serial in ((coarse.state, one.state), (ref.state, one_ref)):
+            diff = SpectralField(batched.coefficients[i], u0.grid) - serial
+            assert sobolev_norm(diff, 2.0) <= 1e-12 * sobolev_norm(serial, 2.0)
+    assert rejected == {14}
+    assert set(np.flatnonzero(~(coarse.converged & ref.converged))) == rejected

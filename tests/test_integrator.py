@@ -23,7 +23,7 @@ from snls.integrator import (
 )
 from snls.kernels import default_kernel_spec
 from snls.maps import ModelParams
-from snls.noise import default_phi, increment, sample_path
+from snls.noise import default_phi, increment, sample_path, stack_paths
 from snls.torus import SpectralField, cubic_convolution, make_grid
 from snls.config import RunConfig
 
@@ -117,11 +117,50 @@ def test_fixed_point_max_iter_exhaustion():
     assert exc.value.iterations == 3
 
 
+def test_fixed_point_batch_keeps_per_sample_semantics():
+    # x <- a x + 1 per sample: a=0.5 converges, a=2 diverges, a=0.999
+    # runs out of iterations; each sample ends as it would alone
+    fp = FixedPointConfig(tol=1e-12, max_iter=60)
+    a = np.array([0.5, 2.0, 0.999])
+
+    def norm(new, old):
+        return np.abs(new - old)[:, 0]
+
+    out = fixed_point_solve(lambda x: a[:, None] * x + 1.0, np.ones((3, 1)), fp, norm)
+    alone = fixed_point_solve(lambda x: 0.5 * x + 1.0, 1.0, fp, lambda p, q: abs(p - q))
+    with pytest.raises(StepRejectedError) as diverging:
+        fixed_point_solve(lambda x: 2.0 * x + 1.0, 1.0, fp, lambda p, q: abs(p - q))
+    assert list(out.converged) == [True, False, False]
+    assert list(out.sample_iterations) == [alone.iterations, diverging.value.iterations, 60]
+    assert out.x[0, 0] == alone.x and out.residual[0] == alone.residual
+    assert out.x[1, 0] == 1.0  # a rejected sample is frozen at its guess
+    assert out.iterations == 60 and len(out.history) == 60
+    x, iterations, residual, history = out
+    assert iterations == 60 and all(isinstance(h, float) for h in history)
+
+
+def test_batched_step_matches_single_steps():
+    params = ModelParams(lam=1.0, kappa=1.0)
+    K, t = 6, 0.01
+    fields = [random_field(K, s) for s in range(3)]
+    paths = [sample_path(s, t, 0, K) for s in range(3)]
+    u = SpectralField(np.stack([f.coefficients for f in fields]), fields[0].grid)
+    out = step(u, midpoint_tableau(), params, default_phi(K), stack_paths(paths), 0.0, t, FP)
+    assert out.converged.all()
+    for i, (f, p) in enumerate(zip(fields, paths)):
+        one = step(f, midpoint_tableau(), params, default_phi(K), p, 0.0, t, FP)
+        assert out.iterations[i] == one.iterations
+        np.testing.assert_allclose(out.state.coefficients[i], one.state.coefficients,
+                                   rtol=0, atol=1e-14)
+
+
 def test_fixed_point_config_validation():
     with pytest.raises(ValueError):
         FixedPointConfig(tol=0.0)
     with pytest.raises(ValueError):
         FixedPointConfig(divergence_factor=1.0)
+    with pytest.raises(ValueError):
+        FixedPointConfig(tol=float("nan"))
 
 
 # ---------------------------------------------------------------- stepping
@@ -271,4 +310,6 @@ def test_simulate_rejection_carries_step_index():
     cfg = RunConfig(seed=6, K=6, t=5.0, n_steps=3, lam=5.0)
     with pytest.raises(StepRejectedError) as exc:
         simulate(cfg)
-    assert exc.value.step_index is not None
+    n = exc.value.step_index
+    assert n is not None and exc.value.time == n * cfg.t
+    assert str(exc.value).startswith(f"step {n} from t={n * cfg.t:g}: fixed-point iteration")

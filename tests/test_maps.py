@@ -34,6 +34,8 @@ def test_model_params_validation():
         ModelParams(lam=np.nan, kappa=1.0)
     with pytest.raises(ValueError):
         ModelParams(lam=1.0, kappa=1.0, alpha=0.5)
+    with pytest.raises(ValueError):
+        ModelParams(lam=1.0, kappa=1.0, alpha=np.nan)
 
 
 # ------------------------------------------------------------------ map_F
@@ -108,6 +110,26 @@ def test_fast_physical_path_matches_direct_sum(seed, K, t):
     slow = (t * map_F(PARAMS, SPEC1, t, 1.0, 0, v)).coefficients
     scale = max(1.0, np.max(np.abs(slow)))
     np.testing.assert_allclose(fast, slow, atol=1e-10 * scale)
+
+
+def test_maps_act_on_each_sample_of_a_batch():
+    K, t = 5, 0.02
+    fields = [random_field(K, s) for s in range(4)]
+    batch = SpectralField(np.stack([f.coefficients for f in fields]), fields[0].grid)
+    incs = [make_increment(K, s, t) for s in range(4)]
+    X = NoiseIncrement(w=np.stack([x.w for x in incs]), step=t)
+    phi = default_phi(K)
+    maps = (
+        lambda v, x: map_F_midpoint_physical(PARAMS, t, v),
+        lambda v, x: map_F(PARAMS, SPEC1, t, 1.0, 0, v),
+        lambda v, x: map_P_frozen(PARAMS, phi, SPEC1, t, 1.0, 0, v, x),
+    )
+    for f in maps:
+        out = f(batch, X).coefficients
+        for i in range(4):
+            one = f(fields[i], incs[i]).coefficients
+            np.testing.assert_allclose(out[i], one, rtol=0,
+                                       atol=1e-15 * max(1.0, np.max(np.abs(one))))
 
 
 def test_fast_path_zero_lambda():

@@ -14,6 +14,7 @@ from snls.noise import (
     increment,
     refine,
     sample_path,
+    stack_paths,
     strat_integral,
     strat_pair_integrals,
     symmetrized_midpoint_double,
@@ -101,6 +102,10 @@ def test_sample_path_validation():
         sample_path(0, 1.0, 0, 2, n_base=0)
     with pytest.raises(ValueError):
         coarsen(sample_path(0, 1.0, 0, 2))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            sample_path(seed, 1.0, 0, 2)
+    sample_path(2**64 - 1, 1.0, 0, 2)
 
 
 def test_cell_index_off_grid_rejected():
@@ -144,6 +149,23 @@ def test_increment_rejects_degenerate_interval():
     p = sample_path(3, 1.0, 2, 1)
     with pytest.raises(ValueError):
         increment(p, 0.5, 0.5)
+
+
+def test_stacked_path_increments_are_per_path_increments():
+    paths = [sample_path(s, 1.0, 3, 2) for s in (4, 5, 6)]
+    stacked = stack_paths(paths)
+    assert stacked.seed == (4, 5, 6) and stacked.increments.shape == (3, 5, 8)
+    for t0, t1 in ((0.0, 1.0), (0.25, 0.5)):
+        X = increment(stacked, t0, t1)
+        for i, p in enumerate(paths):
+            np.testing.assert_array_equal(X.w[i], increment(p, t0, t1).w)
+    np.testing.assert_array_equal(coarsen(stacked).increments[1], coarsen(paths[1]).increments)
+    with pytest.raises(ValueError):
+        refine(stacked)
+    with pytest.raises(ValueError):
+        stacked.values(1)
+    with pytest.raises(ValueError):
+        stack_paths([paths[0], sample_path(7, 1.0, 2, 2)])
 
 
 def test_increments_consistent_across_levels():

@@ -46,6 +46,15 @@ def test_field_validation():
         SpectralField(np.zeros(5, dtype=complex), grid)  # wrong length
     with pytest.raises(ValueError):
         SpectralField(np.full(7, np.nan, dtype=complex), grid)
+    assert SpectralField(np.zeros((4, 7)), grid).coefficients.shape == (4, 7)  # a batch
+    with pytest.raises(ValueError):
+        SpectralField(np.zeros((4, 5)), grid)
+    with pytest.raises(ValueError):
+        SpectralField(np.array(1.0 + 0j), grid)
+    batch = np.zeros((4, 7), dtype=complex)
+    batch[2, 3] = np.inf
+    with pytest.raises(ValueError):
+        SpectralField(batch, grid)
 
 
 def test_field_copies_input():
