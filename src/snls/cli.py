@@ -46,15 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args):
-    overrides = {} if args.seed is None else {"seed": args.seed}
-    return parse_config(args.config, overrides)
-
-
-def _out_path(args, cfg):
-    return args.out if args.out is not None else cfg.out
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -62,13 +53,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 
+    overrides = {} if args.seed is None else {"seed": args.seed}
     try:
-        cfg = _load_config(args)
+        cfg = parse_config(args.config, overrides)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    out = _out_path(args, cfg)
+    out = args.out if args.out is not None else cfg.out
     try:
         if args.command == "simulate":
             record = simulate(cfg)

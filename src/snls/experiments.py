@@ -25,6 +25,7 @@ from .integrator import (
 from .kernels import ModeQuad, default_kernel_spec, kernel_K2d, kernel_exact
 from .maps import ModelParams
 from .noise import (
+    MAX_SEED,
     BrownianPath,
     CovarianceOp,
     default_phi,
@@ -127,6 +128,13 @@ def cmd_local_error(
     coarse step or reference is rejected counts as a rejection."""
     if samples < 16:
         raise ValueError(f"need at least 16 samples, got {samples}")
+    # sample path i is seeded with seed + 1000*i + 1
+    max_seed = MAX_SEED - 1000 * (samples - 1) - 1
+    if config.seed > max_seed:
+        raise ValueError(
+            f"seed {config.seed} is too large for {samples} local-error samples: "
+            f"their path seeds run past 2^64-1; the largest usable seed is {max_seed}"
+        )
     params = ModelParams(lam=config.lam, kappa=config.kappa, alpha=config.alpha)
     phi = default_phi(config.K)
     tab = TABLEAUX[config.tableau]()

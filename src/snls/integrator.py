@@ -115,14 +115,17 @@ def explicit_tableau() -> Tableau:
 TABLEAUX = {"midpoint": midpoint_tableau, "explicit": explicit_tableau}
 
 
+# a residual past this factor times its running minimum rejects a sample
+DIVERGENCE_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class FixedPointConfig:
     tol: float = 1e-12
     max_iter: int = 100
-    divergence_factor: float = 10.0
 
     def __post_init__(self):
-        if not self.tol > 0 or self.max_iter < 1 or not self.divergence_factor > 1:
+        if not self.tol > 0 or self.max_iter < 1:
             raise ValueError("invalid fixed-point configuration")
 
 
@@ -183,7 +186,7 @@ class FixedPointResult:
 def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> FixedPointResult:
     """Iterate x <- map(x) until norm(map(x), x) <= tol.
 
-    A sample aborts when its residual grows past divergence_factor times
+    A sample aborts when its residual grows past DIVERGENCE_FACTOR times
     its running minimum, or when max_iter is exhausted.  With one
     problem, norm returns a number and an abort raises StepRejectedError.
     With a batch, norm returns one residual per sample, x ends in the
@@ -208,7 +211,7 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
         # fmin, unlike min, keeps the running minimum when res is NaN
         best = np.fmin(best, res)
         done = active & (res <= fp.tol)
-        failed = active & ~done & (res > fp.divergence_factor * best)
+        failed = active & ~done & (res > DIVERGENCE_FACTOR * best)
         converged |= done
         active &= ~(done | failed)
         take = active | done

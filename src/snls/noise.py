@@ -246,13 +246,3 @@ def symmetrized_midpoint_double(path: BrownianPath, k2: int, k3: int, t: float) 
     w2_t = path.values(k2)[j]
     w3_t = path.values(k3)[j]
     return (i23 - 0.5 * w2_t * w3_t) + (i32 - 0.5 * w3_t * w2_t)
-
-
-def write_manifest(path: BrownianPath, file_path, endpoints: bool = True) -> None:
-    """Reproducibility record: `seed,K,level,horizon` plus optional
-    per-mode endpoint values."""
-    with open(file_path, "w") as fh:
-        fh.write(f"{path.seed},{path.K},{path.level},{path.horizon:.17g}\n")
-        if endpoints:
-            for k in range(-path.K, path.K + 1):
-                fh.write(f"{k},{path.values(k)[-1]:.17g}\n")

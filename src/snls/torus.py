@@ -143,21 +143,6 @@ def _propagator(K: int, t: float) -> np.ndarray:
     return mult
 
 
-def derivative(f: SpectralField) -> SpectralField:
-    """Spectral d/dx: multiply coefficient k by ik."""
-    k = f.grid.modes()
-    return SpectralField(f.coefficients * (1j * k), f.grid)
-
-
-def inverse_derivative(f: SpectralField) -> SpectralField:
-    """Antiderivative symbol 1/(ik); the zero mode is set to 0."""
-    k = f.grid.modes().astype(float)
-    mult = np.zeros_like(f.coefficients)
-    nz = k != 0
-    mult[nz] = 1.0 / (1j * k[nz])
-    return SpectralField(f.coefficients * mult, f.grid)
-
-
 def _pad_size(K: int) -> int:
     # cubic products reach mode 3K; 4K+1 points keep aliases out of -K..K
     return next_fast_len(4 * K + 1)

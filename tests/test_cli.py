@@ -117,6 +117,18 @@ def test_out_of_range_config_seed_exit_1(tmp_path, capsys, seed):
     assert "error: seed must be in 0..2^64-1" in capsys.readouterr().err
 
 
+def test_local_error_seed_too_large_for_samples_exit_1(tmp_path, capsys):
+    # path seeds seed + 1000*i + 1 would pass 2^64-1; the message names
+    # the config seed, not a derived one
+    cfg = write_cfg(tmp_path, "seed=18446744073709551615\nK=4\n")
+    assert main(["local-error", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "error: seed 18446744073709551615" in err
+    assert "64 local-error samples" in err
+    assert f"largest usable seed is {2**64 - 1 - 1000 * 63 - 1}" in err
+    assert "18446744073709551616" not in err
+
+
 @pytest.mark.parametrize("key", ["fp_tol", "alpha", "t"])
 def test_nan_config_value_exit_1(tmp_path, capsys, key):
     cfg = write_cfg(tmp_path, BASE + f"{key}=nan\n")

@@ -158,8 +158,6 @@ def test_fixed_point_config_validation():
     with pytest.raises(ValueError):
         FixedPointConfig(tol=0.0)
     with pytest.raises(ValueError):
-        FixedPointConfig(divergence_factor=1.0)
-    with pytest.raises(ValueError):
         FixedPointConfig(tol=float("nan"))
 
 

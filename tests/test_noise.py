@@ -18,7 +18,6 @@ from snls.noise import (
     strat_integral,
     strat_pair_integrals,
     symmetrized_midpoint_double,
-    write_manifest,
 )
 
 
@@ -215,18 +214,3 @@ def test_strat_integral_refinement_consistency():
     a = strat_integral(p, 1, 2, 1.0)
     b = strat_integral(refine(refine(p)), 1, 2, 1.0)
     assert abs(a - b) < 0.2
-
-
-# ---------------------------------------------------------------- manifest
-
-
-def test_manifest_format(tmp_path):
-    p = sample_path(17, 0.5, 2, 2)
-    f = tmp_path / "path.csv"
-    write_manifest(p, f)
-    lines = f.read_text().strip().split("\n")
-    assert lines[0] == f"17,2,2,{0.5:.17g}"
-    assert len(lines) == 1 + 5
-    k, val = lines[1].split(",")
-    assert int(k) == -2
-    assert float(val) == p.values(-2)[-1]

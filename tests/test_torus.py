@@ -9,10 +9,8 @@ from snls.torus import (
     SpectralField,
     cubic_convolution,
     cubic_convolution_direct,
-    derivative,
     free_propagator,
     from_physical,
-    inverse_derivative,
     make_grid,
     read_snapshot,
     to_physical,
@@ -124,24 +122,6 @@ def test_free_propagator_phase_value():
     c[6] = 1.0  # k = 3
     g = free_propagator(SpectralField(c, grid), 0.1)
     np.testing.assert_allclose(g.coefficients[6], np.exp(-0.9j), atol=1e-14)
-
-
-def test_derivative_and_inverse():
-    f = random_field(6, 5)
-    d = derivative(f)
-    k = f.grid.modes()
-    np.testing.assert_allclose(d.coefficients, 1j * k * f.coefficients, atol=1e-14)
-    g = inverse_derivative(d)
-    expected = f.coefficients.copy()
-    expected[6] = 0.0  # zero mode is annihilated
-    np.testing.assert_allclose(g.coefficients, expected, atol=1e-14)
-
-
-def test_inverse_derivative_kills_zero_mode():
-    grid = make_grid(2)
-    c = np.array([0, 0, 3.0 + 1j, 0, 0], dtype=complex)
-    g = inverse_derivative(SpectralField(c, grid))
-    assert g.coefficients[2] == 0.0
 
 
 @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 8))
