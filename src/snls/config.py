@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import sobolev_norm
+from .integrator import TABLEAUX
 from .noise import MAX_SEED
 from .torus import SpectralField, make_grid, read_snapshot
 
@@ -49,6 +50,10 @@ class RunConfig:
             raise ConfigError(f"n_steps must be >= 0, got {self.n_steps}")
         if not self.alpha > 1:
             raise ConfigError(f"alpha must be > 1, got {self.alpha}")
+        if self.tableau not in TABLEAUX:
+            raise ConfigError(
+                f"unknown tableau {self.tableau!r}; valid names: {', '.join(TABLEAUX)}"
+            )
         if self.kernel_d not in (1, 2):
             raise ConfigError(f"kernel_d must be 1 or 2, got {self.kernel_d}")
 

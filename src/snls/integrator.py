@@ -245,19 +245,32 @@ def _stage_uses_fast_path(tab: Tableau, stage_idx: int) -> bool:
     )
 
 
-def _stage_maps(tab, params, phi, t, X, stages, grid):
-    """K_alpha and L_alpha coefficients for every stage iterate."""
-    Ks, Ls = [], []
+def _stage_F(tab, params, t, stages, grid):
+    """K_alpha coefficients for every stage iterate."""
+    Ks = []
     for idx, coeffs in enumerate(stages):
         U = SpectralField(coeffs, grid)
-        p, q, _ = tab.stages[idx]
-        c = tab.c[q]
         if _stage_uses_fast_path(tab, idx):
             Ks.append(map_F_midpoint_physical(params, t, U).coefficients * (1.0 / t))
         else:
-            Ks.append(map_F(params, tab.kernel, t, c, p, U).coefficients)
-        Ls.append(map_P_frozen(params, phi, tab.kernel, t, c, p, U, X).coefficients)
-    return Ks, Ls
+            p, q, _ = tab.stages[idx]
+            Ks.append(map_F(params, tab.kernel, t, tab.c[q], p, U).coefficients)
+    return Ks
+
+
+def _stage_P(tab, params, phi, t, X, stages, grid):
+    """L_alpha coefficients for every stage iterate."""
+    Ls = []
+    for idx, coeffs in enumerate(stages):
+        p, q, _ = tab.stages[idx]
+        U = SpectralField(coeffs, grid)
+        Ls.append(map_P_frozen(params, phi, tab.kernel, t, tab.c[q], p, U, X).coefficients)
+    return Ls
+
+
+# linear noise sweeps per evaluation of the nonlinear map in the stage
+# iteration; see step_with_increment
+NOISE_SWEEPS = 2
 
 
 def step_with_increment(
@@ -271,6 +284,17 @@ def step_with_increment(
 ) -> StepOutcome:
     """One step with a frozen noise increment (deterministic given X).
 
+    The stage system U = u_n + t a0 K(U) + sqrt(t) a1 L(U) is solved by
+    fixed-point iteration.  Each sweep evaluates the nonlinear K once at
+    the iterate and then makes NOISE_SWEEPS sweeps of the linear noise
+    term L with K held.  The fixed point is the one of the stage system:
+    with B = sqrt(t) a1 L and r = u_n + t a0 K(U), two sweeps give
+    G(U) = (I + B) r + B^2 U, and (I - B^2) U = (I + B) r is (I - B) U = r
+    whenever I + B is invertible; for the midpoint rule B is a real
+    multiple of the skew-Hermitian L, so it always is.  The contraction
+    rate drops from about rho_K + rho_L to about rho_K + rho_L^2, and
+    fixed_point_solve counts the outer sweeps.
+
     u_n and X.w may carry a batch of samples along their leading axes;
     see StepOutcome for what a batch returns."""
     if not t > 0:
@@ -279,19 +303,20 @@ def step_with_increment(
     sqrt_t = np.sqrt(t)
     grid = u_n.grid
 
-    def combine(Ks, Ls, a, b):
-        # u_n + sum_st (t a_st K_st + sqrt(t) b_st L_st), zero weights skipped
-        U = u_n.coefficients
+    def combine(U, terms, weights, scale):
+        # U + sum_st scale w_st terms_st, zero weights skipped
         for st in range(n):
-            if a[st] != 0.0:
-                U = U + (t * a[st]) * Ks[st]
-            if b[st] != 0.0:
-                U = U + (sqrt_t * b[st]) * Ls[st]
+            if weights[st] != 0.0:
+                U = U + (scale * weights[st]) * terms[st]
         return U
 
     def iteration(stages):
-        Ks, Ls = _stage_maps(tab, params, phi, t, X, stages, grid)
-        return np.stack([combine(Ks, Ls, tab.a0[s], tab.a1[s]) for s in range(n)])
+        Ks = _stage_F(tab, params, t, stages, grid)
+        rhs = [combine(u_n.coefficients, Ks, tab.a0[s], t) for s in range(n)]
+        for _ in range(NOISE_SWEEPS):
+            Ls = _stage_P(tab, params, phi, t, X, stages, grid)
+            stages = np.stack([combine(rhs[s], Ls, tab.a1[s], sqrt_t) for s in range(n)])
+        return stages
 
     def norm(new, old):
         # the largest stage residual of each sample
@@ -300,8 +325,10 @@ def step_with_increment(
     guess = np.stack([u_n.coefficients] * n)
     solve = fixed_point_solve(iteration, guess, fp, norm)
 
-    Ks, Ls = _stage_maps(tab, params, phi, t, X, solve.x, grid)
-    state = free_propagator(SpectralField(combine(Ks, Ls, tab.b0, tab.b1), grid), t)
+    Ks = _stage_F(tab, params, t, solve.x, grid)
+    Ls = _stage_P(tab, params, phi, t, X, solve.x, grid)
+    update = combine(combine(u_n.coefficients, Ks, tab.b0, t), Ls, tab.b1, sqrt_t)
+    state = free_propagator(SpectralField(update, grid), t)
     if not np.all(solve.converged):
         kept = np.where(np.expand_dims(solve.converged, -1), state.coefficients, u_n.coefficients)
         state = SpectralField(kept, grid)

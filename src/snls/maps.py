@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .kernels import KernelSpec, ModeQuad, kernel_weight
 from .noise import CovarianceOp, NoiseIncrement
@@ -70,6 +71,11 @@ def map_F(
     return SpectralField(-1j * params.lam * np.moveaxis(out, 0, -1), v.grid)
 
 
+# map_P_frozen forms its product directly up to this many modes and by
+# padded transforms above; the two cost the same near K=16
+DIRECT_MAX_MODES = 33
+
+
 def map_P_frozen(
     params: ModelParams,
     phi: CovarianceOp,
@@ -99,14 +105,29 @@ def map_P_frozen(
         raise ValueError(
             f"noise increment was built for step {X.step}, stage interval is {c * t}"
         )
-    coeffs, noise = v.coefficients, phi.phi * X.w
-    if coeffs.shape != noise.shape:
-        coeffs, noise = np.broadcast_arrays(coeffs, noise)
-    out = np.empty(coeffs.shape, dtype=np.complex128)
-    m = 2 * K + 1
-    for row, a, b in zip(out.reshape(-1, m), coeffs.reshape(-1, m), noise.reshape(-1, m)):
-        row[:] = np.convolve(a, b)[K : 3 * K + 1]  # index i <-> mode i-2K
+    a, b = v.coefficients, phi.phi * X.w
+    if 2 * K + 1 <= DIRECT_MAX_MODES:
+        # out_i = sum_j b_{i-j+K} a_j: the Toeplitz matrix of b, gathered
+        # from b with K zeros on either side
+        b_pad = np.zeros(b.shape[:-1] + (4 * K + 1,))
+        b_pad[..., K : 3 * K + 1] = b
+        out = (b_pad[..., _toeplitz_index(K)] @ a[..., None])[..., 0]
+    else:
+        # the full product has index i <-> mode i-2K, i = 0..4K; with
+        # n >= 3K+1 points no alias lands on modes -K..K
+        n = next_fast_len(3 * K + 1)
+        out = np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[..., K : 3 * K + 1]
     return SpectralField(-1j * params.kappa * out, v.grid)
+
+
+@lru_cache(maxsize=64)
+def _toeplitz_index(K: int) -> np.ndarray:
+    """Index i - j + 2K of the padded noise at Toeplitz entry (i, j)
+    (read-only: shared by every call)."""
+    modes = np.arange(2 * K + 1)
+    idx = modes[:, None] - modes[None, :] + 2 * K
+    idx.flags.writeable = False
+    return idx
 
 
 @lru_cache(maxsize=64)

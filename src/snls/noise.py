@@ -5,10 +5,10 @@ Paths are stored as per-mode increments on a dyadic grid and refined by
 Brownian-bridge splitting.  Two implementation choices matter:
 
 * All increments are quantized to integer multiples of 2^-40.  Additions
-  of such values are exact in double precision at the magnitudes that
-  occur here, so coarse increments equal the sum of their refined
-  children bit for bit, and the Stratonovich product identities hold to
-  rounding on every discrete path.
+  of such values are exact in double precision while |W_k| stays below
+  2^12, which sample_path and refine check, so coarse increments equal
+  the sum of their refined children bit for bit, and the Stratonovich
+  product identities hold to rounding on every discrete path.
 
 * The mode-(-k) path is identical to the mode-k path (W_{-k} = W_k).
   Together with Phi_k = Phi_{-k} this makes the complex noise field
@@ -30,10 +30,25 @@ import numpy as np
 _GRAIN = 2.0**-40
 # seeds are the first word of the uint64 Philox key
 MAX_SEED = 2**64 - 1
+# bound on |W_k| along a path: grain multiples below 2^13 are exact in
+# doubles, so sums of two values below 2^12 are still exact
+_W_LIMIT = 2.0**12
 
 
 def _quantize(x: np.ndarray) -> np.ndarray:
     return np.round(x / _GRAIN) * _GRAIN
+
+
+def _check_exact(rows: np.ndarray) -> None:
+    """Raise unless every running sum of the increment rows stays below
+    _W_LIMIT."""
+    w = np.cumsum(rows, axis=-1)
+    reach = max(w.max(), -w.min())
+    if reach >= _W_LIMIT:
+        raise ValueError(
+            f"path reaches |W| = {reach:.6g} >= 2^12, past which its increments "
+            "no longer sum exactly; use a shorter horizon"
+        )
 
 
 def _normals(seed: int, mode: int, level: int, n: int) -> np.ndarray:
@@ -140,6 +155,7 @@ def sample_path(seed: int, horizon: float, level: int, K: int, n_base: int = 1) 
             row = _split(row, seed, k, lev, horizon)
         inc[K + k] = row
         inc[K - k] = row
+    _check_exact(inc[K:])  # rows K-k mirror rows K+k
     return BrownianPath(
         seed=seed, K=K, level=level, horizon=horizon, increments=inc, n_base=n_base
     )
@@ -166,6 +182,7 @@ def refine(path: BrownianPath) -> BrownianPath:
         row = _split(path.increments[path.K + k], path.seed, k, path.level + 1, path.horizon)
         inc[path.K + k] = row
         inc[path.K - k] = row
+    _check_exact(inc[path.K:])
     return BrownianPath(
         seed=path.seed, K=path.K, level=path.level + 1,
         horizon=path.horizon, increments=inc, n_base=path.n_base,

@@ -1,16 +1,26 @@
 """The benchmark's view of the library: every name that perfbench/ wraps
-or calibrates at must still exist where it looks for it.
+or calibrates at must still exist where it looks for it, and stepping
+must call the maps through those names.
 
 perfbench/ traces the layers from outside, by binding ("module:attr"),
 so a rename or a moved import here breaks traced runs and the untraced
-calibration without failing any other test.  The two perfbench modules
-are loaded read-only, by file path.
+calibration without failing any other test.  Its output checks patch
+the two maps in snls.integrator to show that a broken program fails;
+a step that bound the maps elsewhere would not see the patch.  The two
+perfbench modules are loaded read-only, by file path.
 """
 
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import snls.integrator
+from snls.integrator import FixedPointConfig, midpoint_tableau, step
+from snls.maps import ModelParams
+from snls.noise import default_phi, sample_path
+from snls.torus import SpectralField, make_grid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -36,3 +46,26 @@ BINDINGS = sorted(
 def test_binding_resolves(binding):
     owner, attr = tracing.resolve(binding)
     assert callable(getattr(owner, attr, None)), f"{binding} does not resolve to a callable"
+
+
+def _zero_map(*args):
+    # perfbench's stub: the field is the last argument of F and the
+    # second-to-last of P
+    v = args[-1] if isinstance(args[-1], SpectralField) else args[-2]
+    return SpectralField(0 * v.coefficients, v.grid)
+
+
+def _step():
+    K, t = 4, 0.01
+    rng = np.random.default_rng(0)
+    u = SpectralField(0.5 * (rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)),
+                      make_grid(K))
+    return step(u, midpoint_tableau(), ModelParams(lam=1.0, kappa=1.0), default_phi(K),
+                sample_path(1, t, 0, K), 0.0, t, FixedPointConfig()).state.coefficients
+
+
+@pytest.mark.parametrize("target", ["map_F_midpoint_physical", "map_P_frozen"])
+def test_step_calls_the_maps_through_the_integrator_globals(target, monkeypatch):
+    intact = _step()
+    monkeypatch.setattr(snls.integrator, target, _zero_map)
+    assert np.abs(_step() - intact).max() > 1e-6

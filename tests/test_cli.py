@@ -56,6 +56,12 @@ def test_missing_seed_exit_1(tmp_path):
     assert main(["simulate", "--config", cfg]) == 1
 
 
+def test_unknown_tableau_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE + "tableau=foo\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "error: unknown tableau 'foo'; valid names: midpoint, explicit" in capsys.readouterr().err
+
+
 def test_usage_error_exit_1():
     assert main(["no-such-command"]) == 1
     assert main(["simulate"]) == 1  # --config is required

@@ -22,9 +22,9 @@ from snls.integrator import (
     validate_tableau,
 )
 from snls.kernels import default_kernel_spec
-from snls.maps import ModelParams
+from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen
 from snls.noise import default_phi, increment, sample_path, stack_paths
-from snls.torus import SpectralField, cubic_convolution, make_grid
+from snls.torus import SpectralField, cubic_convolution, free_propagator, make_grid
 from snls.config import RunConfig
 
 
@@ -172,6 +172,43 @@ def test_step_conserves_mass_midpoint():
     out = step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, 0.01, FP)
     assert abs(mass(out.state) - mass(u)) < 1e-12 * mass(u)
     assert out.converged and out.residual <= FP.tol
+
+
+@pytest.mark.parametrize("samples", [None, 3])
+def test_stage_solves_the_stage_equation_like_plain_picard(samples):
+    # the midpoint stage U = u + (t/2) K(U) + (sqrt(t)/2) L(U), recovered
+    # from the step as (e^{-it Laplacian} u_1 + u) / 2, solves the stage
+    # equation to fp_tol and equals the stage of a plain Picard solve
+    # (one evaluation of each map per sweep), which needs more sweeps
+    params = ModelParams(lam=1.0, kappa=1.5)
+    K, t = 8, 0.01
+    phi, spec = default_phi(K), default_kernel_spec(1)
+    seeds = [1] if samples is None else range(samples)
+    fields = [random_field(K, s, scale=0.1) for s in seeds]
+    paths = [sample_path(s, t, 0, K) for s in seeds]
+    if samples is None:
+        u, path = fields[0], paths[0]
+    else:
+        u = SpectralField(np.stack([f.coefficients for f in fields]), fields[0].grid)
+        path = stack_paths(paths)
+    X = increment(path, 0.0, t)
+
+    def stage_map(c):
+        U = SpectralField(c, u.grid)
+        return (u.coefficients + 0.5 * map_F_midpoint_physical(params, t, U).coefficients
+                + 0.5 * np.sqrt(t) * map_P_frozen(params, phi, spec, t, 1.0, 0, U, X).coefficients)
+
+    def norm(new, old):
+        return sobolev_norm(SpectralField(new - old, u.grid), params.alpha)
+
+    picard = fixed_point_solve(stage_map, u.coefficients, FP, norm)
+    out = step(u, midpoint_tableau(), params, phi, path, 0.0, t, FP)
+    assert np.all(out.converged) and np.all(picard.converged)
+    stage = 0.5 * (free_propagator(out.state, -t).coefficients + u.coefficients)
+    assert np.all(norm(stage_map(stage), stage) <= FP.tol)
+    scale = sobolev_norm(SpectralField(picard.x, u.grid), params.alpha)
+    assert np.all(norm(stage, picard.x) <= 1e-12 * scale)
+    assert np.all(out.iterations < picard.sample_iterations)
 
 
 def test_step_explicit_tableau_moves_mass():

@@ -14,7 +14,7 @@ from snls.maps import (
     map_P_frozen,
     orthogonality_defect,
 )
-from snls.noise import NoiseIncrement, default_phi, increment, sample_path
+from snls.noise import NoiseIncrement, default_phi, increment, sample_path, stack_paths
 from snls.torus import SpectralField, make_grid, zero_field
 
 
@@ -172,6 +172,37 @@ def test_map_P_single_mode_closed_form():
     np.testing.assert_allclose(out.coefficients, expected, atol=1e-14)
 
 
+def map_P_double_sum(kappa, phi, v, w):
+    """-i kappa sum_{k = k1 + k2} v_{k1} Phi_{k2} w_{k2}, term by term."""
+    K = (v.shape[-1] - 1) // 2
+    out = np.zeros(np.broadcast_shapes(v.shape, w.shape), dtype=complex)
+    for k in range(-K, K + 1):
+        for k1 in range(-K, K + 1):
+            k2 = k - k1
+            if -K <= k2 <= K:
+                out[..., k + K] += v[..., k1 + K] * phi[k2 + K] * w[..., k2 + K]
+    return -1j * kappa * out
+
+
+@pytest.mark.parametrize("K", [8, 16, 17, 40])  # direct products up to K=16, transforms above
+@pytest.mark.parametrize("batched", ["field", "increment"])
+def test_map_P_matches_double_sum(K, batched):
+    t, samples = 0.01, 3
+    phi = default_phi(K)
+    fields = [random_field(K, s) for s in range(samples)]
+    paths = [sample_path(s, t, 0, K) for s in range(samples)]
+    if batched == "field":
+        v = SpectralField(np.stack([f.coefficients for f in fields]), fields[0].grid)
+        X = increment(paths[0], 0.0, t)
+    else:
+        v = fields[0]
+        X = increment(stack_paths(paths), 0.0, t)
+    out = map_P_frozen(PARAMS, phi, SPEC1, t, 1.0, 0, v, X).coefficients
+    expected = map_P_double_sum(PARAMS.kappa, phi.phi, v.coefficients, X.w)
+    assert out.shape == expected.shape == (samples, 2 * K + 1)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+
+
 def test_map_P_step_mismatch_rejected():
     v = random_field(2, 0)
     X = make_increment(2, 0, 0.01)
@@ -186,7 +217,7 @@ def test_map_P_nonzero_power_rejected():
         map_P_frozen(PARAMS, default_phi(2), SPEC1, 0.01, 1.0, 1, v, X)
 
 
-@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 6))
+@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 6) | st.integers(17, 24))
 @settings(max_examples=30, deadline=None)
 def test_map_P_mass_orthogonality(seed, K):
     # Re<v, P*(v, X)> = 0 pathwise; relies on W_{-k} = W_k and even Phi

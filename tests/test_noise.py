@@ -107,6 +107,17 @@ def test_sample_path_validation():
     sample_path(2**64 - 1, 1.0, 0, 2)
 
 
+def test_paths_past_the_exact_range_are_refused():
+    # |W| ~ sqrt(horizon) = 2^15, far past the 2^12 of exact sums
+    with pytest.raises(ValueError, match="2\\^12"):
+        sample_path(0, 2.0**30, 0, 2)
+    # for seed 14 the level-0 values stay below 2^12 and a bridge
+    # midpoint does not
+    path = sample_path(14, 2.0**25, 0, 1)
+    with pytest.raises(ValueError, match="2\\^12"):
+        refine(path)
+
+
 def test_cell_index_off_grid_rejected():
     p = sample_path(0, 1.0, 2, 1)
     assert p.cell_index(0.25) == 1
