@@ -39,17 +39,19 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        # written as `not x > bound` so that NaN fails too
+        # written as `not lo < x < hi` so that NaN and inf fail too
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must be in 0..2^64-1, got {self.seed}")
         if self.K < 1:
             raise ConfigError(f"K must be >= 1, got {self.K}")
-        if not self.t > 0:
-            raise ConfigError(f"t must be > 0, got {self.t}")
+        if not 0 < self.t < np.inf:
+            raise ConfigError(f"t must be finite and > 0, got {self.t}")
         if self.n_steps < 0:
             raise ConfigError(f"n_steps must be >= 0, got {self.n_steps}")
-        if not self.alpha > 1:
-            raise ConfigError(f"alpha must be > 1, got {self.alpha}")
+        if not 1 < self.alpha < np.inf:
+            raise ConfigError(f"alpha must be finite and > 1, got {self.alpha}")
+        if not 0 < self.fp_tol < np.inf:
+            raise ConfigError(f"fp_tol must be finite and > 0, got {self.fp_tol}")
         if self.tableau not in TABLEAUX:
             raise ConfigError(
                 f"unknown tableau {self.tableau!r}; valid names: {', '.join(TABLEAUX)}"

@@ -1,10 +1,11 @@
 """Stochastic resonance-based Runge-Kutta stepping.
 
-A Tableau holds the stage set, the coefficient matrices for the
-deterministic and stochastic maps, the nodes and the kernel spec.  Each
-step freezes the noise increment of the interval, solves the coupled
-implicit stage system by simultaneous fixed-point iteration and forms
-the update through the free propagator.
+A Tableau holds the coefficient matrices of the deterministic and
+stochastic maps and the output weights.  Every stage is the full-Taylor
+stage at node 1 of the d=1 symplectic kernel, the one the scheme uses.
+Each step freezes the noise increment of the interval, solves the
+coupled implicit stage system by simultaneous fixed-point iteration and
+forms the update through the free propagator.
 """
 
 from __future__ import annotations
@@ -14,62 +15,49 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import sobolev_norm
-from .kernels import KernelSpec, default_kernel_spec
-from .maps import ModelParams, map_F, map_F_midpoint_physical, map_P_frozen
+# map_F is never called here: the benchmark wraps it at this name to show that stepping skips it
+from .maps import ModelParams, map_F, map_F_midpoint_physical, map_P_frozen  # noqa: F401
 from .noise import BrownianPath, CovarianceOp, NoiseIncrement, increment
 from .torus import SpectralField, free_propagator
 
 
 @dataclass(frozen=True)
 class Tableau:
-    """Stage labels alpha=(p,q,r), nodes c_q, coefficient matrices
-    a0/a1, output weights b0/b1, and the kernel spec."""
+    """Coefficient matrices a0/a1 and output weights b0/b1 of the
+    stages."""
 
-    stages: tuple
-    c: tuple
     a0: np.ndarray
     a1: np.ndarray
     b0: np.ndarray
     b1: np.ndarray
-    kernel: KernelSpec
 
     def __post_init__(self):
-        n = len(self.stages)
+        n = np.size(self.b0)
         if n == 0:
             raise ValueError("tableau needs at least one stage")
-        for name in ("a0", "a1"):
+        for name, shape in (("b0", (n,)), ("b1", (n,)), ("a0", (n, n)), ("a1", (n, n))):
             m = np.asarray(getattr(self, name), dtype=float)
-            if m.shape != (n, n) or not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} must be a finite {n}x{n} matrix")
+            if m.shape != shape or not np.all(np.isfinite(m)):
+                raise ValueError(f"{name} must be a finite array of shape {shape}")
             object.__setattr__(self, name, m)
-        for name in ("b0", "b1"):
-            b = np.asarray(getattr(self, name), dtype=float)
-            if b.shape != (n,) or not np.all(np.isfinite(b)):
-                raise ValueError(f"{name} must be a finite length-{n} vector")
-            object.__setattr__(self, name, b)
-        for p, q, r in self.stages:
-            if not 0 <= q < len(self.c):
-                raise ValueError(f"stage node index {q} has no node value")
-            if p < 0:
-                raise ValueError("stage power p must be >= 0")
 
     @property
     def n_stages(self) -> int:
-        return len(self.stages)
+        return len(self.b0)
 
 
 @dataclass(frozen=True)
 class TableauViolation:
     i: int
     j: int
-    alpha: tuple
-    alpha_tilde: tuple
+    stage: int
+    other_stage: int
     defect: float
 
 
 def validate_tableau(tab: Tableau, tol: float = 1e-14) -> list[TableauViolation]:
-    """Check b_a^(i) b_at^(j) - b_a^(i) a^(j)_{a,at} - b_at^(j) a^(i)_{at,a} = 0
-    for all stage pairs and i,j in {0,1}."""
+    """Check b_s^(i) b_st^(j) - b_s^(i) a^(j)_{s,st} - b_st^(j) a^(i)_{st,s} = 0
+    for all stage pairs (s, st) and i,j in {0,1}."""
     a = (tab.a0, tab.a1)
     b = (tab.b0, tab.b1)
     violations = []
@@ -80,35 +68,27 @@ def validate_tableau(tab: Tableau, tol: float = 1e-14) -> list[TableauViolation]
                 for st in range(n):
                     defect = b[i][s] * b[j][st] - b[i][s] * a[j][s, st] - b[j][st] * a[i][st, s]
                     if abs(defect) > tol:
-                        violations.append(
-                            TableauViolation(i, j, tab.stages[s], tab.stages[st], defect)
-                        )
+                        violations.append(TableauViolation(i, j, s, st, defect))
     return violations
 
 
 def midpoint_tableau() -> Tableau:
-    """Single stage (0,0,0), b=1, a=1/2, node value 1, symplectic kernel."""
+    """Single stage, b=1, a=1/2: the resonance midpoint rule."""
     return Tableau(
-        stages=((0, 0, 0),),
-        c=(1.0,),
         a0=np.array([[0.5]]),
         a1=np.array([[0.5]]),
         b0=np.array([1.0]),
         b1=np.array([1.0]),
-        kernel=default_kernel_spec(1),
     )
 
 
 def explicit_tableau() -> Tableau:
     """b=1, a=0: violates the coefficient condition; negative control."""
     return Tableau(
-        stages=((0, 0, 0),),
-        c=(1.0,),
         a0=np.array([[0.0]]),
         a1=np.array([[0.0]]),
         b0=np.array([1.0]),
         b1=np.array([1.0]),
-        kernel=default_kernel_spec(1),
     )
 
 
@@ -125,7 +105,7 @@ class FixedPointConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not self.tol > 0 or self.max_iter < 1:
+        if not 0 < self.tol < np.inf or self.max_iter < 1:
             raise ValueError("invalid fixed-point configuration")
 
 
@@ -235,39 +215,6 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
     return FixedPointResult(x, it, residual, history, counts, converged)
 
 
-def _stage_uses_fast_path(tab: Tableau, stage_idx: int) -> bool:
-    p, q, _ = tab.stages[stage_idx]
-    return (
-        tab.kernel.d == 1
-        and tab.kernel.gamma == (0.0,)
-        and p == 0
-        and tab.c[q] == 1.0
-    )
-
-
-def _stage_F(tab, params, t, stages, grid):
-    """K_alpha coefficients for every stage iterate."""
-    Ks = []
-    for idx, coeffs in enumerate(stages):
-        U = SpectralField(coeffs, grid)
-        if _stage_uses_fast_path(tab, idx):
-            Ks.append(map_F_midpoint_physical(params, t, U).coefficients * (1.0 / t))
-        else:
-            p, q, _ = tab.stages[idx]
-            Ks.append(map_F(params, tab.kernel, t, tab.c[q], p, U).coefficients)
-    return Ks
-
-
-def _stage_P(tab, params, phi, t, X, stages, grid):
-    """L_alpha coefficients for every stage iterate."""
-    Ls = []
-    for idx, coeffs in enumerate(stages):
-        p, q, _ = tab.stages[idx]
-        U = SpectralField(coeffs, grid)
-        Ls.append(map_P_frozen(params, phi, tab.kernel, t, tab.c[q], p, U, X).coefficients)
-    return Ls
-
-
 # linear noise sweeps per evaluation of the nonlinear map in the stage
 # iteration; see step_with_increment
 NOISE_SWEEPS = 2
@@ -299,9 +246,19 @@ def step_with_increment(
     see StepOutcome for what a batch returns."""
     if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
+    if abs(X.step - t) > 1e-9 * t:
+        raise ValueError(f"noise increment was built for step {X.step}, the step is {t}")
     n = tab.n_stages
     sqrt_t = np.sqrt(t)
     grid = u_n.grid
+
+    # t K and L on the stacked stages; the maps are looked up as module
+    # globals at every call
+    def t_K(stages):
+        return map_F_midpoint_physical(params, t, SpectralField(stages, grid)).coefficients
+
+    def L(stages):
+        return map_P_frozen(params, phi, SpectralField(stages, grid), X).coefficients
 
     def combine(U, terms, weights, scale):
         # U + sum_st scale w_st terms_st, zero weights skipped
@@ -311,10 +268,10 @@ def step_with_increment(
         return U
 
     def iteration(stages):
-        Ks = _stage_F(tab, params, t, stages, grid)
-        rhs = [combine(u_n.coefficients, Ks, tab.a0[s], t) for s in range(n)]
+        tKs = t_K(stages)
+        rhs = [combine(u_n.coefficients, tKs, tab.a0[s], 1.0) for s in range(n)]
         for _ in range(NOISE_SWEEPS):
-            Ls = _stage_P(tab, params, phi, t, X, stages, grid)
+            Ls = L(stages)
             stages = np.stack([combine(rhs[s], Ls, tab.a1[s], sqrt_t) for s in range(n)])
         return stages
 
@@ -325,9 +282,8 @@ def step_with_increment(
     guess = np.stack([u_n.coefficients] * n)
     solve = fixed_point_solve(iteration, guess, fp, norm)
 
-    Ks = _stage_F(tab, params, t, solve.x, grid)
-    Ls = _stage_P(tab, params, phi, t, X, solve.x, grid)
-    update = combine(combine(u_n.coefficients, Ks, tab.b0, t), Ls, tab.b1, sqrt_t)
+    update = combine(u_n.coefficients, t_K(solve.x), tab.b0, 1.0)
+    update = combine(update, L(solve.x), tab.b1, sqrt_t)
     state = free_propagator(SpectralField(update, grid), t)
     if not np.all(solve.converged):
         kept = np.where(np.expand_dims(solve.converged, -1), state.coefficients, u_n.coefficients)

@@ -197,11 +197,14 @@ def read_snapshot(path, grid: TorusGrid | None = None) -> SpectralField:
             grid = make_grid(K)
         elif grid.K != K:
             raise ValueError(f"snapshot has K={K}, grid has K={grid.K}")
-        coeffs = np.zeros(2 * K + 1, dtype=np.complex128)
-        for i, line in enumerate(fh):
-            k_s, re_s, im_s = line.strip().split(",")
-            k = int(k_s)
-            if k != i - K:
-                raise ValueError("snapshot modes out of order")
-            coeffs[i] = float(re_s) + 1j * float(im_s)
+        rows = [line.strip().split(",") for line in fh]
+    if len(rows) != 2 * K + 1:
+        raise ValueError(
+            f"snapshot {path}: header promises {2 * K + 1} mode lines, found {len(rows)}"
+        )
+    coeffs = np.zeros(2 * K + 1, dtype=np.complex128)
+    for i, (k_s, re_s, im_s) in enumerate(rows):
+        if int(k_s) != i - K:
+            raise ValueError("snapshot modes out of order")
+        coeffs[i] = float(re_s) + 1j * float(im_s)
     return SpectralField(coeffs, grid)

@@ -180,7 +180,7 @@ def test_criterion_5_orthogonality():
         g = map_F(params, spec, t, c, p, u)
         worst_f = max(worst_f, abs(orthogonality_defect(u, g)) / max(1.0, m**2))
         X = increment(sample_path(seed, t, 0, K), 0.0, t)
-        gp = map_P_frozen(params, phi, spec, t, c, p, u, X)
+        gp = map_P_frozen(params, phi, u, X)
         scale = max(1.0, m * float(np.max(np.abs(X.w))))
         worst_p = max(worst_p, abs(orthogonality_defect(u, gp)) / scale)
     ok = worst_f <= 1e-12 and worst_p <= 1e-12
@@ -255,17 +255,13 @@ def test_criterion_8_tableau_gate():
     ok_mid = validate_tableau(midpoint_tableau()) == []
     ok_family = True
     for b in (-2.0, -0.5, 0.25, 1.0, 3.0):
-        tab = Tableau(stages=((0, 0, 0),), c=(1.0,),
-                      a0=np.array([[b / 2]]), a1=np.array([[b / 2]]),
-                      b0=np.array([b]), b1=np.array([b]),
-                      kernel=default_kernel_spec(1))
+        tab = Tableau(a0=np.array([[b / 2]]), a1=np.array([[b / 2]]),
+                      b0=np.array([b]), b1=np.array([b]))
         ok_family &= validate_tableau(tab) == []
     violations = validate_tableau(explicit_tableau())
     ok_reject = bool(violations) and max(abs(v.defect) for v in violations) == 1.0
-    perturbed = Tableau(stages=((0, 0, 0),), c=(1.0,),
-                        a0=np.array([[0.5 + 5e-14]]), a1=np.array([[0.5]]),
-                        b0=np.array([1.0]), b1=np.array([1.0]),
-                        kernel=default_kernel_spec(1))
+    perturbed = Tableau(a0=np.array([[0.5 + 5e-14]]), a1=np.array([[0.5]]),
+                        b0=np.array([1.0]), b1=np.array([1.0]))
     small = validate_tableau(perturbed, tol=1e-14)
     ok_tol = bool(small) and abs(abs(small[0].defect) - 1e-13) < 3e-14
     ok = ok_mid and ok_family and ok_reject and ok_tol

@@ -6,7 +6,9 @@ perfbench/ traces the layers from outside, by binding ("module:attr"),
 so a rename or a moved import here breaks traced runs and the untraced
 calibration without failing any other test.  Its output checks patch
 the two maps in snls.integrator to show that a broken program fails;
-a step that bound the maps elsewhere would not see the patch.  The two
+a step that bound the maps elsewhere would not see the patch.  It also
+wraps the O(K^3) oracle snls.integrator.map_F and expects stepping never
+to call it, which is why integrator keeps that name bound.  The two
 perfbench modules are loaded read-only, by file path.
 """
 
@@ -17,9 +19,9 @@ import numpy as np
 import pytest
 
 import snls.integrator
-from snls.integrator import FixedPointConfig, midpoint_tableau, step
+from snls.integrator import FixedPointConfig, explicit_tableau, midpoint_tableau, step
 from snls.maps import ModelParams
-from snls.noise import default_phi, sample_path
+from snls.noise import default_phi, sample_path, stack_paths
 from snls.torus import SpectralField, make_grid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -55,17 +57,31 @@ def _zero_map(*args):
     return SpectralField(0 * v.coefficients, v.grid)
 
 
-def _step():
+def _step(tableau=midpoint_tableau, samples=None):
     K, t = 4, 0.01
     rng = np.random.default_rng(0)
-    u = SpectralField(0.5 * (rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)),
+    shape = (2 * K + 1,) if samples is None else (samples, 2 * K + 1)
+    u = SpectralField(0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
                       make_grid(K))
-    return step(u, midpoint_tableau(), ModelParams(lam=1.0, kappa=1.0), default_phi(K),
-                sample_path(1, t, 0, K), 0.0, t, FixedPointConfig()).state.coefficients
+    paths = [sample_path(1 + s, t, 0, K) for s in range(samples or 1)]
+    path = paths[0] if samples is None else stack_paths(paths)
+    return step(u, tableau(), ModelParams(lam=1.0, kappa=1.0), default_phi(K), path, 0.0, t,
+                FixedPointConfig())
 
 
 @pytest.mark.parametrize("target", ["map_F_midpoint_physical", "map_P_frozen"])
 def test_step_calls_the_maps_through_the_integrator_globals(target, monkeypatch):
-    intact = _step()
+    intact = _step().state.coefficients
     monkeypatch.setattr(snls.integrator, target, _zero_map)
-    assert np.abs(_step() - intact).max() > 1e-6
+    assert np.abs(_step().state.coefficients - intact).max() > 1e-6
+
+
+def _no_oracle(*args):
+    raise AssertionError("stepping called the O(K^3) oracle map_F")
+
+
+@pytest.mark.parametrize("tableau", [midpoint_tableau, explicit_tableau])
+@pytest.mark.parametrize("samples", [None, 3])
+def test_step_never_calls_the_oracle(tableau, samples, monkeypatch):
+    monkeypatch.setattr(snls.integrator, "map_F", _no_oracle)
+    assert np.all(_step(tableau, samples).converged)

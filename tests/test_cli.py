@@ -135,8 +135,25 @@ def test_local_error_seed_too_large_for_samples_exit_1(tmp_path, capsys):
     assert "18446744073709551616" not in err
 
 
-@pytest.mark.parametrize("key", ["fp_tol", "alpha", "t"])
-def test_nan_config_value_exit_1(tmp_path, capsys, key):
-    cfg = write_cfg(tmp_path, BASE + f"{key}=nan\n")
+@pytest.mark.parametrize("key, value", [
+    *(pytest.param(key, "nan", id=key) for key in ("fp_tol", "alpha", "t")),
+    *(pytest.param(key, "inf", id=f"{key}-inf") for key in ("fp_tol", "alpha", "t")),
+])
+def test_nan_config_value_exit_1(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, BASE + f"{key}={value}\n")
     assert main(["simulate", "--config", cfg]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {key} must be finite" in capsys.readouterr().err
+
+
+def test_local_error_infinite_fp_tol_exit_1(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "seed=5\nK=4\nfp_tol=inf\n")
+    assert main(["local-error", "--config", cfg]) == 1
+    assert "error: fp_tol must be finite and > 0, got inf" in capsys.readouterr().err
+
+
+def test_short_snapshot_initial_data_exit_1(tmp_path, capsys):
+    snap = tmp_path / "short.csv"
+    snap.write_text("-2,2\n-2,1,0\n-1,0,0\n0,1,0\n1,0,0\n")
+    cfg = write_cfg(tmp_path, f"seed=5\nK=2\nn_steps=1\ninitial_data={snap}\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "header promises 5 mode lines, found 4" in capsys.readouterr().err

@@ -21,7 +21,6 @@ from snls.integrator import (
     step_with_increment,
     validate_tableau,
 )
-from snls.kernels import default_kernel_spec
 from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen
 from snls.noise import default_phi, increment, sample_path, stack_paths
 from snls.torus import SpectralField, cubic_convolution, free_propagator, make_grid
@@ -56,26 +55,20 @@ def test_explicit_tableau_fails_coefficient_condition():
 def test_single_stage_b_half_b_family_passes(b):
     # b*b - b*(b/2) - b*(b/2) = 0 for every b: the whole midpoint family
     tab = Tableau(
-        stages=((0, 0, 0),),
-        c=(1.0,),
         a0=np.array([[b / 2.0]]),
         a1=np.array([[b / 2.0]]),
         b0=np.array([b]),
         b1=np.array([b]),
-        kernel=default_kernel_spec(1),
     )
     assert validate_tableau(tab) == []
 
 
 def test_tableau_defect_reported_to_1e14():
     tab = Tableau(
-        stages=((0, 0, 0),),
-        c=(1.0,),
         a0=np.array([[0.5 + 5e-14]]),
         a1=np.array([[0.5]]),
         b0=np.array([1.0]),
         b1=np.array([1.0]),
-        kernel=default_kernel_spec(1),
     )
     violations = validate_tableau(tab, tol=1e-14)
     assert violations and abs(violations[0].defect) == pytest.approx(1e-13, rel=0.2)
@@ -83,12 +76,10 @@ def test_tableau_defect_reported_to_1e14():
 
 def test_tableau_validation_errors():
     with pytest.raises(ValueError):
-        Tableau(stages=(), c=(), a0=np.zeros((0, 0)), a1=np.zeros((0, 0)),
-                b0=np.zeros(0), b1=np.zeros(0), kernel=default_kernel_spec(1))
+        Tableau(a0=np.zeros((0, 0)), a1=np.zeros((0, 0)), b0=np.zeros(0), b1=np.zeros(0))
     with pytest.raises(ValueError):
-        Tableau(stages=((0, 1, 0),), c=(1.0,), a0=np.array([[0.5]]),
-                a1=np.array([[0.5]]), b0=np.array([1.0]), b1=np.array([1.0]),
-                kernel=default_kernel_spec(1))
+        Tableau(a0=np.array([[0.5, 0.0]]), a1=np.array([[0.5]]),
+                b0=np.array([1.0]), b1=np.array([1.0]))
 
 
 # ------------------------------------------------------------ fixed point
@@ -182,7 +173,7 @@ def test_stage_solves_the_stage_equation_like_plain_picard(samples):
     # (one evaluation of each map per sweep), which needs more sweeps
     params = ModelParams(lam=1.0, kappa=1.5)
     K, t = 8, 0.01
-    phi, spec = default_phi(K), default_kernel_spec(1)
+    phi = default_phi(K)
     seeds = [1] if samples is None else range(samples)
     fields = [random_field(K, s, scale=0.1) for s in seeds]
     paths = [sample_path(s, t, 0, K) for s in seeds]
@@ -196,7 +187,7 @@ def test_stage_solves_the_stage_equation_like_plain_picard(samples):
     def stage_map(c):
         U = SpectralField(c, u.grid)
         return (u.coefficients + 0.5 * map_F_midpoint_physical(params, t, U).coefficients
-                + 0.5 * np.sqrt(t) * map_P_frozen(params, phi, spec, t, 1.0, 0, U, X).coefficients)
+                + 0.5 * np.sqrt(t) * map_P_frozen(params, phi, U, X).coefficients)
 
     def norm(new, old):
         return sobolev_norm(SpectralField(new - old, u.grid), params.alpha)
@@ -238,6 +229,15 @@ def test_step_with_increment_deterministic_given_increment():
     a = step_with_increment(u, midpoint_tableau(), params, default_phi(K), X, 0.01, FP)
     b = step_with_increment(u, midpoint_tableau(), params, default_phi(K), X, 0.01, FP)
     np.testing.assert_array_equal(a.state.coefficients, b.state.coefficients)
+
+
+def test_step_rejects_an_increment_for_another_step():
+    params = ModelParams(lam=1.0, kappa=1.0)
+    K = 4
+    u = random_field(K, 5)
+    X = increment(sample_path(2, 0.02, 0, K), 0.0, 0.02)
+    with pytest.raises(ValueError, match="built for step 0.02"):
+        step_with_increment(u, midpoint_tableau(), params, default_phi(K), X, 0.01, FP)
 
 
 def test_midpoint_step_matches_ode_oracle_without_noise():

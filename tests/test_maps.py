@@ -122,7 +122,7 @@ def test_maps_act_on_each_sample_of_a_batch():
     maps = (
         lambda v, x: map_F_midpoint_physical(PARAMS, t, v),
         lambda v, x: map_F(PARAMS, SPEC1, t, 1.0, 0, v),
-        lambda v, x: map_P_frozen(PARAMS, phi, SPEC1, t, 1.0, 0, v, x),
+        lambda v, x: map_P_frozen(PARAMS, phi, v, x),
     )
     for f in maps:
         out = f(batch, X).coefficients
@@ -149,8 +149,7 @@ def make_increment(K, seed, step):
 def test_map_P_zero_kappa():
     v = random_field(3, 2)
     X = make_increment(3, 0, 0.01)
-    out = map_P_frozen(ModelParams(lam=1.0, kappa=0.0), default_phi(3), SPEC1,
-                       0.01, 1.0, 0, v, X)
+    out = map_P_frozen(ModelParams(lam=1.0, kappa=0.0), default_phi(3), v, X)
     np.testing.assert_array_equal(out.coefficients, 0.0)
 
 
@@ -163,7 +162,7 @@ def test_map_P_single_mode_closed_form():
     c[3] = a
     X = make_increment(2, 3, 0.01)
     phi = default_phi(2)
-    out = map_P_frozen(PARAMS, phi, SPEC1, 0.01, 1.0, 0, SpectralField(c, grid), X)
+    out = map_P_frozen(PARAMS, phi, SpectralField(c, grid), X)
     expected = np.zeros(5, dtype=complex)
     for k in range(-2, 3):
         k2 = k - 1
@@ -197,24 +196,10 @@ def test_map_P_matches_double_sum(K, batched):
     else:
         v = fields[0]
         X = increment(stack_paths(paths), 0.0, t)
-    out = map_P_frozen(PARAMS, phi, SPEC1, t, 1.0, 0, v, X).coefficients
+    out = map_P_frozen(PARAMS, phi, v, X).coefficients
     expected = map_P_double_sum(PARAMS.kappa, phi.phi, v.coefficients, X.w)
     assert out.shape == expected.shape == (samples, 2 * K + 1)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
-
-
-def test_map_P_step_mismatch_rejected():
-    v = random_field(2, 0)
-    X = make_increment(2, 0, 0.01)
-    with pytest.raises(ValueError):
-        map_P_frozen(PARAMS, default_phi(2), SPEC1, 0.02, 1.0, 0, v, X)
-
-
-def test_map_P_nonzero_power_rejected():
-    v = random_field(2, 0)
-    X = make_increment(2, 0, 0.01)
-    with pytest.raises(ValueError):
-        map_P_frozen(PARAMS, default_phi(2), SPEC1, 0.01, 1.0, 1, v, X)
 
 
 @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 6) | st.integers(17, 24))
@@ -223,7 +208,7 @@ def test_map_P_mass_orthogonality(seed, K):
     # Re<v, P*(v, X)> = 0 pathwise; relies on W_{-k} = W_k and even Phi
     v = random_field(K, seed)
     X = make_increment(K, seed + 1, 0.01)
-    g = map_P_frozen(PARAMS, default_phi(K), SPEC1, 0.01, 1.0, 0, v, X)
+    g = map_P_frozen(PARAMS, default_phi(K), v, X)
     scale = np.sum(np.abs(v.coefficients) ** 2)
     assert abs(orthogonality_defect(v, g)) < 1e-12 * max(1.0, scale * np.max(np.abs(X.w)))
 
@@ -235,5 +220,5 @@ def test_map_P_orthogonality_fails_for_asymmetric_noise():
     K = 4
     v = random_field(K, 9)
     X = NoiseIncrement(w=rng.standard_normal(2 * K + 1), step=0.01)
-    g = map_P_frozen(PARAMS, default_phi(K), SPEC1, 0.01, 1.0, 0, v, X)
+    g = map_P_frozen(PARAMS, default_phi(K), v, X)
     assert abs(orthogonality_defect(v, g)) > 1e-6

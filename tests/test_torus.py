@@ -1,5 +1,7 @@
 """Spectral grid, transforms and dealiased cubic products."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,3 +189,15 @@ def test_snapshot_reader_infers_grid(tmp_path):
     g = read_snapshot(p)
     assert g.grid.K == 5
     np.testing.assert_array_equal(g.coefficients, f.coefficients)
+
+
+@pytest.mark.parametrize("change", ["drop last", "drop first", "extra"])
+def test_snapshot_reader_checks_the_mode_count(tmp_path, change):
+    p = tmp_path / "snap.csv"
+    write_snapshot(random_field(3, 4), p)
+    header, *rows = p.read_text().splitlines()
+    rows = {"drop last": rows[:-1], "drop first": rows[1:], "extra": rows + ["4,1,0"]}[change]
+    p.write_text("\n".join([header, *rows]) + "\n")
+    message = f"{p}: header promises 7 mode lines, found {len(rows)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_snapshot(p)
