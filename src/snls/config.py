@@ -15,11 +15,16 @@ import numpy as np
 from .diagnostics import sobolev_norm
 from .integrator import TABLEAUX
 from .noise import MAX_SEED
-from .torus import SpectralField, make_grid, read_snapshot
+from .torus import SpectralField, TorusGrid, read_snapshot
 
 
 class ConfigError(ValueError):
     pass
+
+
+# the largest Brownian path simulate may allocate: (2K+1) n_steps doubles
+# (1 GiB)
+MAX_PATH_VALUES = 2**27
 
 
 @dataclass(frozen=True)
@@ -42,12 +47,17 @@ class RunConfig:
         # written as `not lo < x < hi` so that NaN and inf fail too
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must be in 0..2^64-1, got {self.seed}")
-        if self.K < 1:
-            raise ConfigError(f"K must be >= 1, got {self.K}")
+        max_K = (MAX_PATH_VALUES - 1) // 2
+        if not 1 <= self.K <= max_K:
+            raise ConfigError(f"K must be in 1..{max_K}, got {self.K}")
         if not 0 < self.t < np.inf:
             raise ConfigError(f"t must be finite and > 0, got {self.t}")
-        if self.n_steps < 0:
-            raise ConfigError(f"n_steps must be >= 0, got {self.n_steps}")
+        max_steps = MAX_PATH_VALUES // (2 * self.K + 1)
+        if not 0 <= self.n_steps <= max_steps:
+            raise ConfigError(
+                f"n_steps must be in 0..{max_steps} at K={self.K} (a path of at most "
+                f"{MAX_PATH_VALUES} values), got {self.n_steps}"
+            )
         if not 1 < self.alpha < np.inf:
             raise ConfigError(f"alpha must be finite and > 1, got {self.alpha}")
         if not 0 < self.fp_tol < np.inf:
@@ -125,7 +135,7 @@ def initial_field(data_id: str, K: int, seed: int = 0) -> SpectralField:
     rough-<s>: coefficients ~ (1+k^2)^(-(s+1/2)/2) with seeded random
                phases, unit mass.
     """
-    grid = make_grid(K)
+    grid = TorusGrid(K)
     ks = grid.modes().astype(float)
     if data_id == "smooth":
         coeffs = np.exp(-((ks / 1.5) ** 2)) * np.exp(0.4j * ks)
@@ -143,5 +153,5 @@ def initial_field(data_id: str, K: int, seed: int = 0) -> SpectralField:
         f = SpectralField(coeffs, grid)
         return (1.0 / np.sqrt(float(np.sum(np.abs(coeffs) ** 2)))) * f
     if os.path.exists(data_id):
-        return read_snapshot(data_id, make_grid(K))
+        return read_snapshot(data_id, grid)
     raise ConfigError(f"unknown initial data {data_id!r}")

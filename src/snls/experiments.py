@@ -17,6 +17,7 @@ from .integrator import (
     TABLEAUX,
     FixedPointConfig,
     StepOutcome,
+    StepRejectedError,
     midpoint_tableau,
     simulate,
     step,
@@ -84,15 +85,13 @@ def reference_solution(
     path: BrownianPath,
     t_end: float,
     fp: FixedPointConfig | None = None,
-) -> SpectralField | StepOutcome:
+) -> StepOutcome:
     """Midpoint run at the path's finest resolution over [0, t_end];
     the strong-error oracle for coarse runs on the same randomness.
 
-    One field on one path gives the final field, and a rejected substep
-    raises StepRejectedError.  A batch of fields on a stacked path gives
-    a StepOutcome whose converged mask marks the samples that passed
-    every substep, with per-sample iterations summed and the largest
-    residual over the substeps."""
+    converged marks the samples that passed every substep (one field on
+    one path is a batch with no batch axes), with per-sample iterations
+    summed and the largest residual over the substeps."""
     n_sub = path.cell_index(t_end)
     if t_end / n_sub > t_end / 256 + 1e-15:
         raise ValueError(
@@ -110,8 +109,6 @@ def reference_solution(
         iterations = iterations + outcome.iterations
         residual = np.maximum(residual, outcome.residual)
         converged = converged & outcome.converged
-    if np.ndim(converged) == 0:
-        return u
     return StepOutcome(u, iterations, residual, converged)
 
 
@@ -237,7 +234,10 @@ def cmd_symplectic(config: RunConfig, h: float = 1e-5):
     X = increment(path, 0.0, config.t)
 
     def closure(u):
-        return step_with_increment(u, tab, params, phi, X, config.t, fp).state
+        outcome = step_with_increment(u, tab, params, phi, X, config.t, fp)
+        if not outcome.converged:
+            raise StepRejectedError(0, 0.0, outcome, fp.max_iter)
+        return outcome.state
 
     defect = symplectic_defect(closure, u0, h=h)
     defect_half = symplectic_defect(closure, u0, h=h / 2.0)

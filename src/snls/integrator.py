@@ -111,34 +111,30 @@ class FixedPointConfig:
 
 @dataclass
 class StepOutcome:
-    """Result of a step.  For a batch, iterations, residual and converged
-    hold one entry per sample, and a sample that was not converged keeps
-    its input state."""
+    """Result of a step.  iterations, residual and converged hold one
+    entry per sample (0-d for one field), and a sample that was not
+    converged keeps its input state."""
 
     state: SpectralField
-    iterations: int | np.ndarray
-    residual: float | np.ndarray
-    converged: bool | np.ndarray
+    iterations: np.ndarray
+    residual: np.ndarray
+    converged: np.ndarray
 
 
 class StepRejectedError(RuntimeError):
-    """Fixed-point iteration failed; the step bound is violated.
+    """The stage solve of one field's step was rejected: the step bound
+    is violated.  Raised by the commands that need every step accepted;
+    step_index and time (its start) name the step."""
 
-    Once the failing step is known, step_index and time (its start)
-    are set and the message names them."""
-
-    def __init__(self, message, residual, iterations, step_index=None, time=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    def __init__(self, step_index, time, outcome: StepOutcome, max_iter):
         self.step_index = step_index
         self.time = time
-
-    def __str__(self):
-        message = super().__str__()
-        if self.step_index is None:
-            return message
-        return f"step {self.step_index} from t={self.time:.6g}: {message}"
+        self.iterations = int(outcome.iterations)
+        self.residual = float(outcome.residual)
+        reason = (f"did not converge in {max_iter} iterations" if self.iterations == max_iter
+                  else f"diverging after {self.iterations} iterations")
+        super().__init__(f"step {step_index} from t={time:.6g}: fixed-point iteration "
+                         f"{reason} (residual {self.residual:.3e})")
 
 
 @dataclass
@@ -146,18 +142,18 @@ class FixedPointResult:
     """What fixed_point_solve found; unpacks as the tuple
     (x, iterations, residual, history).
 
-    For a batch, residual, sample_iterations and converged hold one
-    entry per sample, iterations counts the sweeps made (the largest
-    per-sample count) and history the largest residual over the samples
-    still iterating at each sweep.
+    residual, sample_iterations and converged hold one entry per sample
+    (0-d for one problem), iterations counts the sweeps made (the
+    largest per-sample count) and history the largest residual over the
+    samples still iterating at each sweep.
     """
 
     x: object
     iterations: int
-    residual: float | np.ndarray
+    residual: np.ndarray
     history: list
-    sample_iterations: int | np.ndarray
-    converged: bool | np.ndarray
+    sample_iterations: np.ndarray
+    converged: np.ndarray
 
     def __iter__(self):
         return iter((self.x, self.iterations, self.residual, self.history))
@@ -166,13 +162,13 @@ class FixedPointResult:
 def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> FixedPointResult:
     """Iterate x <- map(x) until norm(map(x), x) <= tol.
 
-    A sample aborts when its residual grows past DIVERGENCE_FACTOR times
-    its running minimum, or when max_iter is exhausted.  With one
-    problem, norm returns a number and an abort raises StepRejectedError.
-    With a batch, norm returns one residual per sample, x ends in the
-    batch axes and one more axis, and each sample stops on its own: a
-    converged sample is frozen at its solution and a rejected one at the
-    guess, while the others iterate on; nothing is raised.
+    norm returns one residual per sample (a number for one problem), and
+    x ends in the batch axes and one more axis.  A sample is rejected
+    when its residual grows past DIVERGENCE_FACTOR times its running
+    minimum, or when max_iter is exhausted.  Each sample stops on its
+    own: a converged sample is frozen at its solution and a rejected one
+    at the guess, while the others iterate on.  Nothing is raised; the
+    caller reads converged.
     """
     x = guess
     history = []
@@ -202,16 +198,6 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
             x = np.where(np.expand_dims(take, -1), x_new, held)
         if not active.any():
             break
-    if res.ndim == 0:
-        if not converged:
-            reason = (f"diverging after {it} iterations" if failed else
-                      f"did not converge in {fp.max_iter} iterations")
-            raise StepRejectedError(
-                f"fixed-point iteration {reason} (residual {float(res):.3e})",
-                residual=float(res),
-                iterations=it,
-            )
-        return FixedPointResult(x, it, float(res), history, it, True)
     return FixedPointResult(x, it, residual, history, counts, converged)
 
 
@@ -243,7 +229,7 @@ def step_with_increment(
     fixed_point_solve counts the outer sweeps.
 
     u_n and X.w may carry a batch of samples along their leading axes;
-    see StepOutcome for what a batch returns."""
+    a rejected solve is reported in the StepOutcome, not raised."""
     if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
     if abs(X.step - t) > 1e-9 * t:
@@ -384,15 +370,13 @@ def simulate(config, u0: SpectralField | None = None) -> RunRecord:
     path = sample_path(config.seed, config.n_steps * config.t, 0,
                        config.K, n_base=config.n_steps)
     for n in range(config.n_steps):
-        try:
-            outcome = step(u, tab, params, phi, path, n * config.t, config.t, fp)
-        except StepRejectedError as exc:
-            exc.step_index, exc.time = n, n * config.t
-            raise
+        outcome = step(u, tab, params, phi, path, n * config.t, config.t, fp)
+        if not outcome.converged:
+            raise StepRejectedError(n, n * config.t, outcome, fp.max_iter)
         u = outcome.state
         record.add_row(n + 1, (n + 1) * config.t, mass(u),
                        energy_h0(u, config.lam),
                        sobolev_norm(u, config.alpha),
-                       outcome.iterations, outcome.residual, 0)
+                       int(outcome.iterations), float(outcome.residual), 0)
     record.final_state = u
     return record

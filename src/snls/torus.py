@@ -18,16 +18,13 @@ from scipy.fft import next_fast_len
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Mode cutoff K (modes -K..K) and physical sample count N."""
+    """Mode cutoff K: modes -K..K."""
 
     K: int
-    N: int
 
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"mode cutoff K must be >= 1, got {self.K}")
-        if self.N < 2 * self.K + 2:
-            raise ValueError(f"N={self.N} too small for K={self.K}")
 
     @property
     def n_modes(self) -> int:
@@ -36,18 +33,6 @@ class TorusGrid:
     def modes(self) -> np.ndarray:
         """Mode numbers -K..K in storage order."""
         return np.arange(-self.K, self.K + 1)
-
-    def x(self) -> np.ndarray:
-        """Physical sample points x_j = 2 pi j / N."""
-        return 2.0 * np.pi * np.arange(self.N) / self.N
-
-
-def make_grid(K: int) -> TorusGrid:
-    """Grid with N >= 3(2K+1)/2 rounded up to a transform-friendly size."""
-    if K < 1:
-        raise ValueError(f"mode cutoff K must be >= 1, got {K}")
-    n_min = max(-(-3 * (2 * K + 1) // 2), 2 * K + 2)
-    return TorusGrid(K=K, N=next_fast_len(n_min))
 
 
 @dataclass
@@ -110,21 +95,6 @@ def _extract(spec: np.ndarray, K: int) -> np.ndarray:
     """Modes -K..K of FFT spectra along the last axis."""
     n = spec.shape[-1]
     return np.concatenate((spec[..., n - K :], spec[..., : K + 1]), axis=-1)
-
-
-def to_physical(f: SpectralField) -> np.ndarray:
-    """Samples u(x_j) = sum_k c_k e^{i k x_j} on the grid's N points."""
-    g = f.grid
-    return np.fft.ifft(_embed(f.coefficients, g.K, g.N)) * g.N
-
-
-def from_physical(samples: np.ndarray, grid: TorusGrid) -> SpectralField:
-    """Inverse of to_physical for fields band-limited to -K..K."""
-    samples = np.asarray(samples, dtype=np.complex128)
-    if samples.shape != (grid.N,):
-        raise ValueError(f"expected {grid.N} samples, got shape {samples.shape}")
-    spec = np.fft.fft(samples) / grid.N
-    return SpectralField(_extract(spec, grid.K), grid)
 
 
 def free_propagator(f: SpectralField, t: float) -> SpectralField:
@@ -194,7 +164,7 @@ def read_snapshot(path, grid: TorusGrid | None = None) -> SpectralField:
             raise ValueError(f"asymmetric mode range {k_min}..{k_max}")
         K = k_max
         if grid is None:
-            grid = make_grid(K)
+            grid = TorusGrid(K)
         elif grid.K != K:
             raise ValueError(f"snapshot has K={K}, grid has K={grid.K}")
         rows = [line.strip().split(",") for line in fh]

@@ -47,10 +47,10 @@ from snls.noise import (
 )
 from snls.torus import (
     SpectralField,
+    TorusGrid,
     cubic_convolution,
     cubic_convolution_direct,
     free_propagator,
-    make_grid,
 )
 
 
@@ -63,7 +63,7 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def random_field(K, seed, scale=0.5):
     rng = np.random.default_rng(seed)
-    grid = make_grid(K)
+    grid = TorusGrid(K)
     c = scale * (rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1))
     return SpectralField(c, grid)
 
@@ -111,7 +111,9 @@ def test_criterion_2_pathwise_symplecticity():
             X = increment(path, 0.0, t)
 
             def closure(v):
-                return step_with_increment(v, tab, params, phi, X, t, fp).state
+                outcome = step_with_increment(v, tab, params, phi, X, t, fp)
+                assert outcome.converged  # a rejected step is the identity map
+                return outcome.state
 
             worst = max(worst, symplectic_defect(closure, u, h=h))
 
@@ -124,7 +126,9 @@ def test_criterion_2_pathwise_symplecticity():
     etab = explicit_tableau()
 
     def explicit_closure(v):
-        return step_with_increment(v, etab, params, phi, Xe, te, fp).state
+        outcome = step_with_increment(v, etab, params, phi, Xe, te, fp)
+        assert outcome.converged
+        return outcome.state
 
     explicit = symplectic_defect(explicit_closure, u, h=h)
     elapsed = time.perf_counter() - t0

@@ -8,8 +8,9 @@ calibration without failing any other test.  Its output checks patch
 the two maps in snls.integrator to show that a broken program fails;
 a step that bound the maps elsewhere would not see the patch.  It also
 wraps the O(K^3) oracle snls.integrator.map_F and expects stepping never
-to call it, which is why integrator keeps that name bound.  The two
-perfbench modules are loaded read-only, by file path.
+to call it, which is why integrator keeps that name bound, and it reads
+every fixed_point_solve result as (x, iterations, residual, history).
+The two perfbench modules are loaded read-only, by file path.
 """
 
 import importlib.util
@@ -22,7 +23,7 @@ import snls.integrator
 from snls.integrator import FixedPointConfig, explicit_tableau, midpoint_tableau, step
 from snls.maps import ModelParams
 from snls.noise import default_phi, sample_path, stack_paths
-from snls.torus import SpectralField, make_grid
+from snls.torus import SpectralField, TorusGrid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,7 +63,7 @@ def _step(tableau=midpoint_tableau, samples=None):
     rng = np.random.default_rng(0)
     shape = (2 * K + 1,) if samples is None else (samples, 2 * K + 1)
     u = SpectralField(0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
-                      make_grid(K))
+                      TorusGrid(K))
     paths = [sample_path(1 + s, t, 0, K) for s in range(samples or 1)]
     path = paths[0] if samples is None else stack_paths(paths)
     return step(u, tableau(), ModelParams(lam=1.0, kappa=1.0), default_phi(K), path, 0.0, t,
@@ -85,3 +86,23 @@ def _no_oracle(*args):
 def test_step_never_calls_the_oracle(tableau, samples, monkeypatch):
     monkeypatch.setattr(snls.integrator, "map_F", _no_oracle)
     assert np.all(_step(tableau, samples).converged)
+
+
+@pytest.mark.parametrize("samples", [None, 3])
+def test_fixed_point_result_reads_as_the_tracer_reads_it(samples, monkeypatch):
+    # perfbench's _record_solve unpacks four values, adds iterations to
+    # an int counter and takes ratios of successive history entries
+    solve = snls.integrator.fixed_point_solve
+    seen = []
+
+    def traced(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        _, iterations, _, history = result
+        assert isinstance(iterations, int) and len(history) == iterations
+        assert all(isinstance(h, float) for h in history)
+        seen.append(iterations)
+        return result
+
+    monkeypatch.setattr(snls.integrator, "fixed_point_solve", traced)
+    _step(samples=samples)
+    assert seen

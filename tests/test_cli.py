@@ -73,6 +73,14 @@ def test_rejected_step_exit_2(tmp_path, capsys):
     assert "experiment invalid" in capsys.readouterr().err
 
 
+def test_rejected_symplectic_step_exit_2(tmp_path, capsys):
+    # the closure must not read the input state back from a rejected
+    # step: the identity map would give a defect near 0 and exit 0
+    cfg = write_cfg(tmp_path, "seed=6\nK=4\nt=5.0\nlambda=5.0\n")
+    assert main(["symplectic", "--config", cfg]) == 2
+    assert "experiment invalid" in capsys.readouterr().err
+
+
 def test_conservation_command(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "cons.csv"
@@ -157,3 +165,14 @@ def test_short_snapshot_initial_data_exit_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, f"seed=5\nK=2\nn_steps=1\ninitial_data={snap}\n")
     assert main(["simulate", "--config", cfg]) == 1
     assert "header promises 5 mode lines, found 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("n_steps", 10**20, "n_steps must be in 0..7895160 at K=8", id="n_steps"),
+    pytest.param("K", 10**9, "K must be in 1..67108863", id="K"),
+])
+def test_path_too_large_exit_1(tmp_path, capsys, key, value, message):
+    # refused by the config, before the path is allocated
+    cfg = write_cfg(tmp_path, f"seed=5\n{key}={value}\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert f"error: {message}" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from snls.config import ConfigError, RunConfig, initial_field, parse_config
 from snls.diagnostics import mass, sobolev_norm
-from snls.torus import make_grid, write_snapshot, SpectralField
+from snls.torus import SpectralField, TorusGrid, write_snapshot
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -98,7 +98,7 @@ def test_rough_initial_data():
 
 
 def test_snapshot_initial_data(tmp_path):
-    grid = make_grid(3)
+    grid = TorusGrid(3)
     rng = np.random.default_rng(0)
     f = SpectralField(rng.standard_normal(7) + 1j * rng.standard_normal(7), grid)
     p = tmp_path / "init.csv"

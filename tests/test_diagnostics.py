@@ -11,25 +11,25 @@ from snls.diagnostics import (
     sobolev_norm,
     symplectic_defect,
 )
-from snls.torus import SpectralField, free_propagator, make_grid
+from snls.torus import SpectralField, TorusGrid, free_propagator
 
 
 def random_field(K, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    grid = make_grid(K)
+    grid = TorusGrid(K)
     c = scale * (rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1))
     return SpectralField(c, grid)
 
 
 def test_mass_single_mode():
-    grid = make_grid(2)
+    grid = TorusGrid(2)
     c = np.zeros(5, dtype=complex)
     c[3] = 3.0 - 4.0j
     assert mass(SpectralField(c, grid)) == pytest.approx(25.0)
 
 
 def test_sobolev_norm_values():
-    grid = make_grid(2)
+    grid = TorusGrid(2)
     c = np.zeros(5, dtype=complex)
     c[4] = 1.0  # k = 2
     f = SpectralField(c, grid)
@@ -43,7 +43,7 @@ def test_energy_h0_against_physical_quadrature():
     # [DERIVED] for a field supported on |k| <= K/3 the truncated quartic
     # is the full quartic, so H0 = (1/2pi) int (|u_x|^2/2 + lam |u|^4/4)
     K = 9
-    grid = make_grid(K)
+    grid = TorusGrid(K)
     rng = np.random.default_rng(4)
     c = np.zeros(2 * K + 1, dtype=complex)
     for k in (-3, -1, 0, 2, 3):

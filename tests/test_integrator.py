@@ -23,13 +23,13 @@ from snls.integrator import (
 )
 from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen
 from snls.noise import default_phi, increment, sample_path, stack_paths
-from snls.torus import SpectralField, cubic_convolution, free_propagator, make_grid
+from snls.torus import SpectralField, cubic_convolution, free_propagator, TorusGrid
 from snls.config import RunConfig
 
 
 def random_field(K, seed, scale=0.5):
     rng = np.random.default_rng(seed)
-    grid = make_grid(K)
+    grid = TorusGrid(K)
     c = scale * (rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1))
     return SpectralField(c, grid)
 
@@ -96,16 +96,17 @@ def test_fixed_point_solves_linear_contraction():
 
 
 def test_fixed_point_rejects_expansion():
-    with pytest.raises(StepRejectedError):
-        fixed_point_solve(lambda x: 2.0 * x + 1.0, 1.0, FP, lambda a, b: abs(a - b))
+    out = fixed_point_solve(lambda x: 2.0 * x + 1.0, 1.0, FP, lambda a, b: abs(a - b))
+    assert not out.converged
+    assert out.x == 1.0  # a rejected problem is frozen at its guess
 
 
 def test_fixed_point_max_iter_exhaustion():
     fp = FixedPointConfig(tol=1e-12, max_iter=3)
     # slowly contracting: won't reach tol in 3 iterations
-    with pytest.raises(StepRejectedError) as exc:
-        fixed_point_solve(lambda x: 0.999 * x + 1.0, 0.0, fp, lambda a, b: abs(a - b))
-    assert exc.value.iterations == 3
+    out = fixed_point_solve(lambda x: 0.999 * x + 1.0, 0.0, fp, lambda a, b: abs(a - b))
+    assert not out.converged
+    assert out.iterations == out.sample_iterations == 3
 
 
 def test_fixed_point_batch_keeps_per_sample_semantics():
@@ -119,10 +120,10 @@ def test_fixed_point_batch_keeps_per_sample_semantics():
 
     out = fixed_point_solve(lambda x: a[:, None] * x + 1.0, np.ones((3, 1)), fp, norm)
     alone = fixed_point_solve(lambda x: 0.5 * x + 1.0, 1.0, fp, lambda p, q: abs(p - q))
-    with pytest.raises(StepRejectedError) as diverging:
-        fixed_point_solve(lambda x: 2.0 * x + 1.0, 1.0, fp, lambda p, q: abs(p - q))
+    diverging = fixed_point_solve(lambda x: 2.0 * x + 1.0, 1.0, fp, lambda p, q: abs(p - q))
+    assert alone.converged and not diverging.converged
     assert list(out.converged) == [True, False, False]
-    assert list(out.sample_iterations) == [alone.iterations, diverging.value.iterations, 60]
+    assert list(out.sample_iterations) == [alone.iterations, diverging.iterations, 60]
     assert out.x[0, 0] == alone.x and out.residual[0] == alone.residual
     assert out.x[1, 0] == 1.0  # a rejected sample is frozen at its guess
     assert out.iterations == 60 and len(out.history) == 60
@@ -216,8 +217,10 @@ def test_step_rejects_oversized_step():
     K = 6
     u = random_field(K, 3, scale=2.0)
     path = sample_path(1, 10.0, 0, K)
-    with pytest.raises(StepRejectedError):
-        step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, 10.0, FP)
+    out = step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, 10.0, FP)
+    assert not out.converged
+    assert out.converged.shape == out.iterations.shape == out.residual.shape == ()
+    np.testing.assert_array_equal(out.state.coefficients, u.coefficients)
 
 
 def test_step_with_increment_deterministic_given_increment():
@@ -348,3 +351,12 @@ def test_simulate_rejection_carries_step_index():
     n = exc.value.step_index
     assert n is not None and exc.value.time == n * cfg.t
     assert str(exc.value).startswith(f"step {n} from t={n * cfg.t:g}: fixed-point iteration")
+
+
+def test_simulate_rejection_names_an_exhausted_max_iter():
+    cfg = RunConfig(seed=5, K=4, t=1e-2, n_steps=3, fp_max_iter=2)
+    with pytest.raises(StepRejectedError) as exc:
+        simulate(cfg)
+    assert exc.value.step_index == 0 and exc.value.iterations == 2
+    assert str(exc.value).startswith("step 0 from t=0: fixed-point iteration "
+                                     "did not converge in 2 iterations (residual ")

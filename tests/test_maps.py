@@ -15,12 +15,12 @@ from snls.maps import (
     orthogonality_defect,
 )
 from snls.noise import NoiseIncrement, default_phi, increment, sample_path, stack_paths
-from snls.torus import SpectralField, make_grid, zero_field
+from snls.torus import SpectralField, TorusGrid, zero_field
 
 
 def random_field(K, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    grid = make_grid(K)
+    grid = TorusGrid(K)
     c = scale * (rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1))
     return SpectralField(c, grid)
 
@@ -42,7 +42,7 @@ def test_model_params_validation():
 
 
 def test_map_F_zero_field_and_zero_lambda():
-    grid = make_grid(3)
+    grid = TorusGrid(3)
     z = zero_field(grid)
     np.testing.assert_array_equal(
         map_F(PARAMS, SPEC1, 0.01, 1.0, 0, z).coefficients, 0.0
@@ -65,7 +65,7 @@ def test_map_F_single_mode_closed_form():
     # out_1 = -i lam * weight(1,1,1,1) * |a|^2 a  [DERIVED by hand]
     from snls.kernels import ModeQuad, kernel_weight
 
-    grid = make_grid(2)
+    grid = TorusGrid(2)
     a = 1.0 - 2.0j
     c = np.zeros(5, dtype=complex)
     c[3] = a  # k = 1
@@ -156,7 +156,7 @@ def test_map_P_zero_kappa():
 def test_map_P_single_mode_closed_form():
     # v_1 = a, noise only at k2 = +-1 with Phi_1 = 1:
     # out_k = -i kappa a Phi_{k-1} X_{k-1}  [DERIVED by hand]
-    grid = make_grid(2)
+    grid = TorusGrid(2)
     a = 0.5 + 1.0j
     c = np.zeros(5, dtype=complex)
     c[3] = a

@@ -1,4 +1,5 @@
-"""Spectral grid, transforms and dealiased cubic products."""
+"""Spectral grid and fields, the free propagator, dealiased cubic products
+and snapshots."""
 
 import re
 
@@ -9,13 +10,11 @@ from hypothesis import strategies as st
 
 from snls.torus import (
     SpectralField,
+    TorusGrid,
     cubic_convolution,
     cubic_convolution_direct,
     free_propagator,
-    from_physical,
-    make_grid,
     read_snapshot,
-    to_physical,
     write_snapshot,
     zero_field,
 )
@@ -23,25 +22,18 @@ from snls.torus import (
 
 def random_field(K, seed, scale=1.0):
     rng = np.random.default_rng(seed)
-    grid = make_grid(K)
+    grid = TorusGrid(K)
     c = scale * (rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1))
     return SpectralField(c, grid)
 
 
-def test_grid_size_respects_three_halves_rule():
-    for K in (1, 2, 5, 8, 16, 33):
-        grid = make_grid(K)
-        assert grid.N >= int(np.ceil(3 * (2 * K + 1) / 2))
-        assert grid.N > 2 * K + 1  # injective embedding
-
-
 def test_make_grid_rejects_bad_K():
-    with pytest.raises(ValueError):
-        make_grid(0)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        TorusGrid(0)
 
 
 def test_field_validation():
-    grid = make_grid(3)
+    grid = TorusGrid(3)
     with pytest.raises(ValueError):
         SpectralField(np.zeros(5, dtype=complex), grid)  # wrong length
     with pytest.raises(ValueError):
@@ -58,38 +50,11 @@ def test_field_validation():
 
 
 def test_field_copies_input():
-    grid = make_grid(2)
+    grid = TorusGrid(2)
     c = np.ones(5, dtype=complex)
     f = SpectralField(c, grid)
     c[0] = 99.0
     assert f.coefficients[0] == 1.0
-
-
-@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 12))
-@settings(max_examples=40, deadline=None)
-def test_transform_roundtrip(seed, K):
-    f = random_field(K, seed)
-    g = from_physical(to_physical(f), f.grid)
-    np.testing.assert_allclose(g.coefficients, f.coefficients, atol=1e-12)
-
-
-def test_to_physical_single_mode_is_complex_exponential():
-    # u with u_2 = 1 only must sample e^{2ix}  [TRIVIAL]
-    grid = make_grid(4)
-    c = np.zeros(9, dtype=complex)
-    c[4 + 2] = 1.0
-    samples = to_physical(SpectralField(c, grid))
-    np.testing.assert_allclose(samples, np.exp(2j * grid.x()), atol=1e-12)
-
-
-def test_parseval_mass_matches_physical_quadrature():
-    # sum |u_k|^2 = (1/2pi) int |u|^2 dx; the FFT grid integrates
-    # trigonometric polynomials of this degree exactly.
-    f = random_field(6, 123)
-    lhs = np.sum(np.abs(f.coefficients) ** 2)
-    samples = to_physical(f)
-    rhs = np.mean(np.abs(samples) ** 2)
-    np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(-5.0, 5.0))
@@ -119,7 +84,7 @@ def test_free_propagator_rejects_nonfinite_time():
 
 def test_free_propagator_phase_value():
     # mode k=3, t=0.1 -> factor e^{-0.9i}  [TRIVIAL]
-    grid = make_grid(3)
+    grid = TorusGrid(3)
     c = np.zeros(7, dtype=complex)
     c[6] = 1.0  # k = 3
     g = free_propagator(SpectralField(c, grid), 0.1)
@@ -139,7 +104,7 @@ def test_cubic_convolution_matches_direct_triple_sum(seed, K):
 
 def test_cubic_convolution_single_mode():
     # conj(u) u u with only u_1 = a: output mode 1 gets |a|^2 a  [TRIVIAL]
-    grid = make_grid(3)
+    grid = TorusGrid(3)
     c = np.zeros(7, dtype=complex)
     a = 2.0 - 1.0j
     c[4] = a  # k = 1
@@ -150,7 +115,7 @@ def test_cubic_convolution_single_mode():
 
 
 def test_cubic_convolution_zero_field():
-    grid = make_grid(4)
+    grid = TorusGrid(4)
     out = cubic_convolution(zero_field(grid))
     np.testing.assert_array_equal(out.coefficients, 0.0)
 
