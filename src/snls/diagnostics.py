@@ -45,16 +45,13 @@ def _sobolev_weights(K: int, alpha: float) -> np.ndarray:
     return weights
 
 
-def _pack(u: SpectralField) -> np.ndarray:
-    """Interleaved real coordinates (Re u_k, Im u_k) per mode."""
-    out = np.empty(2 * u.grid.n_modes)
-    out[0::2] = u.coefficients.real
-    out[1::2] = u.coefficients.imag
+def _pack(c: np.ndarray) -> np.ndarray:
+    """Interleaved real coordinates (Re u_k, Im u_k) per mode, along the
+    last axis."""
+    out = np.empty(c.shape[:-1] + (2 * c.shape[-1],))
+    out[..., 0::2] = c.real
+    out[..., 1::2] = c.imag
     return out
-
-
-def _unpack(x: np.ndarray, grid) -> SpectralField:
-    return SpectralField(x[0::2] + 1j * x[1::2], grid)
 
 
 def canonical_form(n_modes: int) -> np.ndarray:
@@ -68,21 +65,19 @@ def canonical_form(n_modes: int) -> np.ndarray:
 
 def symplectic_defect(step_closure, u: SpectralField, h: float = 1e-5) -> float:
     """|| M^T J M - J ||_inf for the central-difference Jacobian M of a
-    deterministic (frozen-noise) one-step map at u."""
+    deterministic (frozen-noise) one-step map at u.
+
+    step_closure maps a batch of fields to a batch of fields; it is
+    called once, on the 2*dim perturbed states u +- h e_i."""
     if h <= 0:
         raise ValueError(f"finite-difference step h must be > 0, got {h}")
     grid = u.grid
-    x0 = _pack(u)
+    x0 = _pack(u.coefficients)
     dim = len(x0)
-    M = np.empty((dim, dim))
-    for i in range(dim):
-        xp = x0.copy()
-        xp[i] += h
-        xm = x0.copy()
-        xm[i] -= h
-        fp = _pack(step_closure(_unpack(xp, grid)))
-        fm = _pack(step_closure(_unpack(xm, grid)))
-        M[:, i] = (fp - fm) / (2.0 * h)
+    shifts = h * np.eye(dim)
+    x = np.concatenate((x0 + shifts, x0 - shifts))  # row i: x0 + h e_i, row dim+i: x0 - h e_i
+    f = _pack(step_closure(SpectralField(x[:, 0::2] + 1j * x[:, 1::2], grid)).coefficients)
+    M = ((f[:dim] - f[dim:]) / (2.0 * h)).T
     J = canonical_form(grid.n_modes)
     defect = M.T @ J @ M - J
     return float(np.max(np.abs(defect)))

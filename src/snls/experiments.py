@@ -234,8 +234,9 @@ def cmd_symplectic(config: RunConfig, h: float = 1e-5):
     X = increment(path, 0.0, config.t)
 
     def closure(u):
+        # every perturbed state is stepped, as one batch
         outcome = step_with_increment(u, tab, params, phi, X, config.t, fp)
-        if not outcome.converged:
+        if not outcome.converged.all():
             raise StepRejectedError(0, 0.0, outcome, fp.max_iter)
         return outcome.state
 

@@ -122,15 +122,17 @@ class StepOutcome:
 
 
 class StepRejectedError(RuntimeError):
-    """The stage solve of one field's step was rejected: the step bound
-    is violated.  Raised by the commands that need every step accepted;
-    step_index and time (its start) name the step."""
+    """The stage solve of a step was rejected: the step bound is
+    violated.  Raised by the commands that need every step accepted;
+    step_index and time (its start) name the step, and for a batch the
+    first rejected sample gives iterations and residual."""
 
     def __init__(self, step_index, time, outcome: StepOutcome, max_iter):
         self.step_index = step_index
         self.time = time
-        self.iterations = int(outcome.iterations)
-        self.residual = float(outcome.residual)
+        first = np.unravel_index(np.argmin(outcome.converged), np.shape(outcome.converged))
+        self.iterations = int(outcome.iterations[first])
+        self.residual = float(outcome.residual[first])
         reason = (f"did not converge in {max_iter} iterations" if self.iterations == max_iter
                   else f"diverging after {self.iterations} iterations")
         super().__init__(f"step {step_index} from t={time:.6g}: fixed-point iteration "
@@ -164,22 +166,31 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
 
     norm returns one residual per sample (a number for one problem), and
     x ends in the batch axes and one more axis.  A sample is rejected
-    when its residual grows past DIVERGENCE_FACTOR times its running
-    minimum, or when max_iter is exhausted.  Each sample stops on its
-    own: a converged sample is frozen at its solution and a rejected one
-    at the guess, while the others iterate on.  Nothing is raised; the
-    caller reads converged.
+    when its residual is not finite or grows past DIVERGENCE_FACTOR
+    times its running minimum, or when max_iter is exhausted.  Each
+    sample stops on its own: a converged sample is frozen at its solution
+    and a rejected one at the guess, while the others iterate on.
+    Nothing is raised; the caller reads converged.
     """
     x = guess
     history = []
+    best = np.inf  # each sample's running minimum residual
+    active = None  # every sample iterates until the first one stops
     for it in range(1, fp.max_iter + 1):
         x_new = iteration_map(x)
         res = np.asarray(norm(x_new, x), dtype=float)
-        if it == 1:
+        if active is None:
+            # a sweep in which no sample stops needs no masks; NaN fails
+            # every comparison, so it takes the masked path below
+            worst = res.max()
+            if worst < np.inf and res.min() > fp.tol and np.all(res <= DIVERGENCE_FACTOR * best):
+                history.append(float(worst))
+                best = np.fmin(best, res)
+                x = x_new
+                continue
             active = np.ones(res.shape, dtype=bool)
             converged = np.zeros(res.shape, dtype=bool)
-            best = np.full(res.shape, np.inf)
-            counts = np.zeros(res.shape, dtype=int)
+            counts = np.full(res.shape, it - 1)
             residual = res
         history.append(float(res[active].max()))
         residual = np.where(active, res, residual)
@@ -187,7 +198,7 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
         # fmin, unlike min, keeps the running minimum when res is NaN
         best = np.fmin(best, res)
         done = active & (res <= fp.tol)
-        failed = active & ~done & (res > DIVERGENCE_FACTOR * best)
+        failed = active & ~done & ((res > DIVERGENCE_FACTOR * best) | ~np.isfinite(res))
         converged |= done
         active &= ~(done | failed)
         take = active | done
@@ -198,6 +209,9 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
             x = np.where(np.expand_dims(take, -1), x_new, held)
         if not active.any():
             break
+    if active is None:  # max_iter ran out before any sample stopped
+        return FixedPointResult(x, it, res, history, np.full(res.shape, it),
+                                np.zeros(res.shape, dtype=bool))
     return FixedPointResult(x, it, residual, history, counts, converged)
 
 
@@ -241,10 +255,10 @@ def step_with_increment(
     # t K and L on the stacked stages; the maps are looked up as module
     # globals at every call
     def t_K(stages):
-        return map_F_midpoint_physical(params, t, SpectralField(stages, grid)).coefficients
+        return map_F_midpoint_physical(params, t, SpectralField.wrap(stages, grid)).coefficients
 
     def L(stages):
-        return map_P_frozen(params, phi, SpectralField(stages, grid), X).coefficients
+        return map_P_frozen(params, phi, SpectralField.wrap(stages, grid), X).coefficients
 
     def combine(U, terms, weights, scale):
         # U + sum_st scale w_st terms_st, zero weights skipped
@@ -263,17 +277,18 @@ def step_with_increment(
 
     def norm(new, old):
         # the largest stage residual of each sample
-        return np.max(sobolev_norm(SpectralField(new - old, grid), params.alpha), axis=0)
+        return np.max(sobolev_norm(SpectralField.wrap(new - old, grid), params.alpha), axis=0)
 
     guess = np.stack([u_n.coefficients] * n)
-    solve = fixed_point_solve(iteration, guess, fp, norm)
-
-    update = combine(u_n.coefficients, t_K(solve.x), tab.b0, 1.0)
-    update = combine(update, L(solve.x), tab.b1, sqrt_t)
-    state = free_propagator(SpectralField(update, grid), t)
+    # an overflow rejects its sample through a non-finite residual
+    with np.errstate(all="ignore"):
+        solve = fixed_point_solve(iteration, guess, fp, norm)
+        update = combine(u_n.coefficients, t_K(solve.x), tab.b0, 1.0)
+        update = combine(update, L(solve.x), tab.b1, sqrt_t)
+        state = free_propagator(SpectralField.wrap(update, grid), t)
     if not np.all(solve.converged):
         kept = np.where(np.expand_dims(solve.converged, -1), state.coefficients, u_n.coefficients)
-        state = SpectralField(kept, grid)
+        state = SpectralField.wrap(kept, grid)
     return StepOutcome(
         state=state,
         iterations=solve.sample_iterations,

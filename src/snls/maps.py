@@ -93,19 +93,36 @@ def map_P_frozen(
         raise ValueError(f"covariance has K={phi.K}, field has K={K}")
     if X.w.shape[-1] != 2 * K + 1:
         raise ValueError("noise increment has wrong number of modes")
-    a, b = v.coefficients, phi.phi * X.w
+    a = v.coefficients
+    op = _noise_operator(phi, X)
+    if 2 * K + 1 <= DIRECT_MAX_MODES:
+        out = (op @ a[..., None])[..., 0]
+    else:
+        out = np.fft.ifft(np.fft.fft(a, op.shape[-1]) * op)[..., K : 3 * K + 1]
+    return SpectralField.wrap(-1j * params.kappa * out, v.grid)
+
+
+def _noise_operator(phi: CovarianceOp, X: NoiseIncrement) -> np.ndarray:
+    """The operator of b = Phi X that map_P_frozen applies, built once
+    per step: it is cached on X, keyed on phi by identity (phi and X.w
+    are read-only)."""
+    if X.operator is not None and X.operator[0] is phi:
+        return X.operator[1]
+    K = phi.K
+    b = phi.phi * X.w
     if 2 * K + 1 <= DIRECT_MAX_MODES:
         # out_i = sum_j b_{i-j+K} a_j: the Toeplitz matrix of b, gathered
         # from b with K zeros on either side
         b_pad = np.zeros(b.shape[:-1] + (4 * K + 1,))
         b_pad[..., K : 3 * K + 1] = b
-        out = (b_pad[..., _toeplitz_index(K)] @ a[..., None])[..., 0]
+        op = b_pad[..., _toeplitz_index(K)]
     else:
-        # the full product has index i <-> mode i-2K, i = 0..4K; with
-        # n >= 3K+1 points no alias lands on modes -K..K
-        n = next_fast_len(3 * K + 1)
-        out = np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[..., K : 3 * K + 1]
-    return SpectralField(-1j * params.kappa * out, v.grid)
+        # the spectrum of b: the full product has index i <-> mode i-2K,
+        # i = 0..4K; with n >= 3K+1 points no alias lands on modes -K..K
+        op = np.fft.fft(b, next_fast_len(3 * K + 1))
+    op.flags.writeable = False
+    object.__setattr__(X, "operator", (phi, op))
+    return op
 
 
 @lru_cache(maxsize=64)
@@ -120,9 +137,10 @@ def _toeplitz_index(K: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _midpoint_multipliers(K: int, t: float):
-    """Padded size n and the padded-grid multipliers e^{-itk^2},
-    e^{itk^2}, 1/(ik) (0 at k=0), e^{-itk^2}/(ik) and (i/2)/(ik) of
-    map_F_midpoint_physical (read-only: shared by every call)."""
+    """Padded size n, the padded-grid multipliers e^{-itk^2}, 1/(ik)
+    (0 at k=0), e^{-itk^2}/(ik) and (i/2)e^{itk^2}, and e^{itk^2} and
+    (i/2)/(ik) on modes -K..K, of map_F_midpoint_physical (read-only:
+    shared by every call)."""
     n = _pad_size(K)
     kpad = np.fft.fftfreq(n, d=1.0 / n)  # mode numbers of the padded grid
     e_minus = np.exp(-1j * t * kpad**2)  # e^{it Laplacian}
@@ -130,7 +148,8 @@ def _midpoint_multipliers(K: int, t: float):
     inv_d = np.zeros(n, dtype=np.complex128)
     nz = kpad != 0
     inv_d[nz] = 1.0 / (1j * kpad[nz])
-    mults = (e_minus, e_plus, inv_d, e_minus * inv_d, 0.5j * inv_d)
+    mults = (e_minus, inv_d, e_minus * inv_d, 0.5j * e_plus,
+             _extract(e_plus, K), _extract(0.5j * inv_d, K))
     for m in mults:
         m.flags.writeable = False
     return (n, *mults)
@@ -148,7 +167,7 @@ def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> 
     with C the cubic convolution, S_A the dominant-phase term (plus its
     kk1=0 corrections) and S_B the lower-phase term (plus its k2k3=0
     corrections); all products are formed without intermediate
-    truncation on a 4K-padded grid.
+    truncation on a 4K-padded grid, in 10 padded transforms.
     """
     if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
@@ -156,48 +175,48 @@ def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> 
     K = grid.K
     c = v.coefficients
     if params.lam == 0.0:
-        return SpectralField(np.zeros_like(c), grid)
-    n, e_minus, e_plus, inv_d, e_minus_inv_d, half_i_inv_d = _midpoint_multipliers(K, t)
+        return SpectralField.wrap(np.zeros_like(c), grid)
+    n, e_minus, inv_d, e_minus_inv_d, half_i_e_plus, e_plus_k, half_i_inv_d_k = (
+        _midpoint_multipliers(K, t))
 
-    # transforms whose inputs are ready together share one FFT call
+    # transforms whose inputs are ready together share one FFT call;
+    # physical samples are the unnormalized inverse transform
     def phys(*specs):
-        return np.fft.ifft(np.array(specs)) * n
+        return np.fft.ifft(np.array(specs), norm="forward")
 
     def spect(*samples):
-        return np.fft.fft(np.array(samples)) / n
+        return np.fft.fft(np.array(samples), norm="forward")
 
     cv = _embed(c, K, n)  # spectrum on padded grid
     v0 = c[..., K, None]  # zero mode, broadcast over modes
     # physical samples of v, of its inverse derivative d^-1 v and of E(t) d^-1 v
     u, inv_u, einv_u = phys(cv, inv_d * cv, e_minus_inv_d * cv)
-    # (v*v)_m untruncated, the S_A kk1 != 0 second piece, the two S_B
-    # squares and the cubic convolution
-    u_sq_spec, piece2, einv_sq, inv_sq, cubic = spect(
-        u * u, np.conj(inv_u) * u * u, einv_u * einv_u, inv_u * inv_u, np.conj(u) * u * u
-    )
-
-    # S_B: convolve conj(v) with G, where
-    # G = (i/2)[ E(-t)((E(t)d^-1 v)^2) - (d^-1 v)^2 ]  (k2 k3 != 0 pairs)
-    #   + t (2 v0 v - delta_0 v0^2)                    (k2 k3 = 0 pairs)
-    g_spec = 0.5j * (e_plus * einv_sq - inv_sq)
-    g_spec += t * 2.0 * v0 * cv
-    g_spec[..., 0] -= t * v0[..., 0] * v0[..., 0]
+    u_sq = u * u
+    # (v*v)_m untruncated, the S_A kk1 != 0 second piece and the S_B
+    # square that needs E(-t)
+    u_sq_spec, piece2, einv_sq = spect(u_sq, np.conj(inv_u) * u_sq, einv_u * einv_u)
 
     # S_A, kk1 != 0: (i/2) d^-1 { E(-t)[ conj(E(t)d^-1 v) * E(t)(v^2) ]
     #                             - conj(d^-1 v) * v^2 };
-    # the same two transforms finish S_B
-    e_u_sq, g = phys(e_minus * u_sq_spec, g_spec)
-    piece1, s_b = spect(np.conj(einv_u) * e_u_sq, np.conj(u) * g)
-    s_a = half_i_inv_d * (e_plus * piece1 - piece2)
+    # S_B: convolve conj(v) with G, where
+    # G = (i/2)[ E(-t)((E(t)d^-1 v)^2) - (d^-1 v)^2 ]  (k2 k3 != 0 pairs)
+    #   + t (2 v0 v - delta_0 v0^2)                    (k2 k3 = 0 pairs),
+    # all of it physical but the E(-t) term
+    e_u_sq, g = phys(e_minus * u_sq_spec, half_i_e_plus * einv_sq)
+    g += t * v0 * (2.0 * u - v0) - 0.5j * inv_u * inv_u
+    # S_B - t C in one transform, C being the spectrum of conj(v) v^2;
+    # only modes -K..K are kept from here on
+    piece1, s_b_cubic = _extract(
+        spect(np.conj(einv_u) * e_u_sq, np.conj(u) * (g - t * u_sq)), K)
+    u_sq_k, piece2 = _extract(np.array((u_sq_spec, piece2)), K)
+    s_a = half_i_inv_d_k * (e_plus_k * piece1 - piece2)
 
     # S_A, kk1 = 0: t conj(v0) (v*v)_k for k != 0;
     # at k = 0 the k1 sum runs over all retained modes
-    s_a0 = t * np.conj(v0) * u_sq_spec
-    s_a0[..., 0] = t * np.sum(np.conj(c) * _extract(u_sq_spec, K), axis=-1)
+    s_a0 = t * np.conj(v0) * u_sq_k
+    s_a0[..., K] = t * np.sum(np.conj(c) * u_sq_k, axis=-1)
 
-    # -t * cubic convolution
-    total = -1j * params.lam * (s_a + s_a0 + s_b - t * cubic)
-    return SpectralField(_extract(total, K), grid)
+    return SpectralField.wrap(-1j * params.lam * (s_a + s_a0 + s_b_cubic), grid)
 
 
 def orthogonality_defect(u: SpectralField, g: SpectralField) -> float:

@@ -22,7 +22,7 @@ and paths are reproducible across runs and worker counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,7 +66,8 @@ class CovarianceOp:
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
+        phi = np.array(self.phi, dtype=float)  # read-only copy, like NoiseIncrement.w
+        phi.flags.writeable = False
         if phi.ndim != 1 or len(phi) % 2 != 1:
             raise ValueError("phi must hold an odd number of modes -K..K")
         if not np.allclose(phi, phi[::-1], rtol=0, atol=0):
@@ -219,10 +220,19 @@ def stack_paths(paths) -> BrownianPath:
 class NoiseIncrement:
     """Normalized increments W_{n,k} = (W_k(t1) - W_k(t0)) / sqrt(t1-t0).
 
-    w has shape (2K+1,), or (S, 2K+1) for a stacked path."""
+    w has shape (2K+1,), or (S, 2K+1) for a stacked path.  It is kept as
+    a read-only copy: map_P_frozen caches the noise operator it builds
+    from w here, and that operator must never describe other values."""
 
     w: np.ndarray
     step: float
+    # (phi, operator) of the last map_P_frozen call on this increment
+    operator: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        w = np.array(self.w, dtype=float)
+        w.flags.writeable = False
+        object.__setattr__(self, "w", w)
 
 
 def increment(path: BrownianPath, t0: float, t1: float) -> NoiseIncrement:

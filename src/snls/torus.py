@@ -40,11 +40,24 @@ class SpectralField:
     """Complex Fourier coefficients c_k, k = -K..K, on a TorusGrid.
 
     coefficients has shape (..., 2K+1): one field, or a batch of fields
-    along the leading axes.
+    along the leading axes.  The constructor copies and checks its input;
+    it is the boundary through which outside data comes in.
     """
 
     coefficients: np.ndarray
     grid: TorusGrid
+
+    @classmethod
+    def wrap(cls, coefficients: np.ndarray, grid: TorusGrid) -> "SpectralField":
+        """A field on `coefficients` as given, neither copied nor checked.
+
+        Internal: for complex (..., 2K+1) arrays the caller has just
+        computed and owns, as the maps, the propagator and the stage
+        solve do."""
+        f = object.__new__(cls)
+        f.coefficients = coefficients
+        f.grid = grid
+        return f
 
     def __post_init__(self):
         c = np.array(self.coefficients, dtype=np.complex128)  # always a copy
@@ -101,7 +114,7 @@ def free_propagator(f: SpectralField, t: float) -> SpectralField:
     """e^{it Laplacian}: multiply coefficient k by e^{-i t k^2}."""
     if not np.isfinite(t):
         raise ValueError(f"propagation time must be finite, got {t}")
-    return SpectralField(f.coefficients * _propagator(f.grid.K, t), f.grid)
+    return SpectralField.wrap(f.coefficients * _propagator(f.grid.K, t), f.grid)
 
 
 @lru_cache(maxsize=64)

@@ -111,8 +111,10 @@ def test_criterion_2_pathwise_symplecticity():
             X = increment(path, 0.0, t)
 
             def closure(v):
+                # v is the batch of perturbed states; a rejected sample
+                # would be the identity map
                 outcome = step_with_increment(v, tab, params, phi, X, t, fp)
-                assert outcome.converged  # a rejected step is the identity map
+                assert outcome.converged.all()
                 return outcome.state
 
             worst = max(worst, symplectic_defect(closure, u, h=h))
@@ -127,7 +129,7 @@ def test_criterion_2_pathwise_symplecticity():
 
     def explicit_closure(v):
         outcome = step_with_increment(v, etab, params, phi, Xe, te, fp)
-        assert outcome.converged
+        assert outcome.converged.all()
         return outcome.state
 
     explicit = symplectic_defect(explicit_closure, u, h=h)

@@ -1,5 +1,7 @@
 """CLI contract: subcommands, flags, output files, exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,18 @@ def test_rejected_symplectic_step_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "seed=6\nK=4\nt=5.0\nlambda=5.0\n")
     assert main(["symplectic", "--config", cfg]) == 2
     assert "experiment invalid" in capsys.readouterr().err
+
+
+def test_overflowing_step_exit_2(tmp_path, capsys):
+    # an overflow in the stage solve is a rejected step that names its
+    # step, time and residual, not a bad config, and prints no warning
+    cfg = write_cfg(tmp_path, "seed=1\nK=4\nt=0.01\nn_steps=3\nkappa=1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "experiment invalid: step 0 from t=0: " in err
+    assert "diverging after 1 iterations (residual nan)" in err
 
 
 def test_conservation_command(tmp_path, capsys):

@@ -102,3 +102,15 @@ def test_symplectic_defect_rejects_bad_h():
     f = random_field(2, 2)
     with pytest.raises(ValueError):
         symplectic_defect(lambda u: u, f, h=0.0)
+
+
+def test_symplectic_defect_steps_every_column_in_one_batch():
+    f = random_field(3, 3)
+    batches = []
+
+    def closure(u):
+        batches.append(u.coefficients.shape)
+        return free_propagator(u, 0.3)
+
+    assert symplectic_defect(closure, f) < 1e-10
+    assert batches == [(4 * f.grid.n_modes, f.grid.n_modes)]

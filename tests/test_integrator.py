@@ -131,6 +131,50 @@ def test_fixed_point_batch_keeps_per_sample_semantics():
     assert iterations == 60 and all(isinstance(h, float) for h in history)
 
 
+def test_fixed_point_rejects_a_non_finite_residual_in_one_sweep():
+    # x <- a x + 1 with a = NaN gives a NaN residual and a = inf an inf
+    # one: both samples stop after one sweep at their guess, and the
+    # finite sample ends as it would alone
+    fp = FixedPointConfig(tol=1e-12, max_iter=60)
+    a = np.array([0.5, np.nan, np.inf])
+
+    def norm(new, old):
+        return np.abs(new - old)[:, 0]
+
+    guess = np.array([[1.0], [2.0], [3.0]])
+    out = fixed_point_solve(lambda x: a[:, None] * x + 1.0, guess, fp, norm)
+    alone = fixed_point_solve(lambda x: 0.5 * x + 1.0, 1.0, fp, lambda p, q: abs(p - q))
+    assert list(out.converged) == [True, False, False]
+    assert list(out.sample_iterations) == [alone.iterations, 1, 1]
+    assert out.x[0, 0] == alone.x and out.residual[0] == alone.residual
+    np.testing.assert_array_equal(out.x[1:], guess[1:])
+    assert np.isnan(out.residual[1]) and out.residual[2] == np.inf
+
+
+def test_step_rejects_an_overflowing_sample_and_keeps_the_batch():
+    # the first sweep overflows on a sample with huge data: that sample
+    # is rejected with its input state, the others step as they would alone
+    params = ModelParams(lam=1.0, kappa=1.0)
+    K, t = 4, 0.01
+    phi = default_phi(K)
+    u = np.stack([random_field(K, s).coefficients for s in range(3)])
+    u[1] *= 1e150
+    path = stack_paths([sample_path(1 + s, t, 0, K) for s in range(3)])
+    with np.errstate(all="raise"):  # no warning escapes the stage solve
+        out = step(SpectralField(u, TorusGrid(K)), midpoint_tableau(), params, phi, path,
+                   0.0, t, FP)
+    assert list(out.converged) == [True, False, True]
+    assert out.iterations[1] == 1 and not np.isfinite(out.residual[1])
+    np.testing.assert_array_equal(out.state.coefficients[1], u[1])
+    for s in (0, 2):
+        one = step(SpectralField(u[s], TorusGrid(K)), midpoint_tableau(), params, phi,
+                   sample_path(1 + s, t, 0, K), 0.0, t, FP)
+        assert out.iterations[s] == one.iterations
+        np.testing.assert_allclose(out.state.coefficients[s], one.state.coefficients,
+                                   rtol=0, atol=1e-14)
+    assert not np.shares_memory(out.state.coefficients, u)
+
+
 def test_batched_step_matches_single_steps():
     params = ModelParams(lam=1.0, kappa=1.0)
     K, t = 6, 0.01

@@ -14,8 +14,15 @@ from snls.maps import (
     map_P_frozen,
     orthogonality_defect,
 )
-from snls.noise import NoiseIncrement, default_phi, increment, sample_path, stack_paths
-from snls.torus import SpectralField, TorusGrid, zero_field
+from snls.noise import (
+    CovarianceOp,
+    NoiseIncrement,
+    default_phi,
+    increment,
+    sample_path,
+    stack_paths,
+)
+from snls.torus import SpectralField, TorusGrid, free_propagator, zero_field
 
 
 def random_field(K, seed, scale=1.0):
@@ -222,3 +229,39 @@ def test_map_P_orthogonality_fails_for_asymmetric_noise():
     X = NoiseIncrement(w=rng.standard_normal(2 * K + 1), step=0.01)
     g = map_P_frozen(PARAMS, default_phi(K), v, X)
     assert abs(orthogonality_defect(v, g)) > 1e-6
+
+
+@pytest.mark.parametrize("K", [8, 17])  # the cached Toeplitz matrix, the cached spectrum
+def test_map_P_operator_cached_on_the_increment_follows_phi(K):
+    # the per-step operator is cached on X; another phi on the same X
+    # must not reuse it
+    v = random_field(K, 4)
+    X = make_increment(K, 5, 0.01)
+    for phi in (default_phi(K), CovarianceOp(1.0 + default_phi(K).phi), default_phi(K)):
+        for _ in range(2):  # the second call reads the cache
+            out = map_P_frozen(PARAMS, phi, v, X).coefficients
+            expected = map_P_double_sum(PARAMS.kappa, phi.phi, v.coefficients, X.w)
+            np.testing.assert_allclose(out, expected, rtol=0,
+                                       atol=1e-14 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("K", [8, 17])
+@pytest.mark.parametrize("lam", [0.0, 1.3])
+def test_map_and_propagator_outputs_own_their_memory(K, lam):
+    # outputs are wrapped unchecked, so none may alias an input, the
+    # cached noise operator or a cached multiplier
+    params = ModelParams(lam=lam, kappa=lam)
+    v = random_field(K, 6)
+    X = make_increment(K, 7, 0.01)
+    phi = default_phi(K)
+    outs = [
+        map_F_midpoint_physical(params, 0.01, v),
+        map_P_frozen(params, phi, v, X),
+        map_P_frozen(params, phi, v, X),
+        free_propagator(v, 0.01),
+        free_propagator(v, 0.0),
+    ]
+    shared = [v.coefficients, X.w, X.operator[1], phi.phi]
+    for out in outs:
+        assert not any(np.shares_memory(out.coefficients, a) for a in shared)
+    assert not np.shares_memory(outs[1].coefficients, outs[2].coefficients)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from snls.noise import (
     BrownianPath,
     CovarianceOp,
+    NoiseIncrement,
     coarsen,
     default_phi,
     increment,
@@ -225,3 +226,19 @@ def test_strat_integral_refinement_consistency():
     a = strat_integral(p, 1, 2, 1.0)
     b = strat_integral(refine(refine(p)), 1, 2, 1.0)
     assert abs(a - b) < 0.2
+
+
+def test_increment_and_covariance_are_read_only_copies():
+    # map_P_frozen caches an operator built from X.w and phi on X, so
+    # neither may change under it
+    path = sample_path(3, 0.5, 0, 2)
+    X = increment(path, 0.0, 0.5)
+    with pytest.raises(ValueError):
+        X.w[0] = 1.0
+    raw = np.ones(5)
+    X = NoiseIncrement(w=raw, step=0.5)
+    raw[0] = 2.0
+    assert X.w[0] == 1.0
+    phi = default_phi(2)
+    with pytest.raises(ValueError):
+        phi.phi[0] = 1.0

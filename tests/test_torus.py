@@ -57,6 +57,17 @@ def test_field_copies_input():
     assert f.coefficients[0] == 1.0
 
 
+def test_wrap_neither_copies_nor_checks():
+    # the internal constructor takes the caller's array as it is; only
+    # the public one copies and validates
+    grid = TorusGrid(2)
+    c = np.full(5, np.nan, dtype=complex)
+    f = SpectralField.wrap(c, grid)
+    assert f.coefficients is c and f.grid == grid
+    with pytest.raises(ValueError):
+        SpectralField(f.coefficients, grid)
+
+
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(-5.0, 5.0))
 @settings(max_examples=40, deadline=None)
 def test_free_propagator_is_unitary_and_invertible(seed, t):
