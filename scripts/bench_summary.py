@@ -5,19 +5,13 @@
 
 Each LABEL=DIR names a directory of `perfbench/run.py` result files
 (`result-<workload>-seed<n>-trace<t>.json`, as in a checkout's
-perfbench/out/); a bare DIR is labelled by its position.  For every
-label, workload and metric the summary holds the median, the quartiles
-and the IQR over the seeds, from untraced runs for the end-to-end
-metrics and from traced runs for the per-layer ones, with the git sha
-and dirty flag the runs recorded.  The machine (nproc, CPU model) and
-the library versions are recorded once, and a run on any other machine
-or versions is refused: medians from two machines do not compare.
-
-With two or more labels, each label after the first is also compared
-with the first, seed by seed, on the end-to-end metrics of
-BENCHMARK.json over the seeds both ran: the number of seeds on which
-it is better, the median ratio of its value to the first label's, and
-the difference of the medians next to the first label's IQR.
+perfbench/out/).  For every label, workload and metric the summary
+holds the median, the quartiles and the IQR over the seeds, from
+untraced runs for the end-to-end metrics and from traced runs for the
+per-layer ones, with the git sha and dirty flag the runs recorded.  The
+machine (nproc, CPU model) and the library versions are recorded once,
+and a run on any other machine or versions is refused: medians from two
+machines do not compare.
 """
 
 from __future__ import annotations
@@ -27,8 +21,6 @@ import json
 import statistics
 import sys
 from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def quartiles(values):
@@ -76,43 +68,19 @@ def summarize(records):
     return workloads
 
 
-def compare(base, other, end_to_end):
-    """Seed-by-seed comparison of `other` with `base` on the untraced
-    end-to-end metrics."""
-    out = {}
-    for (workload, trace, seed), r in sorted(other.items()):
-        b = base.get((workload, trace, seed))
-        if trace or b is None:
-            continue
-        for name, better in end_to_end.items():
-            entry = out.setdefault(workload, {}).setdefault(
-                name, {"seeds": [], "better_on": 0, "new": [], "old": []})
-            new, old = r["metrics"][name]["value"], b["metrics"][name]["value"]
-            entry["seeds"].append(seed)
-            entry["new"].append(new)
-            entry["old"].append(old)
-            entry["better_on"] += new > old if better == "higher" else new < old
-    for metrics in out.values():
-        for entry in metrics.values():
-            new, old = entry.pop("new"), entry.pop("old")
-            q1, med, q3 = quartiles(old)
-            entry.update(pairs=len(new), median_ratio=statistics.median(n / o for n, o in
-                                                                        zip(new, old)),
-                         median_difference=statistics.median(new) - med, base_iqr=q3 - q1)
-    return out
-
-
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("sides", nargs="+", metavar="[LABEL=]DIR")
+    p.add_argument("sides", nargs="+", metavar="LABEL=DIR")
     p.add_argument("--out", required=True, help="summary file to write")
     args = p.parse_args(argv)
 
     labels = {}
-    for i, side in enumerate(args.sides):
+    for side in args.sides:
         label, sep, directory = side.partition("=")
-        labels[label if sep else f"run{i}"] = directory if sep else side
+        if not (sep and label and directory):
+            p.error(f"expected LABEL=DIR, got {side!r}")
+        labels[label] = directory
     try:
         records = {label: load(d) for label, d in labels.items()}
     except (OSError, ValueError) as exc:
@@ -127,18 +95,12 @@ def main(argv=None):
         return 1
     machine, versions = json.loads(environments.pop())
 
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    end_to_end = {m["name"]: m["better"] for m in bench["end_to_end"]}
     summary = {
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace T",
         "machine": machine,
         "versions": versions,
         "sides": {label: summarize(recs) for label, recs in records.items()},
     }
-    first, *rest = records
-    if rest:
-        summary["against_" + first] = {label: compare(records[first], records[label],
-                                                      end_to_end) for label in rest}
     Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     return 0
 

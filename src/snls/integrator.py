@@ -174,23 +174,14 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
     """
     x = guess
     history = []
-    best = np.inf  # each sample's running minimum residual
-    active = None  # every sample iterates until the first one stops
     for it in range(1, fp.max_iter + 1):
         x_new = iteration_map(x)
         res = np.asarray(norm(x_new, x), dtype=float)
-        if active is None:
-            # a sweep in which no sample stops needs no masks; NaN fails
-            # every comparison, so it takes the masked path below
-            worst = res.max()
-            if worst < np.inf and res.min() > fp.tol and np.all(res <= DIVERGENCE_FACTOR * best):
-                history.append(float(worst))
-                best = np.fmin(best, res)
-                x = x_new
-                continue
+        if it == 1:
             active = np.ones(res.shape, dtype=bool)
             converged = np.zeros(res.shape, dtype=bool)
-            counts = np.full(res.shape, it - 1)
+            best = np.full(res.shape, np.inf)
+            counts = np.zeros(res.shape, dtype=int)
             residual = res
         history.append(float(res[active].max()))
         residual = np.where(active, res, residual)
@@ -209,9 +200,6 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
             x = np.where(np.expand_dims(take, -1), x_new, held)
         if not active.any():
             break
-    if active is None:  # max_iter ran out before any sample stopped
-        return FixedPointResult(x, it, res, history, np.full(res.shape, it),
-                                np.zeros(res.shape, dtype=bool))
     return FixedPointResult(x, it, residual, history, counts, converged)
 
 

@@ -93,19 +93,14 @@ def map_P_frozen(
         raise ValueError(f"covariance has K={phi.K}, field has K={K}")
     if X.w.shape[-1] != 2 * K + 1:
         raise ValueError("noise increment has wrong number of modes")
-    a = v.coefficients
-    op = _noise_operator(phi, X)
-    if 2 * K + 1 <= DIRECT_MAX_MODES:
-        out = (op @ a[..., None])[..., 0]
-    else:
-        out = np.fft.ifft(np.fft.fft(a, op.shape[-1]) * op)[..., K : 3 * K + 1]
+    out = _noise_operator(phi, X)(v.coefficients)
     return SpectralField.wrap(-1j * params.kappa * out, v.grid)
 
 
-def _noise_operator(phi: CovarianceOp, X: NoiseIncrement) -> np.ndarray:
-    """The operator of b = Phi X that map_P_frozen applies, built once
-    per step: it is cached on X, keyed on phi by identity (phi and X.w
-    are read-only)."""
+def _noise_operator(phi: CovarianceOp, X: NoiseIncrement):
+    """apply(a): the convolution of a with b = Phi X on modes -K..K, as
+    map_P_frozen takes it.  The operator is built once per step: it is
+    cached on X, keyed on phi by identity (phi and X.w are read-only)."""
     if X.operator is not None and X.operator[0] is phi:
         return X.operator[1]
     K = phi.K
@@ -116,13 +111,20 @@ def _noise_operator(phi: CovarianceOp, X: NoiseIncrement) -> np.ndarray:
         b_pad = np.zeros(b.shape[:-1] + (4 * K + 1,))
         b_pad[..., K : 3 * K + 1] = b
         op = b_pad[..., _toeplitz_index(K)]
+
+        def apply(a):
+            return (op @ a[..., None])[..., 0]
     else:
         # the spectrum of b: the full product has index i <-> mode i-2K,
         # i = 0..4K; with n >= 3K+1 points no alias lands on modes -K..K
-        op = np.fft.fft(b, next_fast_len(3 * K + 1))
+        n = next_fast_len(3 * K + 1)
+        op = np.fft.fft(b, n)
+
+        def apply(a):
+            return np.fft.ifft(np.fft.fft(a, n) * op)[..., K : 3 * K + 1]
     op.flags.writeable = False
-    object.__setattr__(X, "operator", (phi, op))
-    return op
+    object.__setattr__(X, "operator", (phi, apply))
+    return apply
 
 
 @lru_cache(maxsize=64)

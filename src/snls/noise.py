@@ -226,7 +226,7 @@ class NoiseIncrement:
 
     w: np.ndarray
     step: float
-    # (phi, operator) of the last map_P_frozen call on this increment
+    # (phi, apply) of the last map_P_frozen call on this increment
     operator: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

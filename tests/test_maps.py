@@ -248,8 +248,9 @@ def test_map_P_operator_cached_on_the_increment_follows_phi(K):
 @pytest.mark.parametrize("K", [8, 17])
 @pytest.mark.parametrize("lam", [0.0, 1.3])
 def test_map_and_propagator_outputs_own_their_memory(K, lam):
-    # outputs are wrapped unchecked, so none may alias an input, the
-    # cached noise operator or a cached multiplier
+    # outputs are wrapped unchecked, so none may alias an input; the
+    # cached noise operator and multipliers are read-only, so an output
+    # that aliased one of them would not be writeable
     params = ModelParams(lam=lam, kappa=lam)
     v = random_field(K, 6)
     X = make_increment(K, 7, 0.01)
@@ -261,7 +262,8 @@ def test_map_and_propagator_outputs_own_their_memory(K, lam):
         free_propagator(v, 0.01),
         free_propagator(v, 0.0),
     ]
-    shared = [v.coefficients, X.w, X.operator[1], phi.phi]
+    shared = [v.coefficients, X.w, phi.phi]
     for out in outs:
         assert not any(np.shares_memory(out.coefficients, a) for a in shared)
+        assert out.coefficients.flags.writeable
     assert not np.shares_memory(outs[1].coefficients, outs[2].coefficients)
