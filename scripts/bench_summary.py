@@ -80,6 +80,8 @@ def main(argv=None):
         label, sep, directory = side.partition("=")
         if not (sep and label and directory):
             p.error(f"expected LABEL=DIR, got {side!r}")
+        if label in labels:
+            p.error(f"label {label!r} is given twice ({labels[label]} and {directory})")
         labels[label] = directory
     try:
         records = {label: load(d) for label, d in labels.items()}

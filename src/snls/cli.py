@@ -4,8 +4,9 @@ Subcommands: simulate, local-error, kernel-error, conservation,
 symplectic.  All take --config <path> (key=value file), optional
 --out <path> and --seed <u64> (overrides the config seed).
 
-Exit codes: 0 success, 1 usage or configuration error, 2 experiment ran
-but its validity preconditions failed (e.g. too many rejected steps).
+Exit codes: 0 success, 1 usage or configuration error or an output file
+that cannot be written, 2 experiment ran but its validity preconditions
+failed (e.g. too many rejected steps).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def main(argv=None) -> int:
     except (ExperimentInvalidError, StepRejectedError) as exc:
         print(f"experiment invalid: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -62,6 +62,11 @@ class RunConfig:
             raise ConfigError(f"alpha must be finite and > 1, got {self.alpha}")
         if not 0 < self.fp_tol < np.inf:
             raise ConfigError(f"fp_tol must be finite and > 0, got {self.fp_tol}")
+        if not 1 <= self.fp_max_iter:
+            raise ConfigError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
+        for key, value in (("lambda", self.lam), ("kappa", self.kappa)):
+            if not -np.inf < value < np.inf:
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.tableau not in TABLEAUX:
             raise ConfigError(
                 f"unknown tableau {self.tableau!r}; valid names: {', '.join(TABLEAUX)}"

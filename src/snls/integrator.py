@@ -1,15 +1,17 @@
-"""Stochastic resonance-based Runge-Kutta stepping.
+"""Stochastic resonance-based stepping with the one-stage scheme.
 
-A Tableau holds the coefficient matrices of the deterministic and
-stochastic maps and the output weights.  Every stage is the full-Taylor
-stage at node 1 of the d=1 symplectic kernel, the one the scheme uses.
-Each step freezes the noise increment of the interval, solves the
-coupled implicit stage system by simultaneous fixed-point iteration and
-forms the update through the free propagator.
+A Tableau holds the four coefficients of the scheme's one stage: a0 and
+a1 weight the deterministic and stochastic maps in the stage equation,
+b0 and b1 in the update.  The stage is the full-Taylor stage at node 1
+of the d=1 symplectic kernel.  Each step freezes the noise increment of
+the interval, solves the implicit stage equation for the stage field by
+fixed-point iteration and forms the update through the free propagator.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,73 +25,50 @@ from .torus import SpectralField, free_propagator
 
 @dataclass(frozen=True)
 class Tableau:
-    """Coefficient matrices a0/a1 and output weights b0/b1 of the
-    stages."""
+    """Stage coefficients a0/a1 and output weights b0/b1 of the one
+    stage, each a finite real number."""
 
-    a0: np.ndarray
-    a1: np.ndarray
-    b0: np.ndarray
-    b1: np.ndarray
+    a0: float
+    a1: float
+    b0: float
+    b1: float
 
     def __post_init__(self):
-        n = np.size(self.b0)
-        if n == 0:
-            raise ValueError("tableau needs at least one stage")
-        for name, shape in (("b0", (n,)), ("b1", (n,)), ("a0", (n, n)), ("a1", (n, n))):
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.shape != shape or not np.all(np.isfinite(m)):
-                raise ValueError(f"{name} must be a finite array of shape {shape}")
-            object.__setattr__(self, name, m)
-
-    @property
-    def n_stages(self) -> int:
-        return len(self.b0)
+        for name in ("a0", "a1", "b0", "b1"):
+            value = getattr(self, name)
+            # numbers.Real admits Python and numpy scalars, not arrays or strings
+            try:
+                finite = isinstance(value, numbers.Real) and math.isfinite(value)
+            except OverflowError:  # an int past the float range
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
 
 @dataclass(frozen=True)
 class TableauViolation:
     i: int
     j: int
-    stage: int
-    other_stage: int
     defect: float
 
 
 def validate_tableau(tab: Tableau, tol: float = 1e-14) -> list[TableauViolation]:
-    """Check b_s^(i) b_st^(j) - b_s^(i) a^(j)_{s,st} - b_st^(j) a^(i)_{st,s} = 0
-    for all stage pairs (s, st) and i,j in {0,1}."""
+    """Check b_i b_j - b_i a_j - b_j a_i = 0 for i,j in {0,1}."""
     a = (tab.a0, tab.a1)
     b = (tab.b0, tab.b1)
-    violations = []
-    n = tab.n_stages
-    for i in range(2):
-        for j in range(2):
-            for s in range(n):
-                for st in range(n):
-                    defect = b[i][s] * b[j][st] - b[i][s] * a[j][s, st] - b[j][st] * a[i][st, s]
-                    if abs(defect) > tol:
-                        violations.append(TableauViolation(i, j, s, st, defect))
-    return violations
+    defects = {(i, j): b[i] * b[j] - b[i] * a[j] - b[j] * a[i] for i in range(2) for j in range(2)}
+    return [TableauViolation(i, j, d) for (i, j), d in defects.items() if abs(d) > tol]
 
 
 def midpoint_tableau() -> Tableau:
-    """Single stage, b=1, a=1/2: the resonance midpoint rule."""
-    return Tableau(
-        a0=np.array([[0.5]]),
-        a1=np.array([[0.5]]),
-        b0=np.array([1.0]),
-        b1=np.array([1.0]),
-    )
+    """b=1, a=1/2: the resonance midpoint rule."""
+    return Tableau(a0=0.5, a1=0.5, b0=1.0, b1=1.0)
 
 
 def explicit_tableau() -> Tableau:
     """b=1, a=0: violates the coefficient condition; negative control."""
-    return Tableau(
-        a0=np.array([[0.0]]),
-        a1=np.array([[0.0]]),
-        b0=np.array([1.0]),
-        b1=np.array([1.0]),
-    )
+    return Tableau(a0=0.0, a1=0.0, b0=1.0, b1=1.0)
 
 
 TABLEAUX = {"midpoint": midpoint_tableau, "explicit": explicit_tableau}
@@ -146,8 +125,8 @@ class FixedPointResult:
 
     residual, sample_iterations and converged hold one entry per sample
     (0-d for one problem), iterations counts the sweeps made (the
-    largest per-sample count) and history the largest residual over the
-    samples still iterating at each sweep.
+    largest per-sample count) and history the largest finite residual
+    over the samples still iterating at each sweep (NaN if none is).
     """
 
     x: object
@@ -183,7 +162,9 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
             best = np.full(res.shape, np.inf)
             counts = np.zeros(res.shape, dtype=int)
             residual = res
-        history.append(float(res[active].max()))
+        # a NaN or inf residual would hide the other samples' residuals
+        finite = res[active & np.isfinite(res)]
+        history.append(float(finite.max()) if finite.size else np.nan)
         residual = np.where(active, res, residual)
         counts += active
         # fmin, unlike min, keeps the running minimum when res is NaN
@@ -219,16 +200,17 @@ def step_with_increment(
 ) -> StepOutcome:
     """One step with a frozen noise increment (deterministic given X).
 
-    The stage system U = u_n + t a0 K(U) + sqrt(t) a1 L(U) is solved by
-    fixed-point iteration.  Each sweep evaluates the nonlinear K once at
-    the iterate and then makes NOISE_SWEEPS sweeps of the linear noise
-    term L with K held.  The fixed point is the one of the stage system:
-    with B = sqrt(t) a1 L and r = u_n + t a0 K(U), two sweeps give
-    G(U) = (I + B) r + B^2 U, and (I - B^2) U = (I + B) r is (I - B) U = r
-    whenever I + B is invertible; for the midpoint rule B is a real
-    multiple of the skew-Hermitian L, so it always is.  The contraction
-    rate drops from about rho_K + rho_L to about rho_K + rho_L^2, and
-    fixed_point_solve counts the outer sweeps.
+    The stage equation U = u_n + t a0 K(U) + sqrt(t) a1 L(U) is solved
+    by fixed-point iteration on the stage field.  Each sweep evaluates
+    the nonlinear K once at the iterate and then makes NOISE_SWEEPS
+    sweeps of the linear noise term L with K held.  The fixed point is
+    the one of the stage equation: with B = sqrt(t) a1 L and
+    r = u_n + t a0 K(U), two sweeps give G(U) = (I + B) r + B^2 U, and
+    (I - B^2) U = (I + B) r is (I - B) U = r whenever I + B is
+    invertible; for the midpoint rule B is a real multiple of the
+    skew-Hermitian L, so it always is.  The contraction rate drops from
+    about rho_K + rho_L to about rho_K + rho_L^2, and fixed_point_solve
+    counts the outer sweeps.
 
     u_n and X.w may carry a batch of samples along their leading axes;
     a rejected solve is reported in the StepOutcome, not raised."""
@@ -236,46 +218,34 @@ def step_with_increment(
         raise ValueError(f"step t must be > 0, got {t}")
     if abs(X.step - t) > 1e-9 * t:
         raise ValueError(f"noise increment was built for step {X.step}, the step is {t}")
-    n = tab.n_stages
     sqrt_t = np.sqrt(t)
     grid = u_n.grid
+    u = u_n.coefficients
 
-    # t K and L on the stacked stages; the maps are looked up as module
+    # t K and L on the coefficients; the maps are looked up as module
     # globals at every call
-    def t_K(stages):
-        return map_F_midpoint_physical(params, t, SpectralField.wrap(stages, grid)).coefficients
+    def t_K(U):
+        return map_F_midpoint_physical(params, t, SpectralField.wrap(U, grid)).coefficients
 
-    def L(stages):
-        return map_P_frozen(params, phi, SpectralField.wrap(stages, grid), X).coefficients
+    def L(U):
+        return map_P_frozen(params, phi, SpectralField.wrap(U, grid), X).coefficients
 
-    def combine(U, terms, weights, scale):
-        # U + sum_st scale w_st terms_st, zero weights skipped
-        for st in range(n):
-            if weights[st] != 0.0:
-                U = U + (scale * weights[st]) * terms[st]
+    def iteration(U):
+        rhs = u + tab.a0 * t_K(U)
+        for _ in range(NOISE_SWEEPS):
+            U = rhs + (sqrt_t * tab.a1) * L(U)
         return U
 
-    def iteration(stages):
-        tKs = t_K(stages)
-        rhs = [combine(u_n.coefficients, tKs, tab.a0[s], 1.0) for s in range(n)]
-        for _ in range(NOISE_SWEEPS):
-            Ls = L(stages)
-            stages = np.stack([combine(rhs[s], Ls, tab.a1[s], sqrt_t) for s in range(n)])
-        return stages
-
     def norm(new, old):
-        # the largest stage residual of each sample
-        return np.max(sobolev_norm(SpectralField.wrap(new - old, grid), params.alpha), axis=0)
+        return sobolev_norm(SpectralField.wrap(new - old, grid), params.alpha)
 
-    guess = np.stack([u_n.coefficients] * n)
     # an overflow rejects its sample through a non-finite residual
     with np.errstate(all="ignore"):
-        solve = fixed_point_solve(iteration, guess, fp, norm)
-        update = combine(u_n.coefficients, t_K(solve.x), tab.b0, 1.0)
-        update = combine(update, L(solve.x), tab.b1, sqrt_t)
+        solve = fixed_point_solve(iteration, u, fp, norm)
+        update = u + tab.b0 * t_K(solve.x) + (sqrt_t * tab.b1) * L(solve.x)
         state = free_propagator(SpectralField.wrap(update, grid), t)
     if not np.all(solve.converged):
-        kept = np.where(np.expand_dims(solve.converged, -1), state.coefficients, u_n.coefficients)
+        kept = np.where(np.expand_dims(solve.converged, -1), state.coefficients, u)
         state = SpectralField.wrap(kept, grid)
     return StepOutcome(
         state=state,

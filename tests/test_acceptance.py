@@ -261,13 +261,11 @@ def test_criterion_8_tableau_gate():
     ok_mid = validate_tableau(midpoint_tableau()) == []
     ok_family = True
     for b in (-2.0, -0.5, 0.25, 1.0, 3.0):
-        tab = Tableau(a0=np.array([[b / 2]]), a1=np.array([[b / 2]]),
-                      b0=np.array([b]), b1=np.array([b]))
+        tab = Tableau(a0=b / 2, a1=b / 2, b0=b, b1=b)
         ok_family &= validate_tableau(tab) == []
     violations = validate_tableau(explicit_tableau())
     ok_reject = bool(violations) and max(abs(v.defect) for v in violations) == 1.0
-    perturbed = Tableau(a0=np.array([[0.5 + 5e-14]]), a1=np.array([[0.5]]),
-                        b0=np.array([1.0]), b1=np.array([1.0]))
+    perturbed = Tableau(a0=0.5 + 5e-14, a1=0.5, b0=1.0, b1=1.0)
     small = validate_tableau(perturbed, tol=1e-14)
     ok_tol = bool(small) and abs(abs(small[0].defect) - 1e-13) < 3e-14
     ok = ok_mid and ok_family and ok_reject and ok_tol

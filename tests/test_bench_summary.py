@@ -1,0 +1,66 @@
+"""scripts/bench_summary.py on tiny synthetic perfbench result directories."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_summary.py"
+MACHINE = {"cpu_model": "test cpu", "nproc": 2}
+
+
+@pytest.fixture(scope="module")
+def bench_summary():
+    spec = importlib.util.spec_from_file_location("bench_summary", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_results(directory, throughputs, machine=MACHINE):
+    # one untraced simulate-k8 run per value, seeds 1, 2, ...
+    directory.mkdir()
+    for seed, value in enumerate(throughputs, 1):
+        record = {
+            "workload": "simulate-k8", "trace": 0, "seed": seed, "tiny": False,
+            "seconds": 15.0, "failed": 0, "attempted": 100,
+            "git": {"sha": "0" * 40, "dirty": False},
+            "machine": machine, "versions": {"numpy": "2.0", "python": "3.11"},
+            "metrics": {"throughput": {"unit": "1/s", "value": value}},
+        }
+        (directory / f"result-simulate-k8-seed{seed}-trace0.json").write_text(json.dumps(record))
+    return str(directory)
+
+
+def test_median_quartiles_and_iqr(bench_summary, tmp_path):
+    parent = write_results(tmp_path / "parent", [5.0, 1.0, 4.0, 2.0, 3.0])
+    change = write_results(tmp_path / "change", [10.0, 30.0, 20.0])
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["machine"] == MACHINE
+    metric = summary["sides"]["parent"]["simulate-k8"]["metrics"]["throughput"]
+    assert metric == {"unit": "1/s", "n": 5, "median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0}
+    assert summary["sides"]["parent"]["simulate-k8"]["seeds"] == [1, 2, 3, 4, 5]
+    assert summary["sides"]["change"]["simulate-k8"]["metrics"]["throughput"]["median"] == 20.0
+
+
+def test_results_from_two_machines_exit_1(bench_summary, tmp_path, capsys):
+    parent = write_results(tmp_path / "parent", [1.0, 2.0])
+    change = write_results(tmp_path / "change", [1.0, 2.0], {**MACHINE, "nproc": 4})
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 1
+    assert "2 machines" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_label_is_a_usage_error(bench_summary, tmp_path, capsys):
+    a = write_results(tmp_path / "a", [1.0])
+    b = write_results(tmp_path / "b", [2.0])
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_summary.main(["--out", str(out), f"parent={a}", f"parent={b}"])
+    assert exc.value.code == 2
+    assert "label 'parent' is given twice" in capsys.readouterr().err
+    assert not out.exists()

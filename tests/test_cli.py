@@ -131,6 +131,17 @@ def test_symplectic_command_K_too_large_exit_1(tmp_path):
     assert main(["symplectic", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "kernel-error", "conservation", "symplectic"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_exit_1(tmp_path, capsys, command, where):
+    cfg = write_cfg(tmp_path, "seed=5\nK=3\nt=0.001\nn_steps=3\n")
+    out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
+
+
 def test_out_path_from_config(tmp_path):
     out = tmp_path / "fromcfg.csv"
     cfg = write_cfg(tmp_path, BASE + f"out={out}\n")
@@ -158,13 +169,27 @@ def test_local_error_seed_too_large_for_samples_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [
-    *(pytest.param(key, "nan", id=key) for key in ("fp_tol", "alpha", "t")),
-    *(pytest.param(key, "inf", id=f"{key}-inf") for key in ("fp_tol", "alpha", "t")),
+    *(pytest.param(key, "nan", id=key) for key in ("fp_tol", "alpha", "t", "lambda", "kappa")),
+    *(pytest.param(key, "inf", id=f"{key}-inf")
+      for key in ("fp_tol", "alpha", "t", "lambda", "kappa")),
 ])
 def test_nan_config_value_exit_1(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path, BASE + f"{key}={value}\n")
     assert main(["simulate", "--config", cfg]) == 1
     assert f"error: {key} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "local-error", "kernel-error"])
+@pytest.mark.parametrize("line, message", [
+    pytest.param("fp_max_iter=0", "fp_max_iter must be >= 1, got 0", id="fp_max_iter"),
+    pytest.param("lambda=nan", "lambda must be finite, got nan", id="lambda"),
+    pytest.param("kappa=-inf", "kappa must be finite, got -inf", id="kappa"),
+])
+def test_solver_and_model_keys_exit_1(tmp_path, capsys, command, line, message):
+    # refused by the config, also by kernel-error, which reads neither key
+    cfg = write_cfg(tmp_path, BASE + line + "\n")
+    assert main([command, "--config", cfg]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_local_error_infinite_fp_tol_exit_1(tmp_path, capsys):

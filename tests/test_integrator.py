@@ -54,22 +54,12 @@ def test_explicit_tableau_fails_coefficient_condition():
 @settings(max_examples=30, deadline=None)
 def test_single_stage_b_half_b_family_passes(b):
     # b*b - b*(b/2) - b*(b/2) = 0 for every b: the whole midpoint family
-    tab = Tableau(
-        a0=np.array([[b / 2.0]]),
-        a1=np.array([[b / 2.0]]),
-        b0=np.array([b]),
-        b1=np.array([b]),
-    )
+    tab = Tableau(a0=b / 2.0, a1=b / 2.0, b0=b, b1=b)
     assert validate_tableau(tab) == []
 
 
 def test_tableau_defect_reported_to_1e14():
-    tab = Tableau(
-        a0=np.array([[0.5 + 5e-14]]),
-        a1=np.array([[0.5]]),
-        b0=np.array([1.0]),
-        b1=np.array([1.0]),
-    )
+    tab = Tableau(a0=0.5 + 5e-14, a1=0.5, b0=1.0, b1=1.0)
     violations = validate_tableau(tab, tol=1e-14)
     assert violations and abs(violations[0].defect) == pytest.approx(1e-13, rel=0.2)
 
@@ -80,6 +70,10 @@ def test_tableau_validation_errors():
     with pytest.raises(ValueError):
         Tableau(a0=np.array([[0.5, 0.0]]), a1=np.array([[0.5]]),
                 b0=np.array([1.0]), b1=np.array([1.0]))
+    with pytest.raises(ValueError):
+        Tableau(a0=np.nan, a1=0.5, b0=1.0, b1=1.0)
+    with pytest.raises(ValueError):
+        Tableau(a0=np.array([[0.5]]), a1=0.5, b0=1.0, b1=1.0)
 
 
 # ------------------------------------------------------------ fixed point
@@ -151,6 +145,20 @@ def test_fixed_point_rejects_a_non_finite_residual_in_one_sweep():
     assert np.isnan(out.residual[1]) and out.residual[2] == np.inf
 
 
+def test_fixed_point_history_keeps_the_finite_residuals():
+    # the sample whose residual turns NaN in sweep 1 drops out of the
+    # history, which follows the finite sample; a sweep with no finite
+    # residual records NaN
+    a = np.array([0.5, np.nan])
+    out = fixed_point_solve(lambda x: a[:, None] * x + 1.0, np.zeros((2, 1)), FP,
+                            lambda new, old: np.abs(new - old)[:, 0])
+    assert out.history[:3] == [1.0, 0.5, 0.25]
+    assert len(out.history) == out.iterations
+    assert all(type(h) is float for h in out.history)
+    alone = fixed_point_solve(lambda x: np.nan * x + 1.0, 0.0, FP, lambda p, q: abs(p - q))
+    assert alone.iterations == 1 and len(alone.history) == 1 and np.isnan(alone.history[0])
+
+
 def test_step_rejects_an_overflowing_sample_and_keeps_the_batch():
     # the first sweep overflows on a sample with huge data: that sample
     # is rejected with its input state, the others step as they would alone
@@ -173,6 +181,17 @@ def test_step_rejects_an_overflowing_sample_and_keeps_the_batch():
         np.testing.assert_allclose(out.state.coefficients[s], one.state.coefficients,
                                    rtol=0, atol=1e-14)
     assert not np.shares_memory(out.state.coefficients, u)
+
+
+def test_explicit_step_rejects_an_overflowing_K():
+    # a = 0 weighs an infinite K by 0, which gives a NaN stage and
+    # residual: the step is rejected and keeps its finite input state
+    K, t = 4, 0.01
+    u = SpectralField(np.full(2 * K + 1, 1e150 + 0j), TorusGrid(K))
+    out = step(u, explicit_tableau(), ModelParams(lam=1.0, kappa=1.0), default_phi(K),
+               sample_path(1, t, 0, K), 0.0, t, FP)
+    assert not out.converged and out.iterations == 1 and np.isnan(out.residual)
+    np.testing.assert_array_equal(out.state.coefficients, u.coefficients)
 
 
 def test_batched_step_matches_single_steps():
