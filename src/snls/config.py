@@ -152,11 +152,16 @@ def initial_field(data_id: str, K: int, seed: int = 0) -> SpectralField:
             s = float(data_id[len("rough-"):])
         except ValueError as exc:
             raise ConfigError(f"bad roughness exponent in {data_id!r}") from exc
+        if not np.isfinite(s):
+            raise ConfigError(f"roughness exponent in {data_id!r} must be finite")
         rng = np.random.default_rng([seed, 0xD15C0])
         phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.n_modes)
-        coeffs = (1.0 + ks**2) ** (-(s + 0.5) / 2.0) * np.exp(1j * phases)
-        f = SpectralField(coeffs, grid)
-        return (1.0 / np.sqrt(float(np.sum(np.abs(coeffs) ** 2)))) * f
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = (1.0 + ks**2) ** (-(s + 0.5) / 2.0) * np.exp(1j * phases)
+            norm = np.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
+        if not np.isfinite(norm):
+            raise ConfigError(f"initial data {data_id!r} overflows at K={K}")
+        return (1.0 / norm) * SpectralField(coeffs, grid)
     if os.path.exists(data_id):
         return read_snapshot(data_id, grid)
     raise ConfigError(f"unknown initial data {data_id!r}")

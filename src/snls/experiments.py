@@ -15,6 +15,7 @@ from .config import RunConfig, initial_field
 from .diagnostics import sobolev_norm, symplectic_defect
 from .integrator import (
     TABLEAUX,
+    ExperimentInvalidError,
     FixedPointConfig,
     StepOutcome,
     StepRejectedError,
@@ -34,11 +35,7 @@ from .noise import (
     sample_path,
     stack_paths,
 )
-from .torus import SpectralField, free_propagator
-
-
-class ExperimentInvalidError(RuntimeError):
-    """Too many rejected steps (or similar) to trust the experiment."""
+from .torus import SpectralField
 
 
 @dataclass
@@ -243,9 +240,3 @@ def cmd_symplectic(config: RunConfig, h: float = 1e-5):
     defect = symplectic_defect(closure, u0, h=h)
     defect_half = symplectic_defect(closure, u0, h=h / 2.0)
     return {"defect": defect, "defect_half_h": defect_half, "h": h}
-
-
-def linear_flow_defect(config: RunConfig, h: float = 1e-5) -> float:
-    """Control: symplectic defect of the exact free flow."""
-    u0 = initial_field(config.initial_data, config.K, seed=config.seed)
-    return symplectic_defect(lambda u: free_propagator(u, config.t), u0, h=h)

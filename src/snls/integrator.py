@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import sobolev_norm
-# map_F is never called here: the benchmark wraps it at this name to show that stepping skips it
-from .maps import ModelParams, map_F, map_F_midpoint_physical, map_P_frozen  # noqa: F401
+from .maps import ModelParams, map_F_midpoint_physical, map_P_frozen
 from .noise import BrownianPath, CovarianceOp, NoiseIncrement, increment
+# map_F is never called here: the benchmark wraps it at this name to show that stepping skips it
+from .oracles import map_F  # noqa: F401
 from .torus import SpectralField, free_propagator
 
 
@@ -116,6 +117,10 @@ class StepRejectedError(RuntimeError):
                   else f"diverging after {self.iterations} iterations")
         super().__init__(f"step {step_index} from t={time:.6g}: fixed-point iteration "
                          f"{reason} (residual {self.residual:.3e})")
+
+
+class ExperimentInvalidError(RuntimeError):
+    """Too many rejected steps, or non-finite diagnostics: the results cannot be trusted."""
 
 
 @dataclass
@@ -333,9 +338,21 @@ def simulate(config, u0: SpectralField | None = None) -> RunRecord:
     fp = FixedPointConfig(tol=config.fp_tol, max_iter=config.fp_max_iter)
     record = RunRecord(seed=config.seed, config_lines=config.echo_lines())
 
+    def diagnostics(u, n):
+        """Mass, H0 and H^alpha norm after n steps, raised by name if not finite."""
+        with np.errstate(all="ignore"):
+            values = (mass(u), energy_h0(u, config.lam), sobolev_norm(u, config.alpha))
+        for name, value in zip(RunRecord.COLUMNS[2:5], values):
+            if not math.isfinite(value):
+                if n == 0:
+                    raise ValueError(f"initial data: {name} is not finite ({value})")
+                raise ExperimentInvalidError(
+                    f"step {n - 1} from t={(n - 1) * config.t:.6g}: {name} is not finite "
+                    f"({value})")
+        return values
+
     u = u0.copy()
-    record.add_row(0, 0.0, mass(u), energy_h0(u, config.lam),
-                   sobolev_norm(u, config.alpha), 0, 0.0, 0)
+    record.add_row(0, 0.0, *diagnostics(u, 0), 0, 0.0, 0)
     if config.n_steps == 0:
         record.final_state = u
         return record
@@ -347,9 +364,7 @@ def simulate(config, u0: SpectralField | None = None) -> RunRecord:
         if not outcome.converged:
             raise StepRejectedError(n, n * config.t, outcome, fp.max_iter)
         u = outcome.state
-        record.add_row(n + 1, (n + 1) * config.t, mass(u),
-                       energy_h0(u, config.lam),
-                       sobolev_norm(u, config.alpha),
+        record.add_row(n + 1, (n + 1) * config.t, *diagnostics(u, n + 1),
                        int(outcome.iterations), float(outcome.residual), 0)
     record.final_state = u
     return record

@@ -1,11 +1,10 @@
-"""Resonance kernels and their weighted time integrals.
+"""Resonance kernels: what `snls kernel-error` evaluates.
 
 The exact oscillatory kernel e^{is(-2kk1+2k2k3)} is approximated by the
 interpolated family K_2d built from the interpolation operator P_d; for
 d=1 with interpolation point 0 this reduces to the symplectic kernel
-e^{-2iskk1} + e^{2isk2k3} - 1.  The weighted integrals
-(1/t^{p+1}) int_0^{ct} K_2d(s) s^p ds are assembled in closed form from
-integrals of s^m e^{i w s}.
+e^{-2iskk1} + e^{2isk2k3} - 1.  The closed-form weighted time integrals
+of K_2d are reference code, in snls.oracles.
 """
 
 from __future__ import annotations
@@ -13,10 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# below this value of |w T| the phi-type closed forms cancel badly;
-# switch to series
-SMALL_PHASE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -61,44 +56,6 @@ class ModeQuad:
             )
 
 
-def phi1(z: complex) -> complex:
-    """(e^z - 1)/z, with phi1(0) = 1; series branch for small |z|."""
-    z = complex(z)
-    if abs(z) < SMALL_PHASE:
-        # 1 + z/2 + z^2/6 + z^3/24; next term ~ 1e-18 at |z|=1e-4
-        return 1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0
-    return (np.exp(z) - 1.0) / z
-
-
-def weighted_exp_integral(omega: float, T: float, p: int) -> complex:
-    """Closed-form int_0^T s^p e^{i omega s} ds."""
-    if p < 0:
-        raise ValueError(f"power p must be >= 0, got {p}")
-    if T < 0:
-        raise ValueError(f"upper limit T must be >= 0, got {T}")
-    if T == 0.0:
-        return 0.0 + 0.0j
-    # The integration-by-parts recursion divides by omega once per power
-    # of s, losing ~eps/|omega T|^{p+1}; below |omega T| = 1 the series
-    # int s^p sum_m (i w s)^m / m! ds converges fast enough to use instead.
-    if abs(omega * T) < 1.0:
-        acc = 0.0 + 0.0j
-        iw = 1j * omega
-        term = T ** (p + 1)
-        for m in range(40):
-            contrib = term / (p + m + 1)
-            acc += contrib
-            if abs(contrib) < 1e-18 * abs(acc):
-                break
-            term *= iw * T / (m + 1)
-        return acc
-    iw = 1j * omega
-    val = (np.exp(iw * T) - 1.0) / iw  # p = 0
-    for q in range(1, p + 1):
-        val = (T**q * np.exp(iw * T) - q * val) / iw
-    return val
-
-
 def interp_exp(spec: KernelSpec, omega: float, t: float) -> np.ndarray:
     """Coefficients (ascending powers of s) of the degree d-1 polynomial
     matching e^{i omega s} at s = t*gamma_j."""
@@ -135,27 +92,3 @@ def kernel_K2d(spec: KernelSpec, q: ModeQuad, s: float, t: float) -> complex:
     e_dom = np.exp(1j * w_dom * s)
     e_low = np.exp(1j * w_low * s)
     return e_dom * p_low + e_low * p_dom - p_low * p_dom
-
-
-def kernel_weight(spec: KernelSpec, q: ModeQuad, t: float, c: float, p: int) -> complex:
-    """(1/t^{p+1}) int_0^{ct} K_2d(s) s^p ds in closed form."""
-    if t <= 0:
-        raise ValueError(f"step t must be > 0, got {t}")
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"node c must lie in [0,1], got {c}")
-    if p < 0:
-        raise ValueError(f"power p must be >= 0, got {p}")
-    w_dom = -2.0 * q.k * q.k1
-    w_low = 2.0 * q.k2 * q.k3
-    a_low = interp_exp(spec, w_low, t)  # P_d[e^{2i.k2k3}]
-    a_dom = interp_exp(spec, w_dom, t)  # P_d[e^{-2i.kk1}]
-    T = c * t
-    total = 0.0 + 0.0j
-    for j, aj in enumerate(a_low):
-        total += aj * weighted_exp_integral(w_dom, T, p + j)
-    for j, aj in enumerate(a_dom):
-        total += aj * weighted_exp_integral(w_low, T, p + j)
-    prod = np.convolve(a_low, a_dom)
-    for j, cj in enumerate(prod):
-        total -= cj * T ** (p + j + 1) / (p + j + 1)
-    return total / t ** (p + 1)

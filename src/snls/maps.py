@@ -1,12 +1,11 @@
 """Discretisation maps for the cubic nonlinearity and the frozen-noise
-stochastic term.
+stochastic term, as production stepping uses them.
 
-map_F is the Fourier-side ground truth (direct sum over resonant mode
-quadruples weighted by kernel integrals).  map_F_midpoint_physical is an
-equivalent multiplier-operator form of t * map_F for the d=1 symplectic
-kernel with p=0, c=1, evaluated with padded transforms; it is what
-production stepping uses.  The operator form is derived from the
-Fourier-side definition and tested against it.
+map_F_midpoint_physical is a multiplier-operator form of t * map_F for
+the d=1 symplectic kernel with p=0, c=1, evaluated with padded
+transforms.  map_F is the Fourier-side ground truth, a direct sum over
+resonant mode quadruples weighted by kernel integrals, in snls.oracles;
+the operator form is derived from it and tested against it.
 
 Every map takes one field or a batch of fields (leading axes of the
 coefficient array) and returns the same shape.
@@ -20,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .kernels import KernelSpec, ModeQuad, kernel_weight
 from .noise import CovarianceOp, NoiseIncrement
 from .torus import SpectralField, _embed, _extract, _pad_size
 
@@ -39,36 +37,6 @@ class ModelParams:
             raise ValueError("lambda and kappa must be finite")
         if not 1 < self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and > 1, got {self.alpha}")
-
-
-def map_F(
-    params: ModelParams,
-    spec: KernelSpec,
-    t: float,
-    c: float,
-    p: int,
-    v: SpectralField,
-) -> SpectralField:
-    """Deterministic resonance map, direct O(K^3) sum over quads."""
-    if not t > 0:
-        raise ValueError(f"step t must be > 0, got {t}")
-    K = v.grid.K
-    cf = np.moveaxis(v.coefficients, -1, 0)  # modes first: cf[i] is mode i-K of every sample
-    out = np.zeros_like(cf)
-    if params.lam == 0.0:
-        return SpectralField(np.moveaxis(out, 0, -1), v.grid)
-    for i1 in range(2 * K + 1):
-        k1 = i1 - K
-        for i2 in range(2 * K + 1):
-            k2 = i2 - K
-            for i3 in range(2 * K + 1):
-                k3 = i3 - K
-                k = -k1 + k2 + k3
-                if not -K <= k <= K:
-                    continue
-                w = kernel_weight(spec, ModeQuad(k, k1, k2, k3), t, c, p)
-                out[k + K] += w * np.conj(cf[i1]) * cf[i2] * cf[i3]
-    return SpectralField(-1j * params.lam * np.moveaxis(out, 0, -1), v.grid)
 
 
 # map_P_frozen forms its product directly up to this many modes and by
@@ -161,8 +129,8 @@ def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> 
     """t * map_F for the symplectic kernel (d=1, gamma=0, p=0, c=1),
     via multiplier operators and padded transforms.
 
-    Splitting the kernel weight t*[phi1(-2itkk1) + phi1(2itk2k3) - 1]
-    per quad and mapping 1/(ik) factors to the inverse derivative gives
+    Splitting the kernel weight t*[phi1(-2itkk1) + phi1(2itk2k3) - 1],
+    phi1(z) = (e^z - 1)/z, per quad and mapping 1/(ik) factors to the inverse derivative gives
 
       t*F(v) = -i lam [ S_A + S_B - t * C ]
 
@@ -219,10 +187,3 @@ def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> 
     s_a0[..., K] = t * np.sum(np.conj(c) * u_sq_k, axis=-1)
 
     return SpectralField.wrap(-1j * params.lam * (s_a + s_a0 + s_b_cubic), grid)
-
-
-def orthogonality_defect(u: SpectralField, g: SpectralField) -> float:
-    """Re sum_k conj(u_k) g_k; zero for both discretisation maps."""
-    if u.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return float(np.real(np.vdot(u.coefficients, g.coefficients)))

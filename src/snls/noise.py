@@ -1,5 +1,5 @@
-"""Covariance operator, refinable per-mode Wiener paths, and the
-Stratonovich integral identities used by the schemes.
+"""Covariance operator, refinable per-mode Wiener paths and the
+normalized noise increments that stepping freezes over each step.
 
 Paths are stored as per-mode increments on a dyadic grid and refined by
 Brownian-bridge splitting.  Two implementation choices matter:
@@ -8,7 +8,7 @@ Brownian-bridge splitting.  Two implementation choices matter:
   of such values are exact in double precision while |W_k| stays below
   2^12, which sample_path and refine check, so coarse increments equal
   the sum of their refined children bit for bit, and the Stratonovich
-  product identities hold to rounding on every discrete path.
+  product identities (snls.oracles) hold to rounding on every discrete path.
 
 * The mode-(-k) path is identical to the mode-k path (W_{-k} = W_k).
   Together with Phi_k = Phi_{-k} this makes the complex noise field
@@ -100,8 +100,8 @@ class BrownianPath:
 
     A stacked path (see stack_paths) has increments of shape
     (S, 2K+1, n_cells) and a tuple of S seeds; it drives a batch of S
-    samples through `increment`.  refine, mode_row, values and the
-    Stratonovich sums take single paths.
+    samples through `increment`.  refine, mode_row and values take
+    single paths, and so do the Stratonovich sums of snls.oracles.
     """
 
     seed: int | tuple
@@ -190,17 +190,6 @@ def refine(path: BrownianPath) -> BrownianPath:
     )
 
 
-def coarsen(path: BrownianPath) -> BrownianPath:
-    """Pairwise-sum inverse of refine (bit-exact)."""
-    if path.level == 0:
-        raise ValueError("cannot coarsen a level-0 path")
-    inc = path.increments[..., 0::2] + path.increments[..., 1::2]
-    return BrownianPath(
-        seed=path.seed, K=path.K, level=path.level - 1,
-        horizon=path.horizon, increments=inc, n_base=path.n_base,
-    )
-
-
 def stack_paths(paths) -> BrownianPath:
     """One path holding the increments of `paths` (same K, level,
     horizon and n_base) along a leading sample axis."""
@@ -243,33 +232,3 @@ def increment(path: BrownianPath, t0: float, t1: float) -> NoiseIncrement:
     step = (j1 - j0) * path.dt
     w = path.increments[..., j0:j1].sum(axis=-1) / np.sqrt(step)
     return NoiseIncrement(w=w, step=step)
-
-
-def strat_integral(path: BrownianPath, k2: int, k3: int, t: float) -> float:
-    """Trapezoidal (Stratonovich) sum int_0^t W_{k2}(s) o dW_{k3}(s)."""
-    j = path.cell_index(t)
-    w2 = path.values(k2)[: j + 1]
-    dw3 = path.mode_row(k3)[:j]
-    return float(np.sum(0.5 * (w2[:-1] + w2[1:]) * dw3))
-
-
-def strat_pair_integrals(path: BrownianPath, k2: int, k3: int, t: float):
-    """The pair (int W2 o dW3, int W3 o dW2); their sum telescopes to
-    W2(t) W3(t) exactly up to rounding."""
-    return (
-        strat_integral(path, k2, k3, t),
-        strat_integral(path, k3, k2, t),
-    )
-
-
-def symmetrized_midpoint_double(path: BrownianPath, k2: int, k3: int, t: float) -> float:
-    """int_0^t (W2(s) - W2(t)/2) o dW3 + int_0^t (W3(s) - W3(t)/2) o dW2.
-
-    Telescopes to zero on every discrete path; this is the cancellation
-    that lets the schemes drop the double stochastic integral.
-    """
-    i23, i32 = strat_pair_integrals(path, k2, k3, t)
-    j = path.cell_index(t)
-    w2_t = path.values(k2)[j]
-    w3_t = path.values(k3)[j]
-    return (i23 - 0.5 * w2_t * w3_t) + (i32 - 0.5 * w3_t * w2_t)

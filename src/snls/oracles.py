@@ -1,0 +1,131 @@
+"""Reference code: the direct sums, closed-form kernel integrals and
+discrete Stratonovich sums that the tests and the acceptance criteria
+compare the production code against.  Nothing here runs in stepping or
+in the commands."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .kernels import KernelSpec, ModeQuad, interp_exp
+from .maps import ModelParams
+from .noise import BrownianPath
+from .torus import SpectralField, _check_same_grid
+
+
+def _resonant_sum(c: np.ndarray, weight) -> np.ndarray:
+    """sum over k = -k1+k2+k3 (all indices in -K..K) of
+    weight(k, k1, k2, k3) conj(c)_{k1} c_{k2} c_{k3}, along the last axis."""
+    K = (c.shape[-1] - 1) // 2
+    cf = np.moveaxis(c, -1, 0)  # modes first: cf[i] is mode i-K of every sample
+    out = np.zeros_like(cf)
+    for i1 in range(2 * K + 1):
+        k1 = i1 - K
+        for i2 in range(2 * K + 1):
+            k2 = i2 - K
+            for i3 in range(2 * K + 1):
+                k3 = i3 - K
+                k = -k1 + k2 + k3
+                if -K <= k <= K:
+                    out[k + K] += weight(k, k1, k2, k3) * np.conj(cf[i1]) * cf[i2] * cf[i3]
+    return np.moveaxis(out, 0, -1)
+
+
+def map_F(
+    params: ModelParams,
+    spec: KernelSpec,
+    t: float,
+    c: float,
+    p: int,
+    v: SpectralField,
+) -> SpectralField:
+    """Deterministic resonance map, direct O(K^3) sum over quads."""
+    if not t > 0:
+        raise ValueError(f"step t must be > 0, got {t}")
+    if params.lam == 0.0:
+        return SpectralField(np.zeros_like(v.coefficients), v.grid)
+    out = _resonant_sum(
+        v.coefficients, lambda *quad: kernel_weight(spec, ModeQuad(*quad), t, c, p))
+    return SpectralField(-1j * params.lam * out, v.grid)
+
+
+def cubic_convolution_direct(f: SpectralField) -> SpectralField:
+    """Direct O(K^3) triple sum; the dealiasing ground truth."""
+    return SpectralField(_resonant_sum(f.coefficients, lambda *quad: 1.0), f.grid)
+
+
+def orthogonality_defect(u: SpectralField, g: SpectralField) -> float:
+    """Re sum_k conj(u_k) g_k; zero for both discretisation maps."""
+    _check_same_grid(u, g)
+    return float(np.real(np.vdot(u.coefficients, g.coefficients)))
+
+
+def weighted_exp_integral(omega: float, T: float, p: int) -> complex:
+    """Closed-form int_0^T s^p e^{i omega s} ds."""
+    if p < 0:
+        raise ValueError(f"power p must be >= 0, got {p}")
+    if T < 0:
+        raise ValueError(f"upper limit T must be >= 0, got {T}")
+    if T == 0.0:
+        return 0.0 + 0.0j
+    iw = 1j * omega
+    # The integration-by-parts recursion divides by omega once per power
+    # of s, losing ~eps/|omega T|^{p+1}; below |omega T| = 1 the series
+    # int s^p sum_m (i w s)^m / m! ds converges fast enough to use instead.
+    if abs(omega * T) < 1.0:
+        acc = 0.0 + 0.0j
+        term = T ** (p + 1)
+        for m in range(40):
+            contrib = term / (p + m + 1)
+            acc += contrib
+            if abs(contrib) < 1e-18 * abs(acc):
+                break
+            term *= iw * T / (m + 1)
+        return acc
+    val = (np.exp(iw * T) - 1.0) / iw  # p = 0
+    for q in range(1, p + 1):
+        val = (T**q * np.exp(iw * T) - q * val) / iw
+    return val
+
+
+def kernel_weight(spec: KernelSpec, q: ModeQuad, t: float, c: float, p: int) -> complex:
+    """(1/t^{p+1}) int_0^{ct} K_2d(s) s^p ds in closed form; interp_exp
+    checks t and weighted_exp_integral checks p."""
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(f"node c must lie in [0,1], got {c}")
+    w_dom = -2.0 * q.k * q.k1
+    w_low = 2.0 * q.k2 * q.k3
+    a_low = interp_exp(spec, w_low, t)  # P_d[e^{2i.k2k3}]
+    a_dom = interp_exp(spec, w_dom, t)  # P_d[e^{-2i.kk1}]
+    T = c * t
+    total = 0.0 + 0.0j
+    for j, aj in enumerate(a_low):
+        total += aj * weighted_exp_integral(w_dom, T, p + j)
+    for j, aj in enumerate(a_dom):
+        total += aj * weighted_exp_integral(w_low, T, p + j)
+    prod = np.convolve(a_low, a_dom)
+    for j, cj in enumerate(prod):
+        total -= cj * T ** (p + j + 1) / (p + j + 1)
+    return total / t ** (p + 1)
+
+
+def strat_integral(path: BrownianPath, k2: int, k3: int, t: float) -> float:
+    """Trapezoidal (Stratonovich) sum int_0^t W_{k2}(s) o dW_{k3}(s)."""
+    j = path.cell_index(t)
+    w2 = path.values(k2)[: j + 1]
+    dw3 = path.mode_row(k3)[:j]
+    return float(np.sum(0.5 * (w2[:-1] + w2[1:]) * dw3))
+
+
+def symmetrized_midpoint_double(path: BrownianPath, k2: int, k3: int, t: float) -> float:
+    """int_0^t (W2(s) - W2(t)/2) o dW3 + int_0^t (W3(s) - W3(t)/2) o dW2.
+
+    Telescopes to zero on every discrete path; this is the cancellation
+    that lets the schemes drop the double stochastic integral.
+    """
+    i23 = strat_integral(path, k2, k3, t)
+    i32 = strat_integral(path, k3, k2, t)
+    j = path.cell_index(t)
+    w2_t = path.values(k2)[j]
+    w3_t = path.values(k3)[j]
+    return (i23 - 0.5 * w2_t * w3_t) + (i32 - 0.5 * w3_t * w2_t)

@@ -91,10 +91,6 @@ def _check_same_grid(a: SpectralField, b: SpectralField) -> None:
         raise ValueError("fields live on different grids")
 
 
-def zero_field(grid: TorusGrid) -> SpectralField:
-    return SpectralField(np.zeros(grid.n_modes, dtype=np.complex128), grid)
-
-
 def _embed(coeffs: np.ndarray, K: int, n: int) -> np.ndarray:
     """Place modes -K..K into an n-length FFT spectrum (n >= 2K+1),
     along the last axis."""
@@ -135,29 +131,13 @@ def cubic_convolution(f: SpectralField) -> SpectralField:
     """Spectrum of |u|^2 u on the truncated mode set, via padded transforms.
 
     Output coefficient k is sum over k = -k1+k2+k3 (all indices in -K..K)
-    of conj(c)_{k1} c_{k2} c_{k3}.
+    of conj(c)_{k1} c_{k2} c_{k3}; oracles.cubic_convolution_direct is the direct sum.
     """
     K = f.grid.K
     n = _pad_size(K)
     u = np.fft.ifft(_embed(f.coefficients, K, n)) * n
     spec = np.fft.fft(np.conj(u) * u * u) / n
-    return SpectralField(_extract(spec, K), f.grid)
-
-
-def cubic_convolution_direct(f: SpectralField) -> SpectralField:
-    """Direct O(K^3) triple sum; the dealiasing ground truth."""
-    K = f.grid.K
-    c = f.coefficients
-    out = np.zeros(2 * K + 1, dtype=np.complex128)
-    for i1 in range(2 * K + 1):
-        k1 = i1 - K
-        for i2 in range(2 * K + 1):
-            k2 = i2 - K
-            for i3 in range(2 * K + 1):
-                k = -k1 + k2 + (i3 - K)
-                if -K <= k <= K:
-                    out[k + K] += np.conj(c[i1]) * c[i2] * c[i3]
-    return SpectralField(out, f.grid)
+    return SpectralField.wrap(_extract(spec, K), f.grid)
 
 
 def write_snapshot(f: SpectralField, path) -> None:

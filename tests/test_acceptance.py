@@ -25,33 +25,18 @@ from snls.integrator import (
     step_with_increment,
     validate_tableau,
 )
-from snls.kernels import (
-    ModeQuad,
-    default_kernel_spec,
-    kernel_K2d,
+from snls.kernels import ModeQuad, default_kernel_spec, kernel_K2d
+from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen
+from snls.noise import default_phi, increment, sample_path
+from snls.oracles import (
+    cubic_convolution_direct,
     kernel_weight,
-)
-from snls.maps import (
-    ModelParams,
     map_F,
-    map_F_midpoint_physical,
-    map_P_frozen,
     orthogonality_defect,
-)
-from snls.noise import (
-    default_phi,
-    increment,
-    sample_path,
-    strat_pair_integrals,
+    strat_integral,
     symmetrized_midpoint_double,
 )
-from snls.torus import (
-    SpectralField,
-    TorusGrid,
-    cubic_convolution,
-    cubic_convolution_direct,
-    free_propagator,
-)
+from snls.torus import SpectralField, TorusGrid, cubic_convolution, free_propagator
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -203,7 +188,8 @@ def test_criterion_6_stratonovich_identities():
         level = 1 + seed % 6
         path = sample_path(seed, 1.0, level, 3)
         for (k2, k3) in ((2, 3), (1, -2)):
-            i23, i32 = strat_pair_integrals(path, k2, k3, 1.0)
+            i23 = strat_integral(path, k2, k3, 1.0)
+            i32 = strat_integral(path, k3, k2, 1.0)
             w2 = path.values(k2)[-1]
             w3 = path.values(k3)[-1]
             worst_pair = max(worst_pair, abs(i23 + i32 - w2 * w3))

@@ -95,6 +95,19 @@ def test_overflowing_step_exit_2(tmp_path, capsys):
     assert "diverging after 1 iterations (residual nan)" in err
 
 
+def test_explicit_blow_up_exit_2(tmp_path, capsys):
+    # the explicit control on perfbench's simulate-k8 config accepts steps
+    # until the state overflows; the record diagnostics name the column
+    # and the step, and print no warning
+    cfg = write_cfg(tmp_path, "seed=1\nK=8\nt=0.01\nn_steps=200\ntableau=explicit\n"
+                              "initial_data=smooth\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "experiment invalid: step 129 from t=1.29: mass is not finite (inf)" in err
+
+
 def test_conservation_command(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE)
     out = tmp_path / "cons.csv"
@@ -204,6 +217,32 @@ def test_short_snapshot_initial_data_exit_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, f"seed=5\nK=2\nn_steps=1\ninitial_data={snap}\n")
     assert main(["simulate", "--config", cfg]) == 1
     assert "header promises 5 mode lines, found 4" in capsys.readouterr().err
+
+
+def test_overflowing_snapshot_initial_data_exit_1(tmp_path, capsys):
+    # finite coefficients whose mass overflows are bad input, not a run
+    snap = tmp_path / "huge.csv"
+    snap.write_text("-1,1\n-1,0,0\n0,1e200,0\n1,0,0\n")
+    cfg = write_cfg(tmp_path, f"seed=5\nK=1\nn_steps=1\ninitial_data={snap}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg]) == 1
+    assert "error: initial data: mass is not finite (inf)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset, message", [
+    ("rough-nan", "roughness exponent in 'rough-nan' must be finite"),
+    ("rough--inf", "roughness exponent in 'rough--inf' must be finite"),
+    ("rough-inf", "roughness exponent in 'rough-inf' must be finite"),
+    ("rough-1e400", "roughness exponent in 'rough-1e400' must be finite"),
+    ("rough--400", "initial data 'rough--400' overflows at K=8"),
+])
+def test_bad_roughness_exponent_exit_1(tmp_path, capsys, preset, message):
+    cfg = write_cfg(tmp_path, f"seed=5\nK=8\nn_steps=1\ninitial_data={preset}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, message", [

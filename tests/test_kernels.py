@@ -14,10 +14,8 @@ from snls.kernels import (
     interp_exp,
     kernel_K2d,
     kernel_exact,
-    kernel_weight,
-    phi1,
-    weighted_exp_integral,
 )
+from snls.oracles import kernel_weight, weighted_exp_integral
 
 
 def quads_strategy(bound=8):
@@ -39,22 +37,6 @@ def spec_strategy():
     )
     three = st.just(KernelSpec(3, (0.0, 0.5, 1.0)))
     return st.one_of(one, two, three)
-
-
-# ---------------------------------------------------------------- phi1
-
-
-def test_phi1_at_zero_and_small_arguments():
-    assert phi1(0.0) == 1.0
-    # series branch agrees with the naive formula near the switch; the
-    # naive formula itself carries ~eps/|z| cancellation error there
-    for z in (1e-4 + 0j, 1e-4j, (1 + 1j) * 2e-4, 0.9e-4j):
-        direct = (np.exp(z) - 1.0) / z
-        assert abs(phi1(z) - direct) < 5e-12
-
-
-def test_phi1_known_value():
-    np.testing.assert_allclose(phi1(1.0), np.e - 1.0, rtol=1e-15)
 
 
 # ------------------------------------------- weighted exponential integral
@@ -230,11 +212,13 @@ def test_kernel_weight_matches_quadrature(d, p):
 
 
 def test_kernel_weight_d1_phi1_form():
-    # d=1, p=0, c=1: weight = phi1(-2itkk1) + phi1(2itk2k3) - 1
+    # d=1, p=0, c=1: weight = phi1(-2itkk1) + phi1(2itk2k3) - 1, where
+    # phi1(z) = (e^z - 1)/z
     spec = default_kernel_spec(1)
     q = ModeQuad(2, 3, 4, 1)
     t = 0.01
-    expected = phi1(-2j * t * q.k * q.k1) + phi1(2j * t * q.k2 * q.k3) - 1.0
+    z_dom, z_low = -2j * t * q.k * q.k1, 2j * t * q.k2 * q.k3
+    expected = (np.exp(z_dom) - 1.0) / z_dom + (np.exp(z_low) - 1.0) / z_low - 1.0
     assert abs(kernel_weight(spec, q, t, 1.0, 0) - expected) < 1e-13
 
 

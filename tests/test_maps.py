@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snls.kernels import default_kernel_spec
-from snls.maps import (
-    ModelParams,
-    map_F,
-    map_F_midpoint_physical,
-    map_P_frozen,
-    orthogonality_defect,
-)
+from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen
 from snls.noise import (
     CovarianceOp,
     NoiseIncrement,
@@ -22,7 +16,8 @@ from snls.noise import (
     sample_path,
     stack_paths,
 )
-from snls.torus import SpectralField, TorusGrid, free_propagator, zero_field
+from snls.oracles import map_F, orthogonality_defect
+from snls.torus import SpectralField, TorusGrid, free_propagator
 
 
 def random_field(K, seed, scale=1.0):
@@ -50,7 +45,7 @@ def test_model_params_validation():
 
 def test_map_F_zero_field_and_zero_lambda():
     grid = TorusGrid(3)
-    z = zero_field(grid)
+    z = SpectralField(np.zeros(7), grid)
     np.testing.assert_array_equal(
         map_F(PARAMS, SPEC1, 0.01, 1.0, 0, z).coefficients, 0.0
     )
@@ -70,7 +65,8 @@ def test_map_F_rejects_nonpositive_t():
 def test_map_F_single_mode_closed_form():
     # only v_1 = a: resonant quads force k = k1 = k2 = k3 = 1, so
     # out_1 = -i lam * weight(1,1,1,1) * |a|^2 a  [DERIVED by hand]
-    from snls.kernels import ModeQuad, kernel_weight
+    from snls.kernels import ModeQuad
+    from snls.oracles import kernel_weight
 
     grid = TorusGrid(2)
     a = 1.0 - 2.0j
