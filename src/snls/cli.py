@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, parse_config
+from .config import parse_config
 from .experiments import (
     ExperimentInvalidError,
     cmd_conservation,
@@ -22,7 +22,7 @@ from .experiments import (
     cmd_local_error,
     cmd_symplectic,
 )
-from .integrator import StepRejectedError, simulate
+from .integrator import simulate
 from .torus import write_snapshot
 
 
@@ -57,12 +57,7 @@ def main(argv=None) -> int:
     overrides = {} if args.seed is None else {"seed": args.seed}
     try:
         cfg = parse_config(args.config, overrides)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    out = args.out if args.out is not None else cfg.out
-    try:
+        out = args.out if args.out is not None else cfg.out
         if args.command == "simulate":
             record = simulate(cfg)
             if out:
@@ -95,10 +90,10 @@ def main(argv=None) -> int:
                         fh.write(f"{k}={v:.17g}\n")
             print(f"defect={result['defect']:.6e} "
                   f"defect_half_h={result['defect_half_h']:.6e}")
-    except (ExperimentInvalidError, StepRejectedError) as exc:
+    except ExperimentInvalidError as exc:
         print(f"experiment invalid: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

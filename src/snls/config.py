@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import sobolev_norm
-from .integrator import TABLEAUX
-from .noise import MAX_SEED
+from .integrator import TABLEAUX, FixedPointConfig
+from .maps import ModelParams
+from .noise import MAX_SEED, default_phi
 from .torus import SpectralField, TorusGrid, read_snapshot
 
 
@@ -50,14 +51,15 @@ class RunConfig:
         max_K = (MAX_PATH_VALUES - 1) // 2
         if not 1 <= self.K <= max_K:
             raise ConfigError(f"K must be in 1..{max_K}, got {self.K}")
-        if not 0 < self.t < np.inf:
-            raise ConfigError(f"t must be finite and > 0, got {self.t}")
         max_steps = MAX_PATH_VALUES // (2 * self.K + 1)
         if not 0 <= self.n_steps <= max_steps:
             raise ConfigError(
                 f"n_steps must be in 0..{max_steps} at K={self.K} (a path of at most "
                 f"{MAX_PATH_VALUES} values), got {self.n_steps}"
             )
+        if not 0 < self.t < np.inf or not self.t * self.n_steps < np.inf:
+            raise ConfigError(f"t must be finite and > 0, and so must t*n_steps, got "
+                              f"t={self.t}, n_steps={self.n_steps}")
         if not 1 < self.alpha < np.inf:
             raise ConfigError(f"alpha must be finite and > 1, got {self.alpha}")
         if not 0 < self.fp_tol < np.inf:
@@ -73,18 +75,21 @@ class RunConfig:
             )
         if self.kernel_d not in (1, 2):
             raise ConfigError(f"kernel_d must be 1 or 2, got {self.kernel_d}")
+        # also checked here so that kernel-error, which builds no initial
+        # field, refuses a bad name too
+        _roughness(self.initial_data)
 
     def echo_lines(self) -> list[str]:
-        """Config echo for record headers."""
-        pairs = [
-            ("seed", self.seed), ("K", self.K), ("t", self.t),
-            ("n_steps", self.n_steps), ("lambda", self.lam),
-            ("kappa", self.kappa), ("alpha", self.alpha),
-            ("tableau", self.tableau), ("kernel_d", self.kernel_d),
-            ("fp_tol", self.fp_tol), ("fp_max_iter", self.fp_max_iter),
-            ("initial_data", self.initial_data),
-        ]
-        return [f"# {k}={v}" for k, v in pairs]
+        """Config echo for record headers: every key but out, in file order."""
+        return [f"# {key}={getattr(self, _KEY_TO_ATTR.get(key, key))}"
+                for key in _FIELD_PARSERS if key != "out"]
+
+    def stepping(self):
+        """(params, phi, tab, fp): the model, the covariance, the tableau
+        and the solver settings that every command steps with."""
+        return (ModelParams(lam=self.lam, kappa=self.kappa, alpha=self.alpha),
+                default_phi(self.K), TABLEAUX[self.tableau](),
+                FixedPointConfig(tol=self.fp_tol, max_iter=self.fp_max_iter))
 
 
 _FIELD_PARSERS = {
@@ -140,6 +145,7 @@ def initial_field(data_id: str, K: int, seed: int = 0) -> SpectralField:
     rough-<s>: coefficients ~ (1+k^2)^(-(s+1/2)/2) with seeded random
                phases, unit mass.
     """
+    s = _roughness(data_id)
     grid = TorusGrid(K)
     ks = grid.modes().astype(float)
     if data_id == "smooth":
@@ -147,13 +153,7 @@ def initial_field(data_id: str, K: int, seed: int = 0) -> SpectralField:
         coeffs[np.abs(ks) > 3] = 0.0
         f = SpectralField(coeffs, grid)
         return (1.0 / sobolev_norm(f, 2.0)) * f
-    if data_id.startswith("rough-"):
-        try:
-            s = float(data_id[len("rough-"):])
-        except ValueError as exc:
-            raise ConfigError(f"bad roughness exponent in {data_id!r}") from exc
-        if not np.isfinite(s):
-            raise ConfigError(f"roughness exponent in {data_id!r} must be finite")
+    if s is not None:
         rng = np.random.default_rng([seed, 0xD15C0])
         phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.n_modes)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -162,6 +162,20 @@ def initial_field(data_id: str, K: int, seed: int = 0) -> SpectralField:
         if not np.isfinite(norm):
             raise ConfigError(f"initial data {data_id!r} overflows at K={K}")
         return (1.0 / norm) * SpectralField(coeffs, grid)
-    if os.path.exists(data_id):
-        return read_snapshot(data_id, grid)
-    raise ConfigError(f"unknown initial data {data_id!r}")
+    return read_snapshot(data_id, grid)
+
+
+def _roughness(data_id: str) -> float | None:
+    """The exponent s of a rough-<s> preset, None for smooth or an
+    existing snapshot path; a ConfigError for any other name."""
+    if data_id.startswith("rough-"):
+        try:
+            s = float(data_id[len("rough-"):])
+        except ValueError as exc:
+            raise ConfigError(f"bad roughness exponent in {data_id!r}") from exc
+        if not np.isfinite(s):
+            raise ConfigError(f"roughness exponent in {data_id!r} must be finite")
+        return s
+    if data_id != "smooth" and not os.path.exists(data_id):
+        raise ConfigError(f"unknown initial data {data_id!r}")
+    return None

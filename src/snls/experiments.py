@@ -14,7 +14,6 @@ import numpy as np
 from .config import RunConfig, initial_field
 from .diagnostics import sobolev_norm, symplectic_defect
 from .integrator import (
-    TABLEAUX,
     ExperimentInvalidError,
     FixedPointConfig,
     StepOutcome,
@@ -30,7 +29,6 @@ from .noise import (
     MAX_SEED,
     BrownianPath,
     CovarianceOp,
-    default_phi,
     increment,
     sample_path,
     stack_paths,
@@ -129,10 +127,7 @@ def cmd_local_error(
             f"seed {config.seed} is too large for {samples} local-error samples: "
             f"their path seeds run past 2^64-1; the largest usable seed is {max_seed}"
         )
-    params = ModelParams(lam=config.lam, kappa=config.kappa, alpha=config.alpha)
-    phi = default_phi(config.K)
-    tab = TABLEAUX[config.tableau]()
-    fp = FixedPointConfig(tol=config.fp_tol, max_iter=config.fp_max_iter)
+    params, phi, tab, fp = config.stepping()
     u0 = initial_field(config.initial_data, config.K, seed=config.seed)
     scale = sobolev_norm(u0, config.alpha)
 
@@ -222,10 +217,7 @@ def cmd_symplectic(config: RunConfig, h: float = 1e-5):
     with a Richardson check at h/2."""
     if config.K > 6:
         raise ValueError("symplectic Jacobian test is limited to K <= 6")
-    params = ModelParams(lam=config.lam, kappa=config.kappa, alpha=config.alpha)
-    phi = default_phi(config.K)
-    tab = TABLEAUX[config.tableau]()
-    fp = FixedPointConfig(tol=config.fp_tol, max_iter=config.fp_max_iter)
+    params, phi, tab, fp = config.stepping()
     u0 = initial_field(config.initial_data, config.K, seed=config.seed)
     path = sample_path(config.seed, config.t, 0, config.K)
     X = increment(path, 0.0, config.t)

@@ -101,7 +101,11 @@ class StepOutcome:
     converged: np.ndarray
 
 
-class StepRejectedError(RuntimeError):
+class ExperimentInvalidError(RuntimeError):
+    """Too many rejected steps, or non-finite diagnostics: the results cannot be trusted."""
+
+
+class StepRejectedError(ExperimentInvalidError):
     """The stage solve of a step was rejected: the step bound is
     violated.  Raised by the commands that need every step accepted;
     step_index and time (its start) name the step, and for a batch the
@@ -117,10 +121,6 @@ class StepRejectedError(RuntimeError):
                   else f"diverging after {self.iterations} iterations")
         super().__init__(f"step {step_index} from t={time:.6g}: fixed-point iteration "
                          f"{reason} (residual {self.residual:.3e})")
-
-
-class ExperimentInvalidError(RuntimeError):
-    """Too many rejected steps, or non-finite diagnostics: the results cannot be trusted."""
 
 
 @dataclass
@@ -296,7 +296,6 @@ def step_bound(C_R: float, C_PhiW: float) -> float:
 class RunRecord:
     """Per-step diagnostics of a trajectory, with seed provenance."""
 
-    seed: int
     config_lines: list
     rows: list = field(default_factory=list)
     final_state: SpectralField | None = None
@@ -323,20 +322,16 @@ class RunRecord:
         return np.array([r[idx] for r in self.rows])
 
 
-def simulate(config, u0: SpectralField | None = None) -> RunRecord:
+def simulate(config) -> RunRecord:
     """Run config.n_steps steps from the configured initial data,
     recording mass, H0, the H^alpha norm and solver diagnostics."""
     from .config import initial_field
     from .diagnostics import energy_h0, mass
-    from .noise import default_phi, sample_path
+    from .noise import sample_path
 
-    if u0 is None:
-        u0 = initial_field(config.initial_data, config.K, seed=config.seed)
-    params = ModelParams(lam=config.lam, kappa=config.kappa, alpha=config.alpha)
-    phi = default_phi(config.K)
-    tab = TABLEAUX[config.tableau]()
-    fp = FixedPointConfig(tol=config.fp_tol, max_iter=config.fp_max_iter)
-    record = RunRecord(seed=config.seed, config_lines=config.echo_lines())
+    u = initial_field(config.initial_data, config.K, seed=config.seed)
+    params, phi, tab, fp = config.stepping()
+    record = RunRecord(config_lines=config.echo_lines())
 
     def diagnostics(u, n):
         """Mass, H0 and H^alpha norm after n steps, raised by name if not finite."""
@@ -351,14 +346,10 @@ def simulate(config, u0: SpectralField | None = None) -> RunRecord:
                     f"({value})")
         return values
 
-    u = u0.copy()
     record.add_row(0, 0.0, *diagnostics(u, 0), 0, 0.0, 0)
-    if config.n_steps == 0:
-        record.final_state = u
-        return record
-
-    path = sample_path(config.seed, config.n_steps * config.t, 0,
-                       config.K, n_base=config.n_steps)
+    if config.n_steps:  # a run of no steps draws no path
+        path = sample_path(config.seed, config.n_steps * config.t, 0,
+                           config.K, n_base=config.n_steps)
     for n in range(config.n_steps):
         outcome = step(u, tab, params, phi, path, n * config.t, config.t, fp)
         if not outcome.converged:

@@ -41,10 +41,10 @@ def _quantize(x: np.ndarray) -> np.ndarray:
 
 def _check_exact(rows: np.ndarray) -> None:
     """Raise unless every running sum of the increment rows stays below
-    _W_LIMIT."""
+    _W_LIMIT (a NaN sum fails too)."""
     w = np.cumsum(rows, axis=-1)
     reach = max(w.max(), -w.min())
-    if reach >= _W_LIMIT:
+    if not reach < _W_LIMIT:
         raise ValueError(
             f"path reaches |W| = {reach:.6g} >= 2^12, past which its increments "
             "no longer sum exactly; use a shorter horizon"
@@ -145,8 +145,8 @@ def sample_path(seed: int, horizon: float, level: int, K: int, n_base: int = 1) 
     """Level-`level` path, deterministic in (seed, horizon, K, n_base)."""
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    if not horizon > 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < np.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     if n_base < 1:
         raise ValueError(f"n_base must be >= 1, got {n_base}")
     inc = np.empty((2 * K + 1, n_base * 2**level))

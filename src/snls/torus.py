@@ -69,9 +69,6 @@ class SpectralField:
             raise ValueError("non-finite coefficient")
         self.coefficients = c
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.coefficients, self.grid)
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)
         return SpectralField(self.coefficients + other.coefficients, self.grid)
@@ -150,24 +147,34 @@ def write_snapshot(f: SpectralField, path) -> None:
 
 
 def read_snapshot(path, grid: TorusGrid | None = None) -> SpectralField:
+    """Read a write_snapshot file; a malformed line is a ValueError that
+    names the file and the line."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        k_min, k_max = int(header[0]), int(header[1])
-        if k_min != -k_max:
-            raise ValueError(f"asymmetric mode range {k_min}..{k_max}")
-        K = k_max
-        if grid is None:
-            grid = TorusGrid(K)
-        elif grid.K != K:
-            raise ValueError(f"snapshot has K={K}, grid has K={grid.K}")
-        rows = [line.strip().split(",") for line in fh]
+        # an empty file reads as an empty header
+        header, *rows = [line.strip() for line in fh] or [""]
+    try:
+        k_min, k_max = map(int, header.split(","))
+    except ValueError as exc:
+        raise ValueError(f"snapshot {path}:1: expected k_min,k_max, got {header!r}") from exc
+    if k_min != -k_max:
+        raise ValueError(f"snapshot {path}:1: asymmetric mode range {k_min}..{k_max}")
+    K = k_max
+    if grid is None:
+        grid = TorusGrid(K)
+    elif grid.K != K:
+        raise ValueError(f"snapshot {path}:1: header has K={K}, grid has K={grid.K}")
     if len(rows) != 2 * K + 1:
         raise ValueError(
             f"snapshot {path}: header promises {2 * K + 1} mode lines, found {len(rows)}"
         )
     coeffs = np.zeros(2 * K + 1, dtype=np.complex128)
-    for i, (k_s, re_s, im_s) in enumerate(rows):
-        if int(k_s) != i - K:
-            raise ValueError("snapshot modes out of order")
-        coeffs[i] = float(re_s) + 1j * float(im_s)
+    for i, row in enumerate(rows):
+        try:
+            k_s, re_s, im_s = row.split(",")
+            k, coeffs[i] = int(k_s), float(re_s) + 1j * float(im_s)
+        except ValueError:
+            k = None
+        if k != i - K or not np.isfinite(coeffs[i]):
+            raise ValueError(f"snapshot {path}:{i + 2}: expected mode {i - K} as k,re,im "
+                             f"with finite re and im, got {row!r}")
     return SpectralField(coeffs, grid)

@@ -1,9 +1,13 @@
 """CLI contract: subcommands, flags, output files, exit codes."""
 
+import contextlib
+import io
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snls.cli import main
 
@@ -197,9 +201,11 @@ def test_nan_config_value_exit_1(tmp_path, capsys, key, value):
     pytest.param("fp_max_iter=0", "fp_max_iter must be >= 1, got 0", id="fp_max_iter"),
     pytest.param("lambda=nan", "lambda must be finite, got nan", id="lambda"),
     pytest.param("kappa=-inf", "kappa must be finite, got -inf", id="kappa"),
+    pytest.param("initial_data=no-such-preset", "unknown initial data 'no-such-preset'",
+                 id="initial_data"),
 ])
 def test_solver_and_model_keys_exit_1(tmp_path, capsys, command, line, message):
-    # refused by the config, also by kernel-error, which reads neither key
+    # refused by the config, also by kernel-error, which reads none of these keys
     cfg = write_cfg(tmp_path, BASE + line + "\n")
     assert main([command, "--config", cfg]) == 1
     assert f"error: {message}" in capsys.readouterr().err
@@ -254,3 +260,87 @@ def test_path_too_large_exit_1(tmp_path, capsys, key, value, message):
     cfg = write_cfg(tmp_path, f"seed=5\n{key}={value}\n")
     assert main(["simulate", "--config", cfg]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_infinite_horizon_exit_1(tmp_path, capsys):
+    # t*n_steps overflows to inf: refused by the config, with no numpy
+    # warning from the path it would have drawn
+    cfg = write_cfg(tmp_path, "seed=1\nK=2\nt=1e308\nn_steps=2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: t must be finite and > 0, and so must t*n_steps, got t=1e+308, n_steps=2\n")
+
+
+# small valid values, and for each key its invalid classes
+FUZZ_VALID = {
+    "seed": st.sampled_from([0, 5, 2**64 - 1]),
+    "K": st.integers(1, 4),
+    "t": st.sampled_from([1e-3, 1e-2, 0.5, 1e308]),
+    "n_steps": st.integers(0, 3),
+    "lambda": st.sampled_from([-1.0, 0.0, 1.0, 5.0]),
+    "kappa": st.sampled_from([0.0, 1.0, 3.0]),
+    "alpha": st.sampled_from([1.5, 2.0]),
+    "tableau": st.sampled_from(["midpoint", "explicit"]),
+    "kernel_d": st.sampled_from([1, 2]),
+    "fp_tol": st.sampled_from([1e-300, 1e-12, 1e-6, 1.0]),
+    "fp_max_iter": st.sampled_from([1, 3, 100]),
+    "initial_data": st.sampled_from(["smooth", "rough-1", "rough-0.5"]),
+}
+NOT_FINITE = ["nan", "inf", "-inf", "1e400", "-1e400", "abc", ""]
+FUZZ_INVALID = {
+    "seed": [None, "-1", str(2**64), "1.5", "nan", "abc"],  # None: no seed line
+    "K": ["0", "-3", str(10**9), "2.0", "nan"],
+    "t": ["0", "-1e-3", *NOT_FINITE],
+    "n_steps": ["-1", str(10**20), "1e2", "nan"],
+    "lambda": NOT_FINITE,
+    "kappa": NOT_FINITE,
+    "alpha": ["1", "0.5", *NOT_FINITE],
+    "tableau": ["foo", ""],
+    "kernel_d": ["0", "3", "1.0", "x"],
+    "fp_tol": ["0", "-1e-12", *NOT_FINITE],
+    "fp_max_iter": ["0", "-5", "x"],
+    "initial_data": ["no-such-preset", "rough-nan", "rough-1e400", "rough-x"],
+    "nope": ["1"],  # an unknown key
+}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """(config text, its values, whether it is invalid); at most two
+    keys get an invalid value."""
+    bad = draw(st.sets(st.sampled_from(list(FUZZ_INVALID)), max_size=2))
+    values = {key: draw(st.sampled_from(FUZZ_INVALID[key]) if key in bad else valid)
+              for key, valid in FUZZ_VALID.items()}
+    if "nope" in bad:
+        values["nope"] = "1"
+    text = "".join(f"{key}={value}\n" for key, value in values.items() if value is not None)
+    # valid t and n_steps whose product overflows make an infinite horizon
+    overflow = not {"t", "n_steps"} & bad and values["t"] * values["n_steps"] == np.inf
+    return text, values, bool(bad) or overflow
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["simulate", "conservation", "symplectic", "kernel-error"]),
+       config=fuzzed_configs())
+def test_fuzzed_config_exit_codes(tmp_path_factory, command, config):
+    # local-error is left out: one valid run of it takes seconds.  A
+    # valid kernel-error run takes 0.3-1.4 s, which bounds max_examples
+    text, values, invalid = config
+    path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+    path.write_text(text)
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main([command, "--config", str(path)])
+    err = err.getvalue()
+    if invalid:
+        assert rc == 1 and err.startswith("error: "), (rc, err)
+    elif rc == 1:
+        # a path whose |W| passes 2^12 no longer sums exactly; the noise
+        # layer refuses it as bad input
+        assert values["t"] == 1e308 and "use a shorter horizon" in err, err
+    else:
+        assert rc in (0, 2), (rc, err)

@@ -5,6 +5,9 @@ import pytest
 
 from snls.config import ConfigError, RunConfig, initial_field, parse_config
 from snls.diagnostics import mass, sobolev_norm
+from snls.integrator import FixedPointConfig, explicit_tableau
+from snls.maps import ModelParams
+from snls.noise import default_phi
 from snls.torus import SpectralField, TorusGrid, write_snapshot
 
 
@@ -71,6 +74,39 @@ def test_invalid_domain_values_rejected():
         RunConfig(seed=1, alpha=1.0)
     with pytest.raises(ConfigError):
         RunConfig(seed=1, kernel_d=3)
+
+
+@pytest.mark.parametrize("name", ["no-such-preset", "rough-abc", "rough-nan"])
+def test_bad_initial_data_name_rejected(name):
+    # by the config itself, before any command builds the field
+    with pytest.raises(ConfigError, match="initial data|roughness exponent"):
+        RunConfig(seed=1, initial_data=name)
+
+
+def test_infinite_horizon_rejected():
+    # t*n_steps overflows to inf although t itself is finite
+    with pytest.raises(ConfigError, match=r"t\*n_steps, got t=1e\+308, n_steps=2"):
+        RunConfig(seed=1, K=2, t=1e308, n_steps=2)
+    RunConfig(seed=1, K=2, t=1e308, n_steps=1)
+
+
+def test_echo_lines_name_every_key_but_out():
+    cfg = RunConfig(seed=3, K=4, lam=-2.0, out="x.csv")
+    assert cfg.echo_lines() == [
+        "# seed=3", "# K=4", "# t=0.01", "# n_steps=100", "# lambda=-2.0", "# kappa=1.0",
+        "# alpha=2.0", "# tableau=midpoint", "# kernel_d=1", "# fp_tol=1e-12",
+        "# fp_max_iter=100", "# initial_data=smooth",
+    ]
+
+
+def test_stepping_objects():
+    cfg = RunConfig(seed=3, K=4, lam=-2.0, kappa=0.5, alpha=2.5, tableau="explicit",
+                    fp_tol=1e-9, fp_max_iter=7)
+    params, phi, tab, fp = cfg.stepping()
+    assert params == ModelParams(lam=-2.0, kappa=0.5, alpha=2.5)
+    np.testing.assert_array_equal(phi.phi, default_phi(4).phi)
+    assert tab == explicit_tableau()
+    assert fp == FixedPointConfig(tol=1e-9, max_iter=7)
 
 
 def test_echo_lines_roundtrip(tmp_path):

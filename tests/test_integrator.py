@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from snls.diagnostics import energy_h0, mass, sobolev_norm
 from snls.integrator import (
+    ExperimentInvalidError,
     FixedPointConfig,
     StepRejectedError,
     Tableau,
@@ -411,6 +412,8 @@ def test_simulate_rejection_carries_step_index():
     cfg = RunConfig(seed=6, K=6, t=5.0, n_steps=3, lam=5.0)
     with pytest.raises(StepRejectedError) as exc:
         simulate(cfg)
+    # a rejected step is one of the ways an experiment becomes invalid
+    assert isinstance(exc.value, ExperimentInvalidError)
     n = exc.value.step_index
     assert n is not None and exc.value.time == n * cfg.t
     assert str(exc.value).startswith(f"step {n} from t={n * cfg.t:g}: fixed-point iteration")

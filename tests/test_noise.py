@@ -15,6 +15,7 @@ from snls.noise import (
     refine,
     sample_path,
     stack_paths,
+    _check_exact,
 )
 from snls.oracles import strat_integral, symmetrized_midpoint_double
 
@@ -85,6 +86,11 @@ def test_n_base_grid():
 def test_sample_path_validation():
     with pytest.raises(ValueError):
         sample_path(0, -1.0, 0, 2)
+    # an infinite horizon gives infinite increments, whose NaN running
+    # sums would pass a `reach >= 2^12` test
+    for horizon in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+            sample_path(1, horizon, 0, 2, n_base=10)
     with pytest.raises(ValueError):
         sample_path(0, 1.0, -1, 2)
     with pytest.raises(ValueError):
@@ -104,6 +110,9 @@ def test_paths_past_the_exact_range_are_refused():
     path = sample_path(14, 2.0**25, 0, 1)
     with pytest.raises(ValueError, match="2\\^12"):
         refine(path)
+    # a NaN running sum is refused, not read as in range
+    with pytest.raises(ValueError, match="2\\^12"):
+        _check_exact(np.array([[0.5, np.nan, 0.5]]))
 
 
 def test_cell_index_off_grid_rejected():

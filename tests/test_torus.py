@@ -176,3 +176,29 @@ def test_snapshot_reader_checks_the_mode_count(tmp_path, change):
     message = f"{p}: header promises 7 mode lines, found {len(rows)}"
     with pytest.raises(ValueError, match=re.escape(message)):
         read_snapshot(p)
+
+
+@pytest.mark.parametrize("line, edit", [
+    pytest.param(2, "-4,1", id="short-row"),
+    pytest.param(6, "0,nan,0", id="nan"),
+    pytest.param(7, "2,0,0", id="out-of-order"),
+    pytest.param(8, "2,1,x", id="not-a-number"),
+])
+def test_snapshot_reader_names_the_file_and_line(tmp_path, line, edit):
+    p = tmp_path / "snap.csv"
+    write_snapshot(random_field(4, 5), p)
+    lines = p.read_text().splitlines()
+    lines[line - 1] = edit
+    p.write_text("\n".join(lines) + "\n")
+    message = f"snapshot {p}:{line}: expected mode {line - 6} as k,re,im with finite re and im"
+    with pytest.raises(ValueError, match=re.escape(f"{message}, got {edit!r}")):
+        read_snapshot(p)
+
+
+@pytest.mark.parametrize("header", ["abc", "-4", "-4,4,1", ""])
+def test_snapshot_reader_names_a_bad_header(tmp_path, header):
+    p = tmp_path / "snap.csv"
+    p.write_text(header + "\n" if header else "")
+    message = f"snapshot {p}:1: expected k_min,k_max, got {header!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_snapshot(p)
