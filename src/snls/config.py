@@ -76,8 +76,10 @@ class RunConfig:
         if self.kernel_d not in (1, 2):
             raise ConfigError(f"kernel_d must be 1 or 2, got {self.kernel_d}")
         # also checked here so that kernel-error, which builds no initial
-        # field, refuses a bad name too
-        _roughness(self.initial_data)
+        # field, refuses a bad name or an overflowing preset (s < -1/2) too
+        s = _roughness(self.initial_data)
+        if s is not None and s < -0.5:
+            _rough_field(self.initial_data, s, TorusGrid(self.K), self.seed)
 
     def echo_lines(self) -> list[str]:
         """Config echo for record headers: every key but out, in file order."""
@@ -147,22 +149,29 @@ def initial_field(data_id: str, K: int, seed: int = 0) -> SpectralField:
     """
     s = _roughness(data_id)
     grid = TorusGrid(K)
-    ks = grid.modes().astype(float)
     if data_id == "smooth":
+        ks = grid.modes().astype(float)
         coeffs = np.exp(-((ks / 1.5) ** 2)) * np.exp(0.4j * ks)
         coeffs[np.abs(ks) > 3] = 0.0
         f = SpectralField(coeffs, grid)
         return (1.0 / sobolev_norm(f, 2.0)) * f
     if s is not None:
-        rng = np.random.default_rng([seed, 0xD15C0])
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.n_modes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = (1.0 + ks**2) ** (-(s + 0.5) / 2.0) * np.exp(1j * phases)
-            norm = np.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
-        if not np.isfinite(norm):
-            raise ConfigError(f"initial data {data_id!r} overflows at K={K}")
-        return (1.0 / norm) * SpectralField(coeffs, grid)
+        return _rough_field(data_id, s, grid, seed)
     return read_snapshot(data_id, grid)
+
+
+def _rough_field(data_id: str, s: float, grid: TorusGrid, seed: int) -> SpectralField:
+    """The rough-<s> preset of initial_field; a ConfigError if its norm
+    overflows."""
+    rng = np.random.default_rng([seed, 0xD15C0])
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.n_modes)
+    ks = grid.modes().astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = (1.0 + ks**2) ** (-(s + 0.5) / 2.0) * np.exp(1j * phases)
+        norm = np.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
+    if not np.isfinite(norm):
+        raise ConfigError(f"initial data {data_id!r} overflows at K={grid.K}")
+    return (1.0 / norm) * SpectralField(coeffs, grid)
 
 
 def _roughness(data_id: str) -> float | None:

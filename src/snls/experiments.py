@@ -186,14 +186,12 @@ def cmd_kernel_error(
         k1, k2, k3 = rng.integers(-mode_bound, mode_bound + 1, size=3)
         k = -k1 + k2 + k3
         if abs(k) <= mode_bound and k * k1 * k2 * k3 != 0:
-            quads.append(ModeQuad(int(k), int(k1), int(k2), int(k3)))
+            quads.append((k, k1, k2, k3))
+    q = ModeQuad(*np.array(quads).T[:, :, None])  # one quad per row
     table = ErrorTable()
     for t in t_values:
-        s_grid = np.linspace(0.0, t, n_s)[1:]
-        worst = 0.0
-        for q in quads:
-            for s in s_grid:
-                worst = max(worst, abs(kernel_K2d(spec, q, s, t) - kernel_exact(q, s)))
+        s = np.linspace(0.0, t, n_s)[1:]
+        worst = float(np.max(np.abs(kernel_K2d(spec, q, s, t) - kernel_exact(q, s))))
         table.add_row(t, worst, worst, n_quads, 0, worst < 1e-15)
     table.fit_slope()
     return table

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 
 @dataclass(frozen=True)
@@ -42,53 +43,47 @@ def default_kernel_spec(d: int) -> KernelSpec:
 
 @dataclass(frozen=True)
 class ModeQuad:
-    """Mode quadruple with the resonance constraint k + k1 = k2 + k3."""
+    """Mode quadruple with the resonance constraint k + k1 = k2 + k3; the
+    modes may be integer arrays of one shape, one quad per element."""
 
-    k: int
-    k1: int
-    k2: int
-    k3: int
+    k: int | np.ndarray
+    k1: int | np.ndarray
+    k2: int | np.ndarray
+    k3: int | np.ndarray
 
     def __post_init__(self):
-        if self.k + self.k1 != self.k2 + self.k3:
-            raise ValueError(
-                f"quad ({self.k},{self.k1},{self.k2},{self.k3}) violates k+k1=k2+k3"
-            )
+        k, k1, k2, k3 = np.broadcast_arrays(self.k, self.k1, self.k2, self.k3)
+        bad = np.argwhere(k + k1 != k2 + k3)
+        if len(bad):
+            i = tuple(bad[0])
+            raise ValueError(f"quad ({k[i]},{k1[i]},{k2[i]},{k3[i]}) violates k+k1=k2+k3")
 
 
-def interp_exp(spec: KernelSpec, omega: float, t: float) -> np.ndarray:
+def interp_exp(spec: KernelSpec, omega, t: float) -> np.ndarray:
     """Coefficients (ascending powers of s) of the degree d-1 polynomial
-    matching e^{i omega s} at s = t*gamma_j."""
+    matching e^{i omega s} at s = t*gamma_j, along a leading axis of
+    length d followed by the shape of omega."""
     if t <= 0:
         raise ValueError(f"step t must be > 0, got {t}")
     nodes = t * np.asarray(spec.gamma, dtype=float)
-    vals = np.exp(1j * omega * nodes)
-    if spec.d == 1:
-        return vals.astype(np.complex128)
+    vals = np.exp(1j * np.multiply.outer(nodes, omega))
     vander = np.vander(nodes, N=spec.d, increasing=True)
-    return np.linalg.solve(vander, vals)
+    return np.linalg.solve(vander, vals.reshape(spec.d, -1)).reshape(vals.shape)
 
 
-def _polyval(coeffs: np.ndarray, s) -> complex:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc
-
-
-def kernel_exact(q: ModeQuad, s: float) -> complex:
+def kernel_exact(q: ModeQuad, s):
     """e^{is(-2 k k1 + 2 k2 k3)}."""
     return np.exp(1j * s * (-2.0 * q.k * q.k1 + 2.0 * q.k2 * q.k3))
 
 
-def kernel_K2d(spec: KernelSpec, q: ModeQuad, s: float, t: float) -> complex:
+def kernel_K2d(spec: KernelSpec, q: ModeQuad, s, t: float):
     """Interpolated kernel
     e^{-2iskk1} P_d[e^{2i.k2k3}](s) + e^{2isk2k3} P_d[e^{-2i.kk1}](s)
-    - P_d[e^{2i.k2k3}](s) P_d[e^{-2i.kk1}](s)."""
+    - P_d[e^{2i.k2k3}](s) P_d[e^{-2i.kk1}](s), broadcast over q and s."""
     w_dom = -2.0 * q.k * q.k1
     w_low = 2.0 * q.k2 * q.k3
-    p_low = _polyval(interp_exp(spec, w_low, t), s)
-    p_dom = _polyval(interp_exp(spec, w_dom, t), s)
+    p_low = polyval(s, interp_exp(spec, w_low, t), tensor=False)
+    p_dom = polyval(s, interp_exp(spec, w_dom, t), tensor=False)
     e_dom = np.exp(1j * w_dom * s)
     e_low = np.exp(1j * w_low * s)
     return e_dom * p_low + e_low * p_dom - p_low * p_dom

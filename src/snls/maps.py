@@ -40,7 +40,9 @@ class ModelParams:
 
 
 # map_P_frozen forms its product directly up to this many modes and by
-# padded transforms above; the two cost the same near K=16
+# padded transforms above.  Each wins on its side: forcing transforms at
+# K=8 took simulate from 0.33 to 0.48 s per 200 steps, and forcing the
+# direct product at K=256 from 0.23 to 0.70 s per 40 steps (2 vCPUs)
 DIRECT_MAX_MODES = 33
 
 

@@ -149,45 +149,40 @@ def sample_path(seed: int, horizon: float, level: int, K: int, n_base: int = 1) 
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     if n_base < 1:
         raise ValueError(f"n_base must be >= 1, got {n_base}")
-    inc = np.empty((2 * K + 1, n_base * 2**level))
-    for k in range(0, K + 1):
-        row = _quantize(np.sqrt(horizon / n_base) * _normals(seed, k, 0, n_base))
-        for lev in range(1, level + 1):
-            row = _split(row, seed, k, lev, horizon)
-        inc[K + k] = row
-        inc[K - k] = row
-    _check_exact(inc[K:])  # rows K-k mirror rows K+k
-    return BrownianPath(
-        seed=seed, K=K, level=level, horizon=horizon, increments=inc, n_base=n_base
-    )
+    normals = np.array([_normals(seed, k, 0, n_base) for k in range(K + 1)])
+    rows = _quantize(np.sqrt(horizon / n_base) * normals)
+    for lev in range(1, level + 1):
+        rows = _split(rows, seed, lev, horizon)
+    return _mirrored(seed, K, level, horizon, rows, n_base)
 
 
-def _split(row: np.ndarray, seed: int, mode: int, level: int, horizon: float) -> np.ndarray:
-    """Bridge-split level-(level-1) increments into level-`level` ones."""
-    n = len(row)
+def _split(rows: np.ndarray, seed: int, level: int, horizon: float) -> np.ndarray:
+    """Bridge-split the level-(level-1) increments of modes 0..K (one
+    row each) into level-`level` ones."""
+    n = rows.shape[1]
+    normals = np.array([_normals(seed, k, level, n) for k in range(len(rows))])
     # midpoint displacement variance is a quarter of the parent cell length
-    xi = _quantize(np.sqrt(horizon / n) / 2.0 * _normals(seed, mode, level, n))
-    first = _quantize(row / 2.0) + xi
-    out = np.empty(2 * n)
-    out[0::2] = first
-    out[1::2] = row - first  # exact: both are multiples of the grain
+    xi = _quantize(np.sqrt(horizon / n) / 2.0 * normals)
+    first = _quantize(rows / 2.0) + xi
+    out = np.empty((len(rows), 2 * n))
+    out[:, 0::2] = first
+    out[:, 1::2] = rows - first  # exact: both are multiples of the grain
     return out
+
+
+def _mirrored(seed, K, level, horizon, rows, n_base) -> BrownianPath:
+    """The path with the increment rows of modes 0..K and W_{-k} = W_k."""
+    _check_exact(rows)
+    return BrownianPath(seed=seed, K=K, level=level, horizon=horizon,
+                        increments=np.concatenate([rows[:0:-1], rows]), n_base=n_base)
 
 
 def refine(path: BrownianPath) -> BrownianPath:
     """Bridge refinement; coarse increments are exact sums of children."""
     if path.increments.ndim != 2:
         raise ValueError("refine takes a single path, not a stacked one")
-    inc = np.empty((2 * path.K + 1, 2 * path.n_cells))
-    for k in range(0, path.K + 1):
-        row = _split(path.increments[path.K + k], path.seed, k, path.level + 1, path.horizon)
-        inc[path.K + k] = row
-        inc[path.K - k] = row
-    _check_exact(inc[path.K:])
-    return BrownianPath(
-        seed=path.seed, K=path.K, level=path.level + 1,
-        horizon=path.horizon, increments=inc, n_base=path.n_base,
-    )
+    rows = _split(path.increments[path.K:], path.seed, path.level + 1, path.horizon)
+    return _mirrored(path.seed, path.K, path.level + 1, path.horizon, rows, path.n_base)
 
 
 def stack_paths(paths) -> BrownianPath:

@@ -236,6 +236,7 @@ def test_overflowing_snapshot_initial_data_exit_1(tmp_path, capsys):
     assert "error: initial data: mass is not finite (inf)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "kernel-error"])
 @pytest.mark.parametrize("preset, message", [
     ("rough-nan", "roughness exponent in 'rough-nan' must be finite"),
     ("rough--inf", "roughness exponent in 'rough--inf' must be finite"),
@@ -243,11 +244,12 @@ def test_overflowing_snapshot_initial_data_exit_1(tmp_path, capsys):
     ("rough-1e400", "roughness exponent in 'rough-1e400' must be finite"),
     ("rough--400", "initial data 'rough--400' overflows at K=8"),
 ])
-def test_bad_roughness_exponent_exit_1(tmp_path, capsys, preset, message):
+def test_bad_roughness_exponent_exit_1(tmp_path, capsys, preset, message, command):
+    # kernel-error builds no initial field: the config refuses the preset
     cfg = write_cfg(tmp_path, f"seed=5\nK=8\nn_steps=1\ninitial_data={preset}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["simulate", "--config", cfg]) == 1
+        assert main([command, "--config", cfg]) == 1
     assert f"error: {message}" in capsys.readouterr().err
 
 
@@ -301,7 +303,8 @@ FUZZ_INVALID = {
     "kernel_d": ["0", "3", "1.0", "x"],
     "fp_tol": ["0", "-1e-12", *NOT_FINITE],
     "fp_max_iter": ["0", "-5", "x"],
-    "initial_data": ["no-such-preset", "rough-nan", "rough-1e400", "rough-x"],
+    # rough--2000 overflows at every K >= 1
+    "initial_data": ["no-such-preset", "rough-nan", "rough-1e400", "rough-x", "rough--2000"],
     "nope": ["1"],  # an unknown key
 }
 
@@ -321,12 +324,13 @@ def fuzzed_configs(draw):
     return text, values, bool(bad) or overflow
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(command=st.sampled_from(["simulate", "conservation", "symplectic", "kernel-error"]),
        config=fuzzed_configs())
 def test_fuzzed_config_exit_codes(tmp_path_factory, command, config):
     # local-error is left out: one valid run of it takes seconds.  A
-    # valid kernel-error run takes 0.3-1.4 s, which bounds max_examples
+    # valid kernel-error run takes a few ms, as do the other commands on
+    # these small configs
     text, values, invalid = config
     path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
     path.write_text(text)

@@ -112,6 +112,15 @@ def test_default_specs():
 def test_mode_quad_resonance_constraint():
     with pytest.raises(ValueError):
         ModeQuad(1, 1, 1, 0)
+    # an array quad is checked element by element
+    k1, k2, k3 = np.array([1, 2, -3]), np.array([4, 0, 1]), np.array([2, 2, 5])
+    ModeQuad(-k1 + k2 + k3, k1, k2, k3)
+    k = -k1 + k2 + k3
+    k[1] += 1
+    with pytest.raises(ValueError, match=r"quad \(1,2,0,2\) violates"):
+        ModeQuad(k, k1, k2, k3)
+    with pytest.raises(ValueError, match="broadcast"):
+        ModeQuad(k[:2], k1, k2, k3)
 
 
 # ------------------------------------------------------------ kernel K2d
@@ -158,6 +167,25 @@ def test_conjugate_slot_swap_invariance(q, spec, s_frac, t):
     assert abs(a - b) < 1e-13 * max(1.0, abs(a))
 
 
+@given(
+    quads=st.lists(quads_strategy(), min_size=1, max_size=6),
+    spec=spec_strategy(),
+    s_fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    t=st.floats(1e-4, 0.5),
+)
+@settings(max_examples=60, deadline=None)
+def test_array_kernels_match_scalar_kernels(quads, spec, s_fracs, t):
+    # one call on a (quads x s) grid gives the per-point values
+    q = ModeQuad(*np.array([(p.k, p.k1, p.k2, p.k3) for p in quads]).T[:, :, None])
+    s = t * np.array(s_fracs)
+    grid_K2d, grid_exact = kernel_K2d(spec, q, s, t), kernel_exact(q, s)
+    assert grid_K2d.shape == grid_exact.shape == (len(quads), len(s_fracs))
+    for i, p in enumerate(quads):
+        for j, sj in enumerate(s):
+            assert abs(grid_K2d[i, j] - kernel_K2d(spec, p, sj, t)) <= 1e-14
+            assert abs(grid_exact[i, j] - kernel_exact(p, sj)) <= 1e-14
+
+
 def test_kernel_exact_on_resonance_free_quads():
     # kk1 = k2k3 = 0 makes the interpolated kernel exact at all t  [TRIVIAL]
     spec = default_kernel_spec(2)
@@ -177,15 +205,13 @@ def test_kernel_error_order_d1():
         k1, k2, k3 = rng.integers(-8, 9, size=3)
         k = -k1 + k2 + k3
         if abs(k) <= 8 and k * k1 * k2 * k3 != 0 and abs(k * k1) <= 8 and abs(k2 * k3) <= 8:
-            quads.append(ModeQuad(int(k), int(k1), int(k2), int(k3)))
+            quads.append((k, k1, k2, k3))
+    q = ModeQuad(*np.array(quads).T[:, :, None])  # one quad per row
     ts = [2.0**-e for e in range(4, 11)]
     errs = []
     for t in ts:
-        worst = 0.0
-        for q in quads:
-            for s in np.linspace(0, t, 33)[1:]:
-                worst = max(worst, abs(kernel_K2d(spec, q, s, t) - kernel_exact(q, s)))
-        errs.append(worst)
+        s = np.linspace(0, t, 33)[1:]
+        errs.append(np.max(np.abs(kernel_K2d(spec, q, s, t) - kernel_exact(q, s))))
     slope = np.polyfit(np.log(ts), np.log(errs), 1)[0]
     assert abs(slope - 2.0) < 0.2
 

@@ -1,6 +1,8 @@
 """Wiener paths: bit-exact refinement, symmetry, distributional sanity,
 and the discrete Stratonovich identities."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,20 @@ def test_direct_sampling_matches_iterated_refinement():
     base = sample_path(7, 2.0, 0, 2)
     assert np.array_equal(sample_path(7, 2.0, 3, 2).increments,
                           refine(refine(refine(base))).increments)
+
+
+def test_draws_are_pinned():
+    # SHA-256 of the increments of sample paths and of their refinements,
+    # as first drawn.  A change to the draws trips this test, and so would
+    # a change in numpy's Philox generator or its ziggurat normals.
+    h = hashlib.sha256()
+    for K in range(1, 9):
+        for level in (0, 1, 3, 8):
+            for nb in (1, 3, 7):
+                p = sample_path(K * 100 + level, 0.37, level, K, n_base=nb)
+                h.update(p.increments.tobytes())
+                h.update(refine(p).increments.tobytes())
+    assert h.hexdigest() == "68d95b8fd1e46a6b1819f052f2bd3ea3013af07ae76346afd62cafbdc5e879c5"
 
 
 def test_mode_symmetry():
