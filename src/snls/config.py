@@ -76,10 +76,16 @@ class RunConfig:
         if self.kernel_d not in (1, 2):
             raise ConfigError(f"kernel_d must be 1 or 2, got {self.kernel_d}")
         # also checked here so that kernel-error, which builds no initial
-        # field, refuses a bad name or an overflowing preset (s < -1/2) too
+        # field, refuses a bad name, an overflowing preset (s < -1/2) or a
+        # malformed snapshot too
         s = _roughness(self.initial_data)
         if s is not None and s < -0.5:
             _rough_field(self.initial_data, s, TorusGrid(self.K), self.seed)
+        elif s is None and self.initial_data != "smooth":
+            try:
+                read_snapshot(self.initial_data, TorusGrid(self.K))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     def echo_lines(self) -> list[str]:
         """Config echo for record headers: every key but out, in file order."""

@@ -217,6 +217,13 @@ def step_with_increment(
     about rho_K + rho_L to about rho_K + rho_L^2, and fixed_point_solve
     counts the outer sweeps.
 
+    The solve starts from NOISE_SWEEPS sweeps of V = u_n + sqrt(t) a1 L(V)
+    from V = u_n, the stage equation without K: this removes the
+    O(sqrt t) noise part of the starting error and leaves the O(t) part
+    of K.  For b = 2a (the midpoint rule and its (b, b/2) family) the
+    update is taken from the stage, 2U - u_n, and costs no evaluation;
+    any other tableau evaluates both maps once more at the stage.
+
     u_n and X.w may carry a batch of samples along their leading axes;
     a rejected solve is reported in the StepOutcome, not raised."""
     if not t > 0:
@@ -235,19 +242,27 @@ def step_with_increment(
     def L(U):
         return map_P_frozen(params, phi, SpectralField.wrap(U, grid), X).coefficients
 
-    def iteration(U):
-        rhs = u + tab.a0 * t_K(U)
+    def noise_sweeps(rhs, U):
         for _ in range(NOISE_SWEEPS):
             U = rhs + (sqrt_t * tab.a1) * L(U)
         return U
+
+    def iteration(U):
+        return noise_sweeps(u + tab.a0 * t_K(U), U)
 
     def norm(new, old):
         return sobolev_norm(SpectralField.wrap(new - old, grid), params.alpha)
 
     # an overflow rejects its sample through a non-finite residual
     with np.errstate(all="ignore"):
-        solve = fixed_point_solve(iteration, u, fp, norm)
-        update = u + tab.b0 * t_K(solve.x) + (sqrt_t * tab.b1) * L(solve.x)
+        solve = fixed_point_solve(iteration, noise_sweeps(u, u), fp, norm)
+        if tab.b0 == 2 * tab.a0 and tab.b1 == 2 * tab.a1:
+            # at the fixed point U = u + a0 tK(U) + a1 sqrt(t) L(U), so
+            # u + b0 tK(U) + b1 sqrt(t) L(U) = u + 2(U - u) = 2U - u
+            # (d = b A^-1 = 2 in Hairer & Wanner, Solving ODEs II, IV.8)
+            update = 2 * solve.x - u
+        else:
+            update = u + tab.b0 * t_K(solve.x) + (sqrt_t * tab.b1) * L(solve.x)
         state = free_propagator(SpectralField.wrap(update, grid), t)
     if not np.all(solve.converged):
         kept = np.where(np.expand_dims(solve.converged, -1), state.coefficients, u)

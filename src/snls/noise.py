@@ -51,12 +51,30 @@ def _check_exact(rows: np.ndarray) -> None:
         )
 
 
-def _normals(seed: int, mode: int, level: int, n: int) -> np.ndarray:
-    """n standard normals from a stream keyed by (seed, mode, level)."""
+def _normals(seed: int, level: int, n_modes: int, n: int) -> np.ndarray:
+    """(n_modes, n) standard normals; row k comes from the stream keyed
+    by (seed, k, level).
+
+    One Philox bit generator serves every row: it is reset to each
+    row's key with a zero counter and an empty buffer, which is the
+    state a fresh Philox(key=...) starts in, so the draws are the same
+    bits.  The generator lives only for this call.
+    """
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
-    key = np.array([np.uint64(seed), np.uint64(((mode + (1 << 20)) << 24) + level)])
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+    bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    generator = np.random.Generator(bit_generator)
+    out = np.empty((n_modes, n))
+    for k in range(n_modes):
+        key = np.array([seed, ((k + (1 << 20)) << 24) + level], dtype=np.uint64)
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        out[k] = generator.standard_normal(n)
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,7 +167,7 @@ def sample_path(seed: int, horizon: float, level: int, K: int, n_base: int = 1) 
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     if n_base < 1:
         raise ValueError(f"n_base must be >= 1, got {n_base}")
-    normals = np.array([_normals(seed, k, 0, n_base) for k in range(K + 1)])
+    normals = _normals(seed, 0, K + 1, n_base)
     rows = _quantize(np.sqrt(horizon / n_base) * normals)
     for lev in range(1, level + 1):
         rows = _split(rows, seed, lev, horizon)
@@ -160,7 +178,7 @@ def _split(rows: np.ndarray, seed: int, level: int, horizon: float) -> np.ndarra
     """Bridge-split the level-(level-1) increments of modes 0..K (one
     row each) into level-`level` ones."""
     n = rows.shape[1]
-    normals = np.array([_normals(seed, k, level, n) for k in range(len(rows))])
+    normals = _normals(seed, level, len(rows), n)
     # midpoint displacement variance is a quarter of the parent cell length
     xi = _quantize(np.sqrt(horizon / n) / 2.0 * normals)
     first = _quantize(rows / 2.0) + xi

@@ -225,6 +225,19 @@ def test_short_snapshot_initial_data_exit_1(tmp_path, capsys):
     assert "header promises 5 mode lines, found 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "kernel-error"])
+def test_malformed_snapshot_initial_data_exit_1(tmp_path, capsys, command):
+    # kernel-error builds no initial field: the config reads the snapshot
+    snap = tmp_path / "malformed.csv"
+    snap.write_text("-1,1\n-1,0,0\n")
+    cfg = write_cfg(tmp_path, f"seed=1\nK=1\nn_steps=1\ninitial_data={snap}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg]) == 1
+    assert (f"error: snapshot {snap}: header promises 3 mode lines, found 1"
+            in capsys.readouterr().err)
+
+
 def test_overflowing_snapshot_initial_data_exit_1(tmp_path, capsys):
     # finite coefficients whose mass overflows are bad input, not a run
     snap = tmp_path / "huge.csv"

@@ -3,12 +3,14 @@ deterministic ODE oracle."""
 
 import numpy as np
 import pytest
+import snls.integrator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from snls.diagnostics import energy_h0, mass, sobolev_norm
 from snls.integrator import (
+    NOISE_SWEEPS,
     ExperimentInvalidError,
     FixedPointConfig,
     StepRejectedError,
@@ -265,6 +267,63 @@ def test_stage_solves_the_stage_equation_like_plain_picard(samples):
     scale = sobolev_norm(SpectralField(picard.x, u.grid), params.alpha)
     assert np.all(norm(stage, picard.x) <= 1e-12 * scale)
     assert np.all(out.iterations < picard.sample_iterations)
+
+
+def _counting(monkeypatch, name):
+    """Count the calls to snls.integrator.<name>, which step looks up."""
+    calls = []
+    real = getattr(snls.integrator, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(snls.integrator, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("tableau, extra_F", [(midpoint_tableau, 0), (explicit_tableau, 1)])
+def test_step_map_evaluation_counts(tableau, extra_F, monkeypatch):
+    # one F per outer sweep and NOISE_SWEEPS P per sweep and for the
+    # starting guess; the midpoint update comes from the stage, any
+    # other tableau evaluates F (and P) once more
+    F_calls = _counting(monkeypatch, "map_F_midpoint_physical")
+    P_calls = _counting(monkeypatch, "map_P_frozen")
+    K, t = 6, 0.01
+    out = step(random_field(K, 3, scale=0.2), tableau(), ModelParams(lam=1.0, kappa=1.0),
+               default_phi(K), sample_path(1, t, 0, K), 0.0, t, FP)
+    assert out.converged
+    n = int(out.iterations)
+    assert len(F_calls) == n + extra_F
+    assert len(P_calls) == NOISE_SWEEPS * (n + 1) + extra_F
+
+
+@pytest.mark.parametrize("samples", [None, 3])
+def test_midpoint_update_from_the_stage_is_the_evaluated_update(samples):
+    # the step returns e^{it Laplacian}(2U - u); at the stage U it equals
+    # e^{it Laplacian}(u + b0 t K(U) + b1 sqrt(t) L(U)) up to fp_tol
+    params = ModelParams(lam=1.0, kappa=1.5)
+    K, t = 8, 0.01
+    phi = default_phi(K)
+    tab = midpoint_tableau()
+    seeds = [4] if samples is None else range(samples)
+    fields = [random_field(K, s, scale=0.1) for s in seeds]
+    paths = [sample_path(s, t, 0, K) for s in seeds]
+    if samples is None:
+        u, path = fields[0], paths[0]
+    else:
+        u = SpectralField(np.stack([f.coefficients for f in fields]), fields[0].grid)
+        path = stack_paths(paths)
+    X = increment(path, 0.0, t)
+    out = step(u, tab, params, phi, path, 0.0, t, FP)
+    assert np.all(out.converged)
+    U = SpectralField(0.5 * (free_propagator(out.state, -t).coefficients + u.coefficients),
+                      u.grid)
+    update = (u.coefficients + tab.b0 * map_F_midpoint_physical(params, t, U).coefficients
+              + tab.b1 * np.sqrt(t) * map_P_frozen(params, phi, U, X).coefficients)
+    evaluated = free_propagator(SpectralField(update, u.grid), t)
+    defect = sobolev_norm(out.state - evaluated, params.alpha)
+    assert np.all(defect <= 1e-12 * sobolev_norm(out.state, params.alpha))
 
 
 def test_step_explicit_tableau_moves_mass():
