@@ -3,11 +3,11 @@ deterministic ODE oracle."""
 
 import numpy as np
 import pytest
-import snls.integrator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import snls.integrator
 from snls.diagnostics import energy_h0, mass, sobolev_norm
 from snls.integrator import (
     NOISE_SWEEPS,

@@ -3,6 +3,7 @@ configs: batch invariance (bit for bit), pathwise mass conservation and
 gauge invariance.  Any refactor of the stepping path must keep them."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,11 +36,14 @@ noise_levels = st.floats(0.0, 1.5)
 seeds = st.integers(0, 2**32 - 1)
 
 
-@given(K=st.sampled_from([2, K_DIRECT, K_DIRECT + 1, 24]), samples=st.integers(2, 4),
-       t=steps, lam=couplings, kappa=noise_levels, seed=seeds)
-@settings(max_examples=12, deadline=None)
-def test_batched_step_is_bitwise_the_single_step(K, samples, t, lam, kappa, seed):
+@pytest.mark.parametrize("modes", [st.integers(1, K_DIRECT), st.integers(K_DIRECT + 1, 24)],
+                         ids=["toeplitz", "fft"])
+@given(data=st.data(), samples=st.integers(2, 4), t=steps, lam=couplings, kappa=noise_levels,
+       seed=seeds)
+@settings(max_examples=10, deadline=None)
+def test_batched_step_is_bitwise_the_single_step(modes, data, samples, t, lam, kappa, seed):
     # both noise-operator branches: K <= K_DIRECT and K > K_DIRECT
+    K = data.draw(modes, label="K")
     params = ModelParams(lam=lam, kappa=kappa)
     phi = default_phi(K)
     u = smooth_field(K, seed, samples)
