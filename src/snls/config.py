@@ -62,6 +62,11 @@ class RunConfig:
                               f"t={self.t}, n_steps={self.n_steps}")
         if not 1 < self.alpha < np.inf:
             raise ConfigError(f"alpha must be finite and > 1, got {self.alpha}")
+        with np.errstate(over="ignore"):
+            top_weight = (1.0 + np.float64(self.K) ** 2) ** self.alpha
+        if not top_weight < np.inf:
+            raise ConfigError(f"alpha={self.alpha} overflows the Sobolev weight "
+                              f"(1+K^2)^alpha at K={self.K}")
         if not 0 < self.fp_tol < np.inf:
             raise ConfigError(f"fp_tol must be finite and > 0, got {self.fp_tol}")
         if not 1 <= self.fp_max_iter:
@@ -77,15 +82,21 @@ class RunConfig:
             raise ConfigError(f"kernel_d must be 1 or 2, got {self.kernel_d}")
         # also checked here so that kernel-error, which builds no initial
         # field, refuses a bad name, an overflowing preset (s < -1/2) or a
-        # malformed snapshot too
+        # malformed or overflowing snapshot too
         s = _roughness(self.initial_data)
         if s is not None and s < -0.5:
             _rough_field(self.initial_data, s, TorusGrid(self.K), self.seed)
         elif s is None and self.initial_data != "smooth":
             try:
-                read_snapshot(self.initial_data, TorusGrid(self.K))
+                snapshot = read_snapshot(self.initial_data, TorusGrid(self.K))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
+            # the H^alpha norm bounds the mass, and every norm a run records
+            with np.errstate(over="ignore"):
+                norm = sobolev_norm(snapshot, self.alpha)
+            if not norm < np.inf:
+                raise ConfigError(f"snapshot {self.initial_data}: H^alpha norm at "
+                                  f"alpha={self.alpha} is not finite ({norm})")
 
     def echo_lines(self) -> list[str]:
         """Config echo for record headers: every key but out, in file order."""

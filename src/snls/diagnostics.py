@@ -31,9 +31,8 @@ def sobolev_norm(u: SpectralField, alpha: float):
     array over the batch axes for a batch."""
     if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    norm = np.sqrt(np.sum(_sobolev_weights(u.grid.K, alpha) * np.abs(u.coefficients) ** 2,
+    return np.sqrt(np.sum(_sobolev_weights(u.grid.K, alpha) * np.abs(u.coefficients) ** 2,
                           axis=-1))
-    return float(norm) if norm.ndim == 0 else norm
 
 
 @lru_cache(maxsize=64)

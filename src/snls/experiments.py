@@ -79,7 +79,7 @@ def reference_solution(
     phi: CovarianceOp,
     path: BrownianPath,
     t_end: float,
-    fp: FixedPointConfig | None = None,
+    fp: FixedPointConfig,
 ) -> StepOutcome:
     """Midpoint run at the path's finest resolution over [0, t_end];
     the strong-error oracle for coarse runs on the same randomness.
@@ -92,8 +92,6 @@ def reference_solution(
         raise ValueError(
             f"path resolution too coarse for a reference ({n_sub} substeps < 256)"
         )
-    if fp is None:
-        fp = FixedPointConfig()
     tab = midpoint_tableau()
     dt = path.dt
     u = u0
@@ -153,46 +151,42 @@ def cmd_local_error(
     return table
 
 
-def cmd_kernel_error(
-    d: int,
-    mode_bound: int = 8,
-    t_values=None,
-    n_quads: int = 40,
-    n_s: int = 65,
-    seed: int = 0,
-) -> ErrorTable:
-    """max_{quads, s<=t} |K_2d - exact kernel| against t.
+# cmd_kernel_error's table: KERNEL_QUADS random quads with modes in
+# -KERNEL_MODE_BOUND..KERNEL_MODE_BOUND, KERNEL_S_POINTS points s in
+# (0, t] per step size t, and the step sizes per degree d.  For d=1 the
+# construction decays like t^2 once every phase is resolved, so the range
+# sits below 1/(2*KERNEL_MODE_BOUND^2).  For d=2 the fully resolved decay
+# is t^4 (the error is a product of two quadratic interpolation errors,
+# sharper than the quoted t^{d+1} bound); the t^3 envelope is what the
+# maximum over mixed-frequency quads traces across the phase-resolution
+# crossover, so the range spans that crossover.
+KERNEL_MODE_BOUND = 8
+KERNEL_QUADS = 40
+KERNEL_S_POINTS = 64
+KERNEL_T_VALUES = {1: tuple(2.0**-e for e in range(7, 14)),
+                   2: tuple(2.0**-e for e in range(2, 12))}
+# the finite-difference step of cmd_symplectic's Jacobian
+SYMPLECTIC_H = 1e-5
 
-    The default t range depends on d.  For d=1 the construction decays
-    like t^2 once every phase is resolved, so the range sits below
-    1/(2*mode_bound^2).  For d=2 the fully resolved decay is t^4 (the
-    error is a product of two quadratic interpolation errors, sharper
-    than the quoted t^{d+1} bound); the t^3 envelope is what the maximum
-    over mixed-frequency quads traces across the phase-resolution
-    crossover, so the default range spans that crossover.
-    """
+
+def cmd_kernel_error(d: int, seed: int) -> ErrorTable:
+    """max_{quads, s<=t} |K_2d - exact kernel| against t, on the KERNEL_* table."""
     if d not in (1, 2):
         raise ValueError(f"d must be 1 or 2, got {d}")
-    if t_values is None:
-        t_values = (
-            tuple(2.0**-e for e in range(7, 14))
-            if d == 1
-            else tuple(2.0**-e for e in range(2, 12))
-        )
     spec = default_kernel_spec(d)
     rng = np.random.default_rng([seed, d])
     quads = []
-    while len(quads) < n_quads:
-        k1, k2, k3 = rng.integers(-mode_bound, mode_bound + 1, size=3)
+    while len(quads) < KERNEL_QUADS:
+        k1, k2, k3 = rng.integers(-KERNEL_MODE_BOUND, KERNEL_MODE_BOUND + 1, size=3)
         k = -k1 + k2 + k3
-        if abs(k) <= mode_bound and k * k1 * k2 * k3 != 0:
+        if abs(k) <= KERNEL_MODE_BOUND and k * k1 * k2 * k3 != 0:
             quads.append((k, k1, k2, k3))
     q = ModeQuad(*np.array(quads).T[:, :, None])  # one quad per row
     table = ErrorTable()
-    for t in t_values:
-        s = np.linspace(0.0, t, n_s)[1:]
+    for t in KERNEL_T_VALUES[d]:
+        s = np.linspace(0.0, t, KERNEL_S_POINTS + 1)[1:]
         worst = float(np.max(np.abs(kernel_K2d(spec, q, s, t) - kernel_exact(q, s))))
-        table.add_row(t, worst, worst, n_quads, 0, worst < 1e-15)
+        table.add_row(t, worst, worst, KERNEL_QUADS, 0, worst < 1e-15)
     table.fit_slope()
     return table
 
@@ -210,7 +204,7 @@ def cmd_conservation(config: RunConfig):
     return record, summary
 
 
-def cmd_symplectic(config: RunConfig, h: float = 1e-5):
+def cmd_symplectic(config: RunConfig):
     """Frozen-noise one-step Jacobian defect at the configured state,
     with a Richardson check at h/2."""
     if config.K > 6:
@@ -227,6 +221,6 @@ def cmd_symplectic(config: RunConfig, h: float = 1e-5):
             raise StepRejectedError(0, 0.0, outcome, fp.max_iter)
         return outcome.state
 
-    defect = symplectic_defect(closure, u0, h=h)
-    defect_half = symplectic_defect(closure, u0, h=h / 2.0)
-    return {"defect": defect, "defect_half_h": defect_half, "h": h}
+    defect = symplectic_defect(closure, u0, h=SYMPLECTIC_H)
+    defect_half = symplectic_defect(closure, u0, h=SYMPLECTIC_H / 2.0)
+    return {"defect": defect, "defect_half_h": defect_half, "h": SYMPLECTIC_H}

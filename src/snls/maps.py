@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .noise import CovarianceOp, NoiseIncrement
-from .torus import SpectralField, _embed, _extract, _pad_size
+from .torus import SpectralField, _embed, _extract, _fast_len, _pad_size
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,7 @@ def _noise_operator(phi: CovarianceOp, X: NoiseIncrement):
     else:
         # the spectrum of b: the full product has index i <-> mode i-2K,
         # i = 0..4K; with n >= 3K+1 points no alias lands on modes -K..K
-        n = next_fast_len(3 * K + 1)
+        n = _fast_len(3 * K + 1)
         op = np.fft.fft(b, n)
 
         def apply(a):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,6 @@ class SpectralField:
             raise ValueError("non-finite coefficient")
         self.coefficients = c
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.coefficients + other.coefficients, self.grid)
-
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         _check_same_grid(self, other)
         return SpectralField(self.coefficients - other.coefficients, self.grid)
@@ -119,9 +114,24 @@ def _propagator(K: int, t: float) -> np.ndarray:
     return mult
 
 
+@lru_cache(maxsize=64)
+def _fast_len(n: int) -> int:
+    """The smallest m >= n with no prime factor above 11: a length that
+    numpy.fft transforms fast (scipy.fft.next_fast_len's lengths)."""
+    m = max(n, 1)
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
 def _pad_size(K: int) -> int:
     # cubic products reach mode 3K; 4K+1 points keep aliases out of -K..K
-    return next_fast_len(4 * K + 1)
+    return _fast_len(4 * K + 1)
 
 
 def cubic_convolution(f: SpectralField) -> SpectralField:
@@ -146,7 +156,7 @@ def write_snapshot(f: SpectralField, path) -> None:
             fh.write(f"{k},{c.real:.17g},{c.imag:.17g}\n")
 
 
-def read_snapshot(path, grid: TorusGrid | None = None) -> SpectralField:
+def read_snapshot(path, grid: TorusGrid) -> SpectralField:
     """Read a write_snapshot file; a malformed line is a ValueError that
     names the file and the line."""
     with open(path) as fh:
@@ -159,9 +169,7 @@ def read_snapshot(path, grid: TorusGrid | None = None) -> SpectralField:
     if k_min != -k_max:
         raise ValueError(f"snapshot {path}:1: asymmetric mode range {k_min}..{k_max}")
     K = k_max
-    if grid is None:
-        grid = TorusGrid(K)
-    elif grid.K != K:
+    if grid.K != K:
         raise ValueError(f"snapshot {path}:1: header has K={K}, grid has K={grid.K}")
     if len(rows) != 2 * K + 1:
         raise ValueError(

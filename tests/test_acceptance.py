@@ -148,8 +148,8 @@ def test_criterion_4_kernel_approximation_order():
     # interpolated-kernel error slope d+1 +- 0.2 (d=1) / +- 0.3 (d=2)
     # over random mode quads with |k| <= 8; runtime <= 1 min
     t0 = time.perf_counter()
-    t1 = cmd_kernel_error(1, mode_bound=8, seed=0)
-    t2 = cmd_kernel_error(2, mode_bound=8, seed=0)
+    t1 = cmd_kernel_error(1, seed=0)
+    t2 = cmd_kernel_error(2, seed=0)
     elapsed = time.perf_counter() - t0
     ok = abs(t1.slope - 2.0) <= 0.2 and abs(t2.slope - 3.0) <= 0.3 and elapsed <= 60
     report(4, "kernel approximation order", ok,

@@ -238,15 +238,32 @@ def test_malformed_snapshot_initial_data_exit_1(tmp_path, capsys, command):
             in capsys.readouterr().err)
 
 
-def test_overflowing_snapshot_initial_data_exit_1(tmp_path, capsys):
-    # finite coefficients whose mass overflows are bad input, not a run
+ALL_COMMANDS = ["simulate", "conservation", "local-error", "kernel-error", "symplectic"]
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_overflowing_snapshot_initial_data_exit_1(tmp_path, capsys, command):
+    # finite coefficients whose mass overflows are bad input, not a run:
+    # the config refuses them before any command reads them
     snap = tmp_path / "huge.csv"
     snap.write_text("-1,1\n-1,0,0\n0,1e200,0\n1,0,0\n")
     cfg = write_cfg(tmp_path, f"seed=5\nK=1\nn_steps=1\ninitial_data={snap}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["simulate", "--config", cfg]) == 1
-    assert "error: initial data: mass is not finite (inf)" in capsys.readouterr().err
+        assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"error: snapshot {snap}: H^alpha norm at alpha=2.0 is not finite (inf)\n")
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_overflowing_alpha_exit_1(tmp_path, capsys, command):
+    # (1+K^2)^alpha is inf at K=4: no norm a command takes is finite
+    cfg = write_cfg(tmp_path, "seed=5\nK=4\nn_steps=1\nalpha=400\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: alpha=400.0 overflows the Sobolev weight (1+K^2)^alpha at K=4\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "kernel-error"])
@@ -311,7 +328,8 @@ FUZZ_INVALID = {
     "n_steps": ["-1", str(10**20), "1e2", "nan"],
     "lambda": NOT_FINITE,
     "kappa": NOT_FINITE,
-    "alpha": ["1", "0.5", *NOT_FINITE],
+    # alpha=1e4 overflows (1+K^2)^alpha at every K >= 1
+    "alpha": ["1", "0.5", "1e4", *NOT_FINITE],
     "tableau": ["foo", ""],
     "kernel_d": ["0", "3", "1.0", "x"],
     "fp_tol": ["0", "-1e-12", *NOT_FINITE],
