@@ -4,9 +4,9 @@ Subcommands: simulate, local-error, kernel-error, conservation,
 symplectic.  All take --config <path> (key=value file), optional
 --out <path> and --seed <u64> (overrides the config seed).
 
-Exit codes: 0 success, 1 usage or configuration error or an output file
-that cannot be written, 2 experiment ran but its validity preconditions
-failed (e.g. too many rejected steps).
+Exit codes: 0 success, 1 usage or configuration error, an output file
+that cannot be written or a run out of memory, 2 experiment ran but its
+validity preconditions failed (e.g. too many rejected steps).
 """
 
 from __future__ import annotations
@@ -95,6 +95,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

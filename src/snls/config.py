@@ -23,8 +23,8 @@ class ConfigError(ValueError):
     pass
 
 
-# the largest Brownian path simulate may allocate: (2K+1) n_steps doubles
-# (1 GiB)
+# the largest Brownian path simulate or local-error may allocate, in
+# doubles (1 GiB)
 MAX_PATH_VALUES = 2**27
 
 

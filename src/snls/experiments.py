@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RunConfig, initial_field
+from .config import MAX_PATH_VALUES, RunConfig, initial_field
 from .diagnostics import sobolev_norm, symplectic_defect
 from .integrator import (
     ExperimentInvalidError,
@@ -25,14 +25,7 @@ from .integrator import (
 )
 from .kernels import ModeQuad, default_kernel_spec, kernel_K2d, kernel_exact
 from .maps import ModelParams
-from .noise import (
-    MAX_SEED,
-    BrownianPath,
-    CovarianceOp,
-    increment,
-    sample_path,
-    stack_paths,
-)
+from .noise import MAX_SEED, BrownianPath, CovarianceOp, increment, sample_path
 from .torus import SpectralField
 
 
@@ -125,16 +118,24 @@ def cmd_local_error(
             f"seed {config.seed} is too large for {samples} local-error samples: "
             f"their path seeds run past 2^64-1; the largest usable seed is {max_seed}"
         )
+    # the stacked path holds samples * (2K+1) * 2^ref_level values
+    max_K = (MAX_PATH_VALUES // (samples * 2**ref_level) - 1) // 2
+    if config.K > max_K:
+        raise ValueError(
+            f"K={config.K} is too large for {samples} local-error samples at refinement "
+            f"level {ref_level}: their paths would pass {MAX_PATH_VALUES} values; "
+            f"the largest usable K is {max_K}"
+        )
     params, phi, tab, fp = config.stepping()
     u0 = initial_field(config.initial_data, config.K, seed=config.seed)
     scale = sobolev_norm(u0, config.alpha)
 
     u = SpectralField(np.broadcast_to(u0.coefficients, (samples, u0.grid.n_modes)), u0.grid)
 
+    seeds = tuple(config.seed + 1000 * i + 1 for i in range(samples))
     table = ErrorTable()
     for t in t_values:
-        path = stack_paths([sample_path(config.seed + 1000 * i + 1, t, ref_level, config.K)
-                            for i in range(samples)])
+        path = sample_path(seeds, t, ref_level, config.K)
         coarse = step(u, tab, params, phi, path, 0.0, t, fp)
         ref = reference_solution(u, params, phi, path, t, fp)
         accepted = coarse.converged & ref.converged

@@ -51,30 +51,32 @@ def _check_exact(rows: np.ndarray) -> None:
         )
 
 
-def _normals(seed: int, level: int, n_modes: int, n: int) -> np.ndarray:
-    """(n_modes, n) standard normals; row k comes from the stream keyed
-    by (seed, k, level).
+def _normals(seed: int | tuple, level: int, n_modes: int, n: int) -> np.ndarray:
+    """(n_modes, n) standard normals, with a leading axis of S for a tuple
+    of S seeds; row k comes from the stream keyed by (seed, k, level).
 
     One Philox bit generator serves every row: it is reset to each
     row's key with a zero counter and an empty buffer, which is the
     state a fresh Philox(key=...) starts in, so the draws are the same
     bits.  The generator lives only for this call.
     """
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
+    seeds = seed if isinstance(seed, tuple) else (seed,)
     bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     generator = np.random.Generator(bit_generator)
-    out = np.empty((n_modes, n))
-    for k in range(n_modes):
-        key = np.array([seed, ((k + (1 << 20)) << 24) + level], dtype=np.uint64)
-        bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0,
-        }
-        out[k] = generator.standard_normal(n)
-    return out
+    out = np.empty((len(seeds), n_modes, n))
+    for i, s in enumerate(seeds):
+        if not 0 <= s <= MAX_SEED:
+            raise ValueError(f"seed must be in 0..2^64-1, got {s}")
+        for k in range(n_modes):
+            key = np.array([s, ((k + (1 << 20)) << 24) + level], dtype=np.uint64)
+            bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0,
+            }
+            out[i, k] = generator.standard_normal(n)
+    return out if isinstance(seed, tuple) else out[0]
 
 
 @dataclass(frozen=True)
@@ -116,9 +118,9 @@ class BrownianPath:
     path align with a non-dyadic number of simulation steps while each
     base cell stays dyadically refinable.
 
-    A stacked path (see stack_paths) has increments of shape
-    (S, 2K+1, n_cells) and a tuple of S seeds; it drives a batch of S
-    samples through `increment`.  refine, mode_row and values take
+    A stacked path, drawn by sample_path from a tuple of S seeds, has
+    increments of shape (S, 2K+1, n_cells); it drives S samples through
+    `increment`, and refine refines each.  mode_row and values take
     single paths, and so do the Stratonovich sums of snls.oracles.
     """
 
@@ -159,8 +161,9 @@ class BrownianPath:
         return j_round
 
 
-def sample_path(seed: int, horizon: float, level: int, K: int, n_base: int = 1) -> BrownianPath:
-    """Level-`level` path, deterministic in (seed, horizon, K, n_base)."""
+def sample_path(seed, horizon: float, level: int, K: int, n_base: int = 1) -> BrownianPath:
+    """Level-`level` path, deterministic in (seed, horizon, K, n_base); for
+    a tuple of seeds, the stacked path whose sample i is that of seed[i]."""
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     if not 0 < horizon < np.inf:
@@ -174,48 +177,31 @@ def sample_path(seed: int, horizon: float, level: int, K: int, n_base: int = 1) 
     return _mirrored(seed, K, level, horizon, rows, n_base)
 
 
-def _split(rows: np.ndarray, seed: int, level: int, horizon: float) -> np.ndarray:
+def _split(rows: np.ndarray, seed, level: int, horizon: float) -> np.ndarray:
     """Bridge-split the level-(level-1) increments of modes 0..K (one
-    row each) into level-`level` ones."""
-    n = rows.shape[1]
-    normals = _normals(seed, level, len(rows), n)
+    row each, per sample) into level-`level` ones."""
+    n = rows.shape[-1]
+    normals = _normals(seed, level, rows.shape[-2], n)
     # midpoint displacement variance is a quarter of the parent cell length
     xi = _quantize(np.sqrt(horizon / n) / 2.0 * normals)
     first = _quantize(rows / 2.0) + xi
-    out = np.empty((len(rows), 2 * n))
-    out[:, 0::2] = first
-    out[:, 1::2] = rows - first  # exact: both are multiples of the grain
+    out = np.empty(rows.shape[:-1] + (2 * n,))
+    out[..., 0::2] = first
+    out[..., 1::2] = rows - first  # exact: both are multiples of the grain
     return out
 
 
 def _mirrored(seed, K, level, horizon, rows, n_base) -> BrownianPath:
     """The path with the increment rows of modes 0..K and W_{-k} = W_k."""
     _check_exact(rows)
-    return BrownianPath(seed=seed, K=K, level=level, horizon=horizon,
-                        increments=np.concatenate([rows[:0:-1], rows]), n_base=n_base)
+    increments = np.concatenate([rows[..., :0:-1, :], rows], axis=-2)
+    return BrownianPath(seed, K, level, horizon, increments, n_base)
 
 
 def refine(path: BrownianPath) -> BrownianPath:
     """Bridge refinement; coarse increments are exact sums of children."""
-    if path.increments.ndim != 2:
-        raise ValueError("refine takes a single path, not a stacked one")
-    rows = _split(path.increments[path.K:], path.seed, path.level + 1, path.horizon)
+    rows = _split(path.increments[..., path.K:, :], path.seed, path.level + 1, path.horizon)
     return _mirrored(path.seed, path.K, path.level + 1, path.horizon, rows, path.n_base)
-
-
-def stack_paths(paths) -> BrownianPath:
-    """One path holding the increments of `paths` (same K, level,
-    horizon and n_base) along a leading sample axis."""
-    first = paths[0]
-    for p in paths:
-        if (p.K, p.level, p.horizon, p.n_base) != (first.K, first.level, first.horizon,
-                                                   first.n_base):
-            raise ValueError("stacked paths must share K, level, horizon and n_base")
-    return BrownianPath(
-        seed=tuple(p.seed for p in paths), K=first.K, level=first.level,
-        horizon=first.horizon, increments=np.stack([p.increments for p in paths]),
-        n_base=first.n_base,
-    )
 
 
 @dataclass(frozen=True)

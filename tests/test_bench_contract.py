@@ -19,10 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import snls.experiments
 import snls.integrator
+from snls.config import RunConfig
 from snls.integrator import FixedPointConfig, explicit_tableau, midpoint_tableau, step
 from snls.maps import ModelParams
-from snls.noise import default_phi, sample_path, stack_paths
+from snls.noise import default_phi, sample_path
 from snls.torus import SpectralField, TorusGrid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -64,8 +66,7 @@ def _step(tableau=midpoint_tableau, samples=None):
     shape = (2 * K + 1,) if samples is None else (samples, 2 * K + 1)
     u = SpectralField(0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)),
                       TorusGrid(K))
-    paths = [sample_path(1 + s, t, 0, K) for s in range(samples or 1)]
-    path = paths[0] if samples is None else stack_paths(paths)
+    path = sample_path(1 if samples is None else tuple(1 + s for s in range(samples)), t, 0, K)
     return step(u, tableau(), ModelParams(lam=1.0, kappa=1.0), default_phi(K), path, 0.0, t,
                 FixedPointConfig())
 
@@ -106,3 +107,20 @@ def test_fixed_point_result_reads_as_the_tracer_reads_it(samples, monkeypatch):
     monkeypatch.setattr(snls.integrator, "fixed_point_solve", traced)
     _step(samples=samples)
     assert seen
+
+
+def test_local_error_draws_one_stacked_path_per_step_size(monkeypatch):
+    # perfbench wraps snls.experiments:sample_path and counts its calls;
+    # each step size's samples come from one call, with one seed each
+    draw = snls.experiments.sample_path
+    seeds = []
+
+    def counted(seed, *args, **kwargs):
+        seeds.append(seed)
+        return draw(seed, *args, **kwargs)
+
+    monkeypatch.setattr(snls.experiments, "sample_path", counted)
+    table = snls.experiments.cmd_local_error(RunConfig(seed=1, K=2), samples=16,
+                                             t_values=(2.0**-4, 2.0**-5))
+    assert len(table.rows) == 2
+    assert seeds == [tuple(1 + 1000 * i + 1 for i in range(16))] * 2

@@ -6,9 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import snls.cli
+import snls.experiments
 from snls.cli import main
 
 
@@ -185,6 +187,34 @@ def test_local_error_seed_too_large_for_samples_exit_1(tmp_path, capsys):
     assert "18446744073709551616" not in err
 
 
+def test_local_error_path_too_large_exit_1(tmp_path, capsys, monkeypatch):
+    # 64 samples of (2K+1) modes on 2^8 cells pass 2^27 values from
+    # K=4096; refused before a path is drawn
+    def no_draw(*args, **kwargs):
+        raise AssertionError("local-error drew a path")
+
+    monkeypatch.setattr(snls.experiments, "sample_path", no_draw)
+    cfg = write_cfg(tmp_path, "seed=1\nK=4096\n")
+    assert main(["local-error", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: K=4096") and err.count("\n") == 1
+    assert "64 local-error samples" in err and "largest usable K is 4095" in err
+
+
+@pytest.mark.parametrize("exc, message", [
+    pytest.param(MemoryError(), "out of memory", id="bare"),
+    pytest.param(MemoryError("Unable to allocate 26.0 GiB"), "Unable to allocate 26.0 GiB",
+                 id="numpy"),
+])
+def test_memory_error_exit_1(tmp_path, capsys, monkeypatch, exc, message):
+    def out_of_memory(config):
+        raise exc
+
+    monkeypatch.setattr(snls.cli, "simulate", out_of_memory)
+    assert main(["simulate", "--config", write_cfg(tmp_path, BASE)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("key, value", [
     *(pytest.param(key, "nan", id=key) for key in ("fp_tol", "alpha", "t", "lambda", "kappa")),
     *(pytest.param(key, "inf", id=f"{key}-inf")
@@ -356,13 +386,13 @@ def fuzzed_configs(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(command=st.sampled_from(["simulate", "conservation", "symplectic", "kernel-error"]),
-       config=fuzzed_configs())
+@given(command=st.sampled_from(ALL_COMMANDS), config=fuzzed_configs())
 def test_fuzzed_config_exit_codes(tmp_path_factory, command, config):
-    # local-error is left out: one valid run of it takes seconds.  A
-    # valid kernel-error run takes a few ms, as do the other commands on
-    # these small configs
+    # local-error runs only invalid configs: one valid run of it takes
+    # seconds.  A valid kernel-error run takes a few ms, as do the other
+    # commands on these small configs
     text, values, invalid = config
+    assume(invalid or command != "local-error")
     path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
     path.write_text(text)
     err = io.StringIO()

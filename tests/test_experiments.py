@@ -15,7 +15,7 @@ from snls.experiments import (
 from snls.diagnostics import sobolev_norm, symplectic_defect
 from snls.integrator import FixedPointConfig, midpoint_tableau, step
 from snls.maps import ModelParams
-from snls.noise import default_phi, sample_path, stack_paths
+from snls.noise import default_phi, sample_path
 from snls.torus import SpectralField, free_propagator
 
 
@@ -138,10 +138,11 @@ def test_batched_local_error_step_matches_serial_steps():
     phi = default_phi(cfg.K)
     tab = midpoint_tableau()
     fp = FixedPointConfig(tol=cfg.fp_tol, max_iter=cfg.fp_max_iter)
-    paths = [sample_path(cfg.seed + 1000 * i + 1, t, 8, cfg.K) for i in range(samples)]
+    seeds = tuple(cfg.seed + 1000 * i + 1 for i in range(samples))
+    paths = [sample_path(s, t, 8, cfg.K) for s in seeds]
 
     u = SpectralField(np.tile(u0.coefficients, (samples, 1)), u0.grid)
-    path = stack_paths(paths)
+    path = sample_path(seeds, t, 8, cfg.K)
     coarse = step(u, tab, params, phi, path, 0.0, t, fp)
     ref = reference_solution(u, params, phi, path, t, fp)
 

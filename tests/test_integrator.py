@@ -25,7 +25,7 @@ from snls.integrator import (
     validate_tableau,
 )
 from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen
-from snls.noise import default_phi, increment, sample_path, stack_paths
+from snls.noise import default_phi, increment, sample_path
 from snls.torus import SpectralField, cubic_convolution, free_propagator, TorusGrid
 from snls.config import RunConfig
 
@@ -170,7 +170,7 @@ def test_step_rejects_an_overflowing_sample_and_keeps_the_batch():
     phi = default_phi(K)
     u = np.stack([random_field(K, s).coefficients for s in range(3)])
     u[1] *= 1e150
-    path = stack_paths([sample_path(1 + s, t, 0, K) for s in range(3)])
+    path = sample_path((1, 2, 3), t, 0, K)
     with np.errstate(all="raise"):  # no warning escapes the stage solve
         out = step(SpectralField(u, TorusGrid(K)), midpoint_tableau(), params, phi, path,
                    0.0, t, FP)
@@ -203,7 +203,8 @@ def test_batched_step_matches_single_steps():
     fields = [random_field(K, s) for s in range(3)]
     paths = [sample_path(s, t, 0, K) for s in range(3)]
     u = SpectralField(np.stack([f.coefficients for f in fields]), fields[0].grid)
-    out = step(u, midpoint_tableau(), params, default_phi(K), stack_paths(paths), 0.0, t, FP)
+    out = step(u, midpoint_tableau(), params, default_phi(K), sample_path((0, 1, 2), t, 0, K),
+               0.0, t, FP)
     assert out.converged.all()
     for i, (f, p) in enumerate(zip(fields, paths)):
         one = step(f, midpoint_tableau(), params, default_phi(K), p, 0.0, t, FP)
@@ -248,7 +249,7 @@ def test_stage_solves_the_stage_equation_like_plain_picard(samples):
         u, path = fields[0], paths[0]
     else:
         u = SpectralField(np.stack([f.coefficients for f in fields]), fields[0].grid)
-        path = stack_paths(paths)
+        path = sample_path(tuple(seeds), t, 0, K)
     X = increment(path, 0.0, t)
 
     def stage_map(c):
@@ -313,7 +314,7 @@ def test_midpoint_update_from_the_stage_is_the_evaluated_update(samples):
         u, path = fields[0], paths[0]
     else:
         u = SpectralField(np.stack([f.coefficients for f in fields]), fields[0].grid)
-        path = stack_paths(paths)
+        path = sample_path(tuple(seeds), t, 0, K)
     X = increment(path, 0.0, t)
     out = step(u, tab, params, phi, path, 0.0, t, FP)
     assert np.all(out.converged)

@@ -14,7 +14,6 @@ from snls.noise import (
     default_phi,
     increment,
     sample_path,
-    stack_paths,
 )
 from snls.oracles import map_F, orthogonality_defect
 from snls.torus import SpectralField, TorusGrid, free_propagator
@@ -198,7 +197,7 @@ def test_map_P_matches_double_sum(K, batched):
         X = increment(paths[0], 0.0, t)
     else:
         v = fields[0]
-        X = increment(stack_paths(paths), 0.0, t)
+        X = increment(sample_path(tuple(range(samples)), t, 0, K), 0.0, t)
     out = map_P_frozen(PARAMS, phi, v, X).coefficients
     expected = map_P_double_sum(PARAMS.kappa, phi.phi, v.coefficients, X.w)
     assert out.shape == expected.shape == (samples, 2 * K + 1)

@@ -16,7 +16,6 @@ from snls.noise import (
     increment,
     refine,
     sample_path,
-    stack_paths,
     _check_exact,
 )
 from snls.oracles import strat_integral, symmetrized_midpoint_double
@@ -175,19 +174,31 @@ def test_increment_rejects_degenerate_interval():
 
 
 def test_stacked_path_increments_are_per_path_increments():
-    paths = [sample_path(s, 1.0, 3, 2) for s in (4, 5, 6)]
-    stacked = stack_paths(paths)
-    assert stacked.seed == (4, 5, 6) and stacked.increments.shape == (3, 5, 8)
+    seeds = (4, 5, 6)
+    # sample i of a tuple draw is the path of seeds[i], bit for bit, and
+    # so is sample i of its refinement
+    for K in range(1, 9):
+        for level in (0, 1, 3, 8):
+            for nb in (1, 3, 7):
+                stacked = sample_path(seeds, 0.37, level, K, n_base=nb)
+                fine = refine(stacked)
+                assert stacked.seed == fine.seed == seeds
+                for i, s in enumerate(seeds):
+                    p = sample_path(s, 0.37, level, K, n_base=nb)
+                    assert stacked.increments[i].tobytes() == p.increments.tobytes()
+                    assert fine.increments[i].tobytes() == refine(p).increments.tobytes()
+    paths = [sample_path(s, 1.0, 3, 2) for s in seeds]
+    stacked = sample_path(seeds, 1.0, 3, 2)
+    assert stacked.increments.shape == (3, 5, 8)
     for t0, t1 in ((0.0, 1.0), (0.25, 0.5)):
         X = increment(stacked, t0, t1)
         for i, p in enumerate(paths):
             np.testing.assert_array_equal(X.w[i], increment(p, t0, t1).w)
     with pytest.raises(ValueError):
-        refine(stacked)
-    with pytest.raises(ValueError):
         stacked.values(1)
-    with pytest.raises(ValueError):
-        stack_paths([paths[0], sample_path(7, 1.0, 2, 2)])
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"seed must be in 0..2\\^64-1, got {bad}$"):
+            sample_path((4, bad, 6), 1.0, 2, 2)
 
 
 def test_increments_consistent_across_levels():

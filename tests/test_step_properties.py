@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from snls.diagnostics import mass, sobolev_norm
 from snls.integrator import FixedPointConfig, midpoint_tableau, step
 from snls.maps import DIRECT_MAX_MODES, ModelParams
-from snls.noise import default_phi, sample_path, stack_paths
+from snls.noise import default_phi, sample_path
 from snls.torus import SpectralField, TorusGrid
 
 FP = FixedPointConfig(tol=1e-12, max_iter=100)
@@ -47,8 +47,9 @@ def test_batched_step_is_bitwise_the_single_step(modes, data, samples, t, lam, k
     params = ModelParams(lam=lam, kappa=kappa)
     phi = default_phi(K)
     u = smooth_field(K, seed, samples)
-    paths = [sample_path(seed + s, t, 0, K) for s in range(samples)]
-    out = step(u, midpoint_tableau(), params, phi, stack_paths(paths), 0.0, t, FP)
+    seeds = tuple(seed + s for s in range(samples))
+    paths = [sample_path(s, t, 0, K) for s in seeds]
+    out = step(u, midpoint_tableau(), params, phi, sample_path(seeds, t, 0, K), 0.0, t, FP)
     for s, path in enumerate(paths):
         one = step(SpectralField(u.coefficients[s], u.grid), midpoint_tableau(), params, phi,
                    path, 0.0, t, FP)
