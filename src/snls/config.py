@@ -80,23 +80,27 @@ class RunConfig:
             )
         if self.kernel_d not in (1, 2):
             raise ConfigError(f"kernel_d must be 1 or 2, got {self.kernel_d}")
-        # also checked here so that kernel-error, which builds no initial
-        # field, refuses a bad name, an overflowing preset (s < -1/2) or a
-        # malformed or overflowing snapshot too
-        s = _roughness(self.initial_data)
-        if s is not None and s < -0.5:
-            _rough_field(self.initial_data, s, TorusGrid(self.K), self.seed)
-        elif s is None and self.initial_data != "smooth":
-            try:
-                snapshot = read_snapshot(self.initial_data, TorusGrid(self.K))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            # the H^alpha norm bounds the mass, and every norm a run records
-            with np.errstate(over="ignore"):
-                norm = sobolev_norm(snapshot, self.alpha)
-            if not norm < np.inf:
-                raise ConfigError(f"snapshot {self.initial_data}: H^alpha norm at "
-                                  f"alpha={self.alpha} is not finite ({norm})")
+        # built here too, so that kernel-error, which builds no initial
+        # field, refuses a bad name or a malformed or overflowing preset or
+        # snapshot too; the presets have unit mass or H^2 norm, so only a
+        # snapshot overflows the H^alpha norm, which bounds every norm a run
+        # records
+        try:
+            u0 = _build_initial(self.initial_data, TorusGrid(self.K), self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        with np.errstate(over="ignore"):
+            norm = sobolev_norm(u0, self.alpha)
+        if not norm < np.inf:
+            raise ConfigError(f"snapshot {self.initial_data}: H^alpha norm at "
+                              f"alpha={self.alpha} is not finite ({norm})")
+        # the stage residual is the H^alpha norm of a difference of fields
+        # of about this size: it cannot fall below their rounding error
+        floor = np.finfo(float).eps * norm
+        if self.fp_tol < floor:
+            raise ConfigError(f"fp_tol={self.fp_tol} is below the rounding floor {floor:.3g} "
+                              f"of the stage residual (eps times the H^alpha norm of the "
+                              f"initial data at alpha={self.alpha})")
 
     def echo_lines(self) -> list[str]:
         """Config echo for record headers: every key but out, in file order."""
@@ -164,25 +168,23 @@ def initial_field(data_id: str, K: int, seed: int = 0) -> SpectralField:
     rough-<s>: coefficients ~ (1+k^2)^(-(s+1/2)/2) with seeded random
                phases, unit mass.
     """
+    return _build_initial(data_id, TorusGrid(K), seed)
+
+
+def _build_initial(data_id: str, grid: TorusGrid, seed: int) -> SpectralField:
+    """initial_field on a grid; RunConfig builds its initial data with it
+    too, so that only the commands that step call initial_field."""
     s = _roughness(data_id)
-    grid = TorusGrid(K)
+    ks = grid.modes().astype(float)
     if data_id == "smooth":
-        ks = grid.modes().astype(float)
         coeffs = np.exp(-((ks / 1.5) ** 2)) * np.exp(0.4j * ks)
         coeffs[np.abs(ks) > 3] = 0.0
         f = SpectralField(coeffs, grid)
         return (1.0 / sobolev_norm(f, 2.0)) * f
-    if s is not None:
-        return _rough_field(data_id, s, grid, seed)
-    return read_snapshot(data_id, grid)
-
-
-def _rough_field(data_id: str, s: float, grid: TorusGrid, seed: int) -> SpectralField:
-    """The rough-<s> preset of initial_field; a ConfigError if its norm
-    overflows."""
+    if s is None:
+        return read_snapshot(data_id, grid)
     rng = np.random.default_rng([seed, 0xD15C0])
     phases = rng.uniform(0.0, 2.0 * np.pi, size=grid.n_modes)
-    ks = grid.modes().astype(float)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = (1.0 + ks**2) ** (-(s + 0.5) / 2.0) * np.exp(1j * phases)
         norm = np.sqrt(float(np.sum(np.abs(coeffs) ** 2)))

@@ -21,11 +21,10 @@ from .integrator import (
     midpoint_tableau,
     simulate,
     step,
-    step_with_increment,
 )
 from .kernels import ModeQuad, default_kernel_spec, kernel_K2d, kernel_exact
 from .maps import ModelParams
-from .noise import MAX_SEED, BrownianPath, CovarianceOp, increment, sample_path
+from .noise import MAX_SEED, BrownianPath, CovarianceOp, sample_path
 from .torus import SpectralField
 
 
@@ -120,6 +119,13 @@ def cmd_local_error(
         )
     # the stacked path holds samples * (2K+1) * 2^ref_level values
     max_K = (MAX_PATH_VALUES // (samples * 2**ref_level) - 1) // 2
+    if max_K < 1:
+        max_samples = MAX_PATH_VALUES // (3 * 2**ref_level)
+        raise ValueError(
+            f"{samples} local-error samples are too many at refinement level {ref_level}: "
+            f"their paths would pass {MAX_PATH_VALUES} values even at K=1; the largest "
+            f"usable sample count is {max_samples}"
+        )
     if config.K > max_K:
         raise ValueError(
             f"K={config.K} is too large for {samples} local-error samples at refinement "
@@ -213,11 +219,10 @@ def cmd_symplectic(config: RunConfig):
     params, phi, tab, fp = config.stepping()
     u0 = initial_field(config.initial_data, config.K, seed=config.seed)
     path = sample_path(config.seed, config.t, 0, config.K)
-    X = increment(path, 0.0, config.t)
 
     def closure(u):
-        # every perturbed state is stepped, as one batch
-        outcome = step_with_increment(u, tab, params, phi, X, config.t, fp)
+        # every perturbed state is stepped, as one batch, on the one path
+        outcome = step(u, tab, params, phi, path, 0.0, config.t, fp)
         if not outcome.converged.all():
             raise StepRejectedError(0, 0.0, outcome, fp.max_iter)
         return outcome.state

@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagnostics import sobolev_norm
 from .maps import ModelParams, map_F_midpoint_physical, map_P_frozen
-from .noise import BrownianPath, CovarianceOp, NoiseIncrement, increment
+from .noise import BrownianPath, CovarianceOp, increment
 # map_F is never called here: the benchmark wraps it at this name to show that stepping skips it
 from .oracles import map_F  # noqa: F401
 from .torus import SpectralField, free_propagator
@@ -153,8 +153,9 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
     when its residual is not finite or grows past DIVERGENCE_FACTOR
     times its running minimum, or when max_iter is exhausted.  Each
     sample stops on its own: a converged sample is frozen at its solution
-    and a rejected one at the guess, while the others iterate on.
-    Nothing is raised; the caller reads converged.
+    and a rejected one at its last iterate, while the others iterate on.
+    Nothing is raised; the caller reads converged and decides what a
+    rejected sample holds.
     """
     x = guess
     history = []
@@ -179,31 +180,30 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
         converged |= done
         active &= ~(done | failed)
         take = active | done
-        if take.all():
-            x = x_new
-        else:
-            held = np.where(np.expand_dims(failed, -1), guess, x) if failed.any() else x
-            x = np.where(np.expand_dims(take, -1), x_new, held)
+        x = x_new if take.all() else np.where(np.expand_dims(take, -1), x_new, x)
         if not active.any():
             break
     return FixedPointResult(x, it, residual, history, counts, converged)
 
 
 # linear noise sweeps per evaluation of the nonlinear map in the stage
-# iteration; see step_with_increment
+# iteration; see step
 NOISE_SWEEPS = 2
 
 
-def step_with_increment(
+def step(
     u_n: SpectralField,
     tab: Tableau,
     params: ModelParams,
     phi: CovarianceOp,
-    X: NoiseIncrement,
+    path: BrownianPath,
+    t_n: float,
     t: float,
     fp: FixedPointConfig,
 ) -> StepOutcome:
-    """One step with a frozen noise increment (deterministic given X).
+    """One step of the scheme over [t_n, t_n + t].  The noise increment
+    X of that interval is drawn from the path and frozen for the whole
+    solve, so on a fixed path the step is a deterministic map of u_n.
 
     The stage equation U = u_n + t a0 K(U) + sqrt(t) a1 L(U) is solved
     by fixed-point iteration on the stage field.  Each sweep evaluates
@@ -224,12 +224,12 @@ def step_with_increment(
     update is taken from the stage, 2U - u_n, and costs no evaluation;
     any other tableau evaluates both maps once more at the stage.
 
-    u_n and X.w may carry a batch of samples along their leading axes;
-    a rejected solve is reported in the StepOutcome, not raised."""
+    A stacked path with a batch of fields steps every sample at once;
+    a rejected solve is reported in the StepOutcome, not raised, and its
+    sample keeps u_n."""
     if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
-    if abs(X.step - t) > 1e-9 * t:
-        raise ValueError(f"noise increment was built for step {X.step}, the step is {t}")
+    X = increment(path, t_n, t_n + t)
     sqrt_t = np.sqrt(t)
     grid = u_n.grid
     u = u_n.coefficients
@@ -273,23 +273,6 @@ def step_with_increment(
         residual=solve.residual,
         converged=solve.converged,
     )
-
-
-def step(
-    u_n: SpectralField,
-    tab: Tableau,
-    params: ModelParams,
-    phi: CovarianceOp,
-    path: BrownianPath,
-    t_n: float,
-    t: float,
-    fp: FixedPointConfig,
-) -> StepOutcome:
-    """One step of the scheme; the noise increment is drawn from the
-    path over [t_n, t_n + t] and frozen for the whole solve.  A stacked
-    path with a batch of fields steps every sample at once."""
-    X = increment(path, t_n, t_n + t)
-    return step_with_increment(u_n, tab, params, phi, X, t, fp)
 
 
 def step_bound(C_R: float, C_PhiW: float) -> float:

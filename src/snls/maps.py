@@ -54,8 +54,8 @@ def map_P_frozen(
     """Frozen-noise stochastic map of a full-Taylor stage at node 1:
     coefficient k is -i kappa sum_{k = k1 + k2} v_{k1} Phi_{k2} X_{k2}.
 
-    X is the normalized increment over the step; the caller checks that
-    it was built for that step.  Batch axes of v and X.w broadcast.
+    X is the normalized increment over the step, as integrator.step
+    draws it from the path.  Batch axes of v and X.w broadcast.
     """
     K = v.grid.K
     if phi.K != K:

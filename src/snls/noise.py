@@ -164,6 +164,8 @@ class BrownianPath:
 def sample_path(seed, horizon: float, level: int, K: int, n_base: int = 1) -> BrownianPath:
     """Level-`level` path, deterministic in (seed, horizon, K, n_base); for
     a tuple of seeds, the stacked path whose sample i is that of seed[i]."""
+    if isinstance(seed, tuple) and not seed:
+        raise ValueError("sample_path needs at least one seed, got an empty tuple")
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
     if not 0 < horizon < np.inf:
@@ -213,7 +215,6 @@ class NoiseIncrement:
     from w here, and that operator must never describe other values."""
 
     w: np.ndarray
-    step: float
     # (phi, apply) of the last map_P_frozen call on this increment
     operator: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -228,6 +229,5 @@ def increment(path: BrownianPath, t0: float, t1: float) -> NoiseIncrement:
     j1 = path.cell_index(t1)
     if j1 <= j0:
         raise ValueError(f"need t1 > t0 on the grid, got [{t0}, {t1}]")
-    step = (j1 - j0) * path.dt
-    w = path.increments[..., j0:j1].sum(axis=-1) / np.sqrt(step)
-    return NoiseIncrement(w=w, step=step)
+    w = path.increments[..., j0:j1].sum(axis=-1) / np.sqrt((j1 - j0) * path.dt)
+    return NoiseIncrement(w=w)

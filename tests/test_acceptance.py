@@ -21,8 +21,8 @@ from snls.integrator import (
     explicit_tableau,
     midpoint_tableau,
     simulate,
+    step,
     step_bound,
-    step_with_increment,
     validate_tableau,
 )
 from snls.kernels import ModeQuad, default_kernel_spec, kernel_K2d
@@ -93,12 +93,11 @@ def test_criterion_2_pathwise_symplecticity():
         u = random_field(K, 100 + state_seed)
         for noise_seed in range(5):
             path = sample_path(200 + noise_seed, t, 0, K)
-            X = increment(path, 0.0, t)
 
             def closure(v):
-                # v is the batch of perturbed states; a rejected sample
-                # would be the identity map
-                outcome = step_with_increment(v, tab, params, phi, X, t, fp)
+                # v is the batch of perturbed states, stepped on the one
+                # path; a rejected sample would be the identity map
+                outcome = step(v, tab, params, phi, path, 0.0, t, fp)
                 assert outcome.converged.all()
                 return outcome.state
 
@@ -109,11 +108,10 @@ def test_criterion_2_pathwise_symplecticity():
 
     te = 1e-2
     path = sample_path(200, te, 0, K)
-    Xe = increment(path, 0.0, te)
     etab = explicit_tableau()
 
     def explicit_closure(v):
-        outcome = step_with_increment(v, etab, params, phi, Xe, te, fp)
+        outcome = step(v, etab, params, phi, path, 0.0, te, fp)
         assert outcome.converged.all()
         return outcome.state
 

@@ -286,6 +286,25 @@ def test_overflowing_snapshot_initial_data_exit_1(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_fp_tol_below_the_rounding_floor_exit_1(tmp_path, capsys, command):
+    # the H^10 norm of this data is 5.3e7, so no residual reaches 1e-12:
+    # every step would be rejected as diverging and exit 2
+    cfg = write_cfg(tmp_path, "seed=1\nK=8\nn_steps=5\ninitial_data=rough-1\nalpha=10\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: fp_tol=1e-12 is below the rounding floor 1.19e-08 of the stage residual "
+        "(eps times the H^alpha norm of the initial data at alpha=10.0)\n")
+
+
+def test_fp_tol_above_the_rounding_floor_runs(tmp_path):
+    # at alpha=5 the floor of the same data is 4.2e-13
+    cfg = write_cfg(tmp_path, "seed=1\nK=8\nn_steps=5\ninitial_data=rough-1\nalpha=5\n")
+    assert main(["simulate", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_overflowing_alpha_exit_1(tmp_path, capsys, command):
     # (1+K^2)^alpha is inf at K=4: no norm a command takes is finite
     cfg = write_cfg(tmp_path, "seed=5\nK=4\nn_steps=1\nalpha=400\n")
@@ -346,7 +365,7 @@ FUZZ_VALID = {
     "alpha": st.sampled_from([1.5, 2.0]),
     "tableau": st.sampled_from(["midpoint", "explicit"]),
     "kernel_d": st.sampled_from([1, 2]),
-    "fp_tol": st.sampled_from([1e-300, 1e-12, 1e-6, 1.0]),
+    "fp_tol": st.sampled_from([1e-12, 1e-6, 1.0]),
     "fp_max_iter": st.sampled_from([1, 3, 100]),
     "initial_data": st.sampled_from(["smooth", "rough-1", "rough-0.5"]),
 }
@@ -362,7 +381,8 @@ FUZZ_INVALID = {
     "alpha": ["1", "0.5", "1e4", *NOT_FINITE],
     "tableau": ["foo", ""],
     "kernel_d": ["0", "3", "1.0", "x"],
-    "fp_tol": ["0", "-1e-12", *NOT_FINITE],
+    # 1e-300 is below the rounding floor eps * ||u0||_{H^alpha} of every preset
+    "fp_tol": ["0", "-1e-12", "1e-300", *NOT_FINITE],
     "fp_max_iter": ["0", "-5", "x"],
     # rough--2000 overflows at every K >= 1
     "initial_data": ["no-such-preset", "rough-nan", "rough-1e400", "rough-x", "rough--2000"],

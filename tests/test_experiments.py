@@ -85,6 +85,17 @@ def test_cmd_local_error_minimum_samples():
         cmd_local_error(RunConfig(seed=1, K=2), samples=4)
 
 
+def test_cmd_local_error_names_a_sample_count_too_large_at_every_K():
+    # 2^20 level-8 samples pass 2^27 path values even at K=1: the
+    # error names the sample count, not a K below 1
+    with pytest.raises(ValueError) as info:
+        cmd_local_error(RunConfig(seed=1, K=1), samples=2**20)
+    message = str(info.value)
+    assert message.startswith("1048576 local-error samples are too many at refinement level 8")
+    assert message.endswith(f"the largest usable sample count is {2**27 // (3 * 2**8)}")
+    assert "largest usable K" not in message
+
+
 def test_cmd_local_error_degenerate_when_linear():
     # lam = kappa = 0: every step is the exact free flow, errors are
     # rounding-level and flagged degenerate; no slope is fitted

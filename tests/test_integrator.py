@@ -21,7 +21,6 @@ from snls.integrator import (
     simulate,
     step,
     step_bound,
-    step_with_increment,
     validate_tableau,
 )
 from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen
@@ -95,7 +94,6 @@ def test_fixed_point_solves_linear_contraction():
 def test_fixed_point_rejects_expansion():
     out = fixed_point_solve(lambda x: 2.0 * x + 1.0, 1.0, FP, lambda a, b: abs(a - b))
     assert not out.converged
-    assert out.x == 1.0  # a rejected problem is frozen at its guess
 
 
 def test_fixed_point_max_iter_exhaustion():
@@ -122,7 +120,6 @@ def test_fixed_point_batch_keeps_per_sample_semantics():
     assert list(out.converged) == [True, False, False]
     assert list(out.sample_iterations) == [alone.iterations, diverging.iterations, 60]
     assert out.x[0, 0] == alone.x and out.residual[0] == alone.residual
-    assert out.x[1, 0] == 1.0  # a rejected sample is frozen at its guess
     assert out.iterations == 60 and len(out.history) == 60
     x, iterations, residual, history = out
     assert iterations == 60 and all(isinstance(h, float) for h in history)
@@ -347,24 +344,25 @@ def test_step_rejects_oversized_step():
     np.testing.assert_array_equal(out.state.coefficients, u.coefficients)
 
 
-def test_step_with_increment_deterministic_given_increment():
+def test_step_deterministic_given_path():
     params = ModelParams(lam=1.0, kappa=1.0)
     K = 4
     u = random_field(K, 5)
     path = sample_path(2, 0.01, 0, K)
-    X = increment(path, 0.0, 0.01)
-    a = step_with_increment(u, midpoint_tableau(), params, default_phi(K), X, 0.01, FP)
-    b = step_with_increment(u, midpoint_tableau(), params, default_phi(K), X, 0.01, FP)
+    a = step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, 0.01, FP)
+    b = step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, 0.01, FP)
     np.testing.assert_array_equal(a.state.coefficients, b.state.coefficients)
 
 
-def test_step_rejects_an_increment_for_another_step():
-    params = ModelParams(lam=1.0, kappa=1.0)
+@pytest.mark.parametrize("t", [0.0, -0.01, float("nan")])
+def test_step_rejects_a_step_size_that_is_not_positive(t):
+    # refused before the increment is drawn, which would name the
+    # interval instead
     K = 4
-    u = random_field(K, 5)
-    X = increment(sample_path(2, 0.02, 0, K), 0.0, 0.02)
-    with pytest.raises(ValueError, match="built for step 0.02"):
-        step_with_increment(u, midpoint_tableau(), params, default_phi(K), X, 0.01, FP)
+    path = sample_path(2, 0.01, 0, K)
+    with pytest.raises(ValueError, match="step t must be > 0"):
+        step(random_field(K, 5), midpoint_tableau(), ModelParams(lam=1.0, kappa=1.0),
+             default_phi(K), path, 0.0, t, FP)
 
 
 def test_midpoint_step_matches_ode_oracle_without_noise():

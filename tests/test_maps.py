@@ -119,7 +119,7 @@ def test_maps_act_on_each_sample_of_a_batch():
     fields = [random_field(K, s) for s in range(4)]
     batch = SpectralField(np.stack([f.coefficients for f in fields]), fields[0].grid)
     incs = [make_increment(K, s, t) for s in range(4)]
-    X = NoiseIncrement(w=np.stack([x.w for x in incs]), step=t)
+    X = NoiseIncrement(w=np.stack([x.w for x in incs]))
     phi = default_phi(K)
     maps = (
         lambda v, x: map_F_midpoint_physical(PARAMS, t, v),
@@ -221,7 +221,7 @@ def test_map_P_orthogonality_fails_for_asymmetric_noise():
     rng = np.random.default_rng(0)
     K = 4
     v = random_field(K, 9)
-    X = NoiseIncrement(w=rng.standard_normal(2 * K + 1), step=0.01)
+    X = NoiseIncrement(w=rng.standard_normal(2 * K + 1))
     g = map_P_frozen(PARAMS, default_phi(K), v, X)
     assert abs(orthogonality_defect(v, g)) > 1e-6
 

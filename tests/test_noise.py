@@ -114,6 +114,8 @@ def test_sample_path_validation():
         with pytest.raises(ValueError, match="seed"):
             sample_path(seed, 1.0, 0, 2)
     sample_path(2**64 - 1, 1.0, 0, 2)
+    with pytest.raises(ValueError, match="at least one seed"):
+        sample_path((), 1.0, 2, 2)
 
 
 def test_paths_past_the_exact_range_are_refused():
@@ -164,7 +166,6 @@ def test_increment_normalization():
     X = increment(p, 0.25, 0.75)
     raw = p.increments[:, 4:12].sum(axis=1)
     np.testing.assert_array_equal(X.w, raw / np.sqrt(0.5))
-    assert X.step == pytest.approx(0.5)
 
 
 def test_increment_rejects_degenerate_interval():
@@ -258,7 +259,7 @@ def test_increment_and_covariance_are_read_only_copies():
     with pytest.raises(ValueError):
         X.w[0] = 1.0
     raw = np.ones(5)
-    X = NoiseIncrement(w=raw, step=0.5)
+    X = NoiseIncrement(w=raw)
     raw[0] = 2.0
     assert X.w[0] == 1.0
     phi = default_phi(2)
