@@ -7,6 +7,7 @@ command's output is a pure function of its config.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -69,6 +70,8 @@ class RunConfig:
                               f"(1+K^2)^alpha at K={self.K}")
         if not 0 < self.fp_tol < np.inf:
             raise ConfigError(f"fp_tol must be finite and > 0, got {self.fp_tol}")
+        if not isinstance(self.fp_max_iter, numbers.Integral):
+            raise ConfigError(f"fp_max_iter must be an integer, got {self.fp_max_iter!r}")
         if not 1 <= self.fp_max_iter:
             raise ConfigError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
         for key, value in (("lambda", self.lam), ("kappa", self.kappa)):

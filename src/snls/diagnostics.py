@@ -18,8 +18,7 @@ def mass(u: SpectralField) -> float:
 def energy_h0(u: SpectralField, lam: float) -> float:
     """Deterministic Hamiltonian (1/2) sum k^2 |u_k|^2 + (lam/4) * quartic,
     with the quartic evaluated on the truncated mode set."""
-    k = u.grid.modes().astype(float)
-    kinetic = 0.5 * float(np.sum(k**2 * np.abs(u.coefficients) ** 2))
+    kinetic = 0.5 * float(np.sum(_k_squared(u.grid.K) * np.abs(u.coefficients) ** 2))
     if lam == 0.0:
         return kinetic
     quartic = np.vdot(u.coefficients, cubic_convolution(u).coefficients)
@@ -31,8 +30,16 @@ def sobolev_norm(u: SpectralField, alpha: float):
     array over the batch axes for a batch."""
     if not alpha >= 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return np.sqrt(np.sum(_sobolev_weights(u.grid.K, alpha) * np.abs(u.coefficients) ** 2,
-                          axis=-1))
+    return np.sqrt((_sobolev_weights(u.grid.K, alpha) * np.abs(u.coefficients) ** 2).sum(axis=-1))
+
+
+@lru_cache(maxsize=64)
+def _k_squared(K: int) -> np.ndarray:
+    """k^2 for k = -K..K (read-only: shared by every call)."""
+    k = np.arange(-K, K + 1).astype(float)
+    k_sq = k**2
+    k_sq.flags.writeable = False
+    return k_sq
 
 
 @lru_cache(maxsize=64)

@@ -47,21 +47,6 @@ class Tableau:
             object.__setattr__(self, name, float(value))
 
 
-@dataclass(frozen=True)
-class TableauViolation:
-    i: int
-    j: int
-    defect: float
-
-
-def validate_tableau(tab: Tableau, tol: float = 1e-14) -> list[TableauViolation]:
-    """Check b_i b_j - b_i a_j - b_j a_i = 0 for i,j in {0,1}."""
-    a = (tab.a0, tab.a1)
-    b = (tab.b0, tab.b1)
-    defects = {(i, j): b[i] * b[j] - b[i] * a[j] - b[j] * a[i] for i in range(2) for j in range(2)}
-    return [TableauViolation(i, j, d) for (i, j), d in defects.items() if abs(d) > tol]
-
-
 def midpoint_tableau() -> Tableau:
     """b=1, a=1/2: the resonance midpoint rule."""
     return Tableau(a0=0.5, a1=0.5, b0=1.0, b1=1.0)
@@ -85,8 +70,11 @@ class FixedPointConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf or self.max_iter < 1:
-            raise ValueError("invalid fixed-point configuration")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        # range() needs an integer: a float count fails only inside the solve
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -132,6 +120,8 @@ class FixedPointResult:
     (0-d for one problem), iterations counts the sweeps made (the
     largest per-sample count) and history the largest finite residual
     over the samples still iterating at each sweep (NaN if none is).
+    trail holds every sample's residual at every sweep, shape
+    (iterations, *batch), NaN after the sweep in which the sample stopped.
     """
 
     x: object
@@ -140,9 +130,17 @@ class FixedPointResult:
     history: list
     sample_iterations: np.ndarray
     converged: np.ndarray
+    trail: np.ndarray
 
     def __iter__(self):
         return iter((self.x, self.iterations, self.residual, self.history))
+
+
+def _iterating(res, best, tol):
+    """Whether each sample iterates on after a sweep with residual res and
+    running minimum best: res is finite, above tol and at most
+    DIVERGENCE_FACTOR times best.  A NaN fails every comparison."""
+    return (res > tol) & (res < np.inf) & (res <= DIVERGENCE_FACTOR * best)
 
 
 def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> FixedPointResult:
@@ -156,34 +154,53 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
     and a rejected one at its last iterate, while the others iterate on.
     Nothing is raised; the caller reads converged and decides what a
     rejected sample holds.
+
+    A sweep records its residuals in the trail and makes one test for
+    any sample stopping; the per-sample masks run only from the first
+    sweep in which one does.  Everything else is read off the trail at
+    the end.
     """
     x = guess
-    history = []
+    trail = []
+    best = np.inf
+    active = None  # every sample iterates until the first one stops
     for it in range(1, fp.max_iter + 1):
         x_new = iteration_map(x)
         res = np.asarray(norm(x_new, x), dtype=float)
-        if it == 1:
-            active = np.ones(res.shape, dtype=bool)
-            converged = np.zeros(res.shape, dtype=bool)
-            best = np.full(res.shape, np.inf)
-            counts = np.zeros(res.shape, dtype=int)
-            residual = res
-        # a NaN or inf residual would hide the other samples' residuals
-        finite = res[active & np.isfinite(res)]
-        history.append(float(finite.max()) if finite.size else np.nan)
-        residual = np.where(active, res, residual)
-        counts += active
         # fmin, unlike min, keeps the running minimum when res is NaN
         best = np.fmin(best, res)
-        done = active & (res <= fp.tol)
-        failed = active & ~done & ((res > DIVERGENCE_FACTOR * best) | ~np.isfinite(res))
-        converged |= done
-        active &= ~(done | failed)
-        take = active | done
+        going = _iterating(res, best, fp.tol)
+        if active is None:
+            if going.all() and going.size:
+                trail.append(res)
+                x = x_new
+                continue
+            active = np.ones(res.shape, dtype=bool)
+        trail.append(np.where(active, res, np.nan))
+        take = active & (going | (res <= fp.tol))  # iterating on, or converged
+        active &= going
         x = x_new if take.all() else np.where(np.expand_dims(take, -1), x_new, x)
         if not active.any():
             break
-    return FixedPointResult(x, it, residual, history, counts, converged)
+    return _from_trail(x, np.array(trail), fp.tol)
+
+
+def _from_trail(x, trail, tol) -> FixedPointResult:
+    """The FixedPointResult of a solve that ended at x with this trail.
+    A sample's last sweep is the first after which it did not iterate
+    on, or the last sweep made."""
+    sweeps = len(trail)
+    # NaN entries come only after a sample's last sweep, or as the
+    # residual it stopped on, so the running minimum is the solve's
+    going = _iterating(trail, np.fmin.accumulate(trail, axis=0), tol)
+    going[-1] = False
+    last = going.argmin(axis=0, keepdims=True)
+    residual = np.take_along_axis(trail, last, axis=0)[0, ...]
+    # a NaN or inf residual would hide the other samples' residuals
+    rows = trail.reshape(sweeps, -1)
+    history = np.fmax.reduce(rows, axis=1, where=np.isfinite(rows), initial=np.nan).tolist()
+    return FixedPointResult(x, sweeps, residual, history, (last + 1)[0, ...],
+                            np.asarray(residual <= tol), trail)
 
 
 # linear noise sweeps per evaluation of the nonlinear map in the stage
@@ -264,7 +281,7 @@ def step(
         else:
             update = u + tab.b0 * t_K(solve.x) + (sqrt_t * tab.b1) * L(solve.x)
         state = free_propagator(SpectralField.wrap(update, grid), t)
-    if not np.all(solve.converged):
+    if not solve.converged.all():
         kept = np.where(np.expand_dims(solve.converged, -1), state.coefficients, u)
         state = SpectralField.wrap(kept, grid)
     return StepOutcome(
@@ -273,21 +290,6 @@ def step(
         residual=solve.residual,
         converged=solve.converged,
     )
-
-
-def step_bound(C_R: float, C_PhiW: float) -> float:
-    """Largest t with C_R t + C_PhiW sqrt(t) < 1 (contraction condition).
-
-    Returns the unique positive root of C_R t + C_PhiW sqrt(t) = 1.
-    """
-    if C_R <= 0:
-        raise ValueError(f"C_R must be > 0, got {C_R}")
-    if C_PhiW < 0:
-        raise ValueError(f"C_PhiW must be >= 0, got {C_PhiW}")
-    # sqrt(t) = 2 / (C_PhiW + sqrt(C_PhiW^2 + 4 C_R)): the rationalized
-    # quadratic root, free of cancellation for all positive constants
-    root = 2.0 / (C_PhiW + np.sqrt(C_PhiW**2 + 4.0 * C_R))
-    return float(root**2)
 
 
 @dataclass

@@ -63,8 +63,8 @@ def interp_exp(spec: KernelSpec, omega, t: float) -> np.ndarray:
     """Coefficients (ascending powers of s) of the degree d-1 polynomial
     matching e^{i omega s} at s = t*gamma_j, along a leading axis of
     length d followed by the shape of omega."""
-    if t <= 0:
-        raise ValueError(f"step t must be > 0, got {t}")
+    if not 0 < t < np.inf:
+        raise ValueError(f"step t must be finite and > 0, got {t}")
     nodes = t * np.asarray(spec.gamma, dtype=float)
     vals = np.exp(1j * np.multiply.outer(nodes, omega))
     vander = np.vander(nodes, N=spec.d, increasing=True)

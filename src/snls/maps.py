@@ -63,7 +63,8 @@ def map_P_frozen(
     if X.w.shape[-1] != 2 * K + 1:
         raise ValueError("noise increment has wrong number of modes")
     out = _noise_operator(phi, X)(v.coefficients)
-    return SpectralField.wrap(-1j * params.kappa * out, v.grid)
+    out *= -1j * params.kappa
+    return SpectralField.wrap(out, v.grid)
 
 
 def _noise_operator(phi: CovarianceOp, X: NoiseIncrement):
@@ -185,6 +186,6 @@ def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> 
     # S_A, kk1 = 0: t conj(v0) (v*v)_k for k != 0;
     # at k = 0 the k1 sum runs over all retained modes
     s_a0 = t * np.conj(v0) * u_sq_k
-    s_a0[..., K] = t * np.sum(np.conj(c) * u_sq_k, axis=-1)
+    s_a0[..., K] = t * (np.conj(c) * u_sq_k).sum(axis=-1)
 
     return SpectralField.wrap(-1j * params.lam * (s_a + s_a0 + s_b_cubic), grid)

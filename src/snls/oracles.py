@@ -1,9 +1,13 @@
 """Reference code: the direct sums, closed-form kernel integrals and
 discrete Stratonovich sums that the tests and the acceptance criteria
-compare the production code against.  Nothing here runs in stepping or
-in the commands."""
+compare the production code against, and the tableau coefficient check
+and step bound that they test.  Nothing here runs in stepping or in the
+commands."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -11,6 +15,9 @@ from .kernels import KernelSpec, ModeQuad, interp_exp
 from .maps import ModelParams
 from .noise import BrownianPath
 from .torus import SpectralField, _check_same_grid
+
+if TYPE_CHECKING:  # integrator imports this module
+    from .integrator import Tableau
 
 
 def _resonant_sum(c: np.ndarray, weight) -> np.ndarray:
@@ -129,3 +136,33 @@ def symmetrized_midpoint_double(path: BrownianPath, k2: int, k3: int, t: float) 
     w2_t = path.values(k2)[j]
     w3_t = path.values(k3)[j]
     return (i23 - 0.5 * w2_t * w3_t) + (i32 - 0.5 * w3_t * w2_t)
+
+
+@dataclass(frozen=True)
+class TableauViolation:
+    i: int
+    j: int
+    defect: float
+
+
+def validate_tableau(tab: Tableau, tol: float = 1e-14) -> list[TableauViolation]:
+    """Check b_i b_j - b_i a_j - b_j a_i = 0 for i,j in {0,1}."""
+    a = (tab.a0, tab.a1)
+    b = (tab.b0, tab.b1)
+    defects = {(i, j): b[i] * b[j] - b[i] * a[j] - b[j] * a[i] for i in range(2) for j in range(2)}
+    return [TableauViolation(i, j, d) for (i, j), d in defects.items() if abs(d) > tol]
+
+
+def step_bound(C_R: float, C_PhiW: float) -> float:
+    """Largest t with C_R t + C_PhiW sqrt(t) < 1 (contraction condition).
+
+    Returns the unique positive root of C_R t + C_PhiW sqrt(t) = 1.
+    """
+    if C_R <= 0:
+        raise ValueError(f"C_R must be > 0, got {C_R}")
+    if C_PhiW < 0:
+        raise ValueError(f"C_PhiW must be >= 0, got {C_PhiW}")
+    # sqrt(t) = 2 / (C_PhiW + sqrt(C_PhiW^2 + 4 C_R)): the rationalized
+    # quadratic root, free of cancellation for all positive constants
+    root = 2.0 / (C_PhiW + np.sqrt(C_PhiW**2 + 4.0 * C_R))
+    return float(root**2)

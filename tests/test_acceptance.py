@@ -22,8 +22,6 @@ from snls.integrator import (
     midpoint_tableau,
     simulate,
     step,
-    step_bound,
-    validate_tableau,
 )
 from snls.kernels import ModeQuad, default_kernel_spec, kernel_K2d
 from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen
@@ -33,8 +31,10 @@ from snls.oracles import (
     kernel_weight,
     map_F,
     orthogonality_defect,
+    step_bound,
     strat_integral,
     symmetrized_midpoint_double,
+    validate_tableau,
 )
 from snls.torus import SpectralField, TorusGrid, cubic_convolution, free_propagator
 

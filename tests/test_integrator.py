@@ -1,6 +1,8 @@
 """Tableaux, the implicit stage solver, stepping, conservation, and a
 deterministic ODE oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from scipy.integrate import solve_ivp
 import snls.integrator
 from snls.diagnostics import energy_h0, mass, sobolev_norm
 from snls.integrator import (
+    DIVERGENCE_FACTOR,
     NOISE_SWEEPS,
     ExperimentInvalidError,
     FixedPointConfig,
@@ -20,13 +23,12 @@ from snls.integrator import (
     midpoint_tableau,
     simulate,
     step,
-    step_bound,
-    validate_tableau,
 )
 from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen
 from snls.noise import default_phi, increment, sample_path
+from snls.oracles import step_bound, validate_tableau
 from snls.torus import SpectralField, cubic_convolution, free_propagator, TorusGrid
-from snls.config import RunConfig
+from snls.config import ConfigError, RunConfig
 
 
 def random_field(K, seed, scale=0.5):
@@ -159,6 +161,88 @@ def test_fixed_point_history_keeps_the_finite_residuals():
     assert alone.iterations == 1 and len(alone.history) == 1 and np.isnan(alone.history[0])
 
 
+# slopes a of the per-sample map x <- a x + c: contracting, expanding,
+# too slow for max_iter, and a NaN or inf slope that rejects in sweep 1
+SLOPES = {
+    "contracting": st.floats(-0.9, 0.9),
+    "expanding": st.floats(1.5, 4.0) | st.floats(-4.0, -1.5),
+    "slow": st.floats(0.99, 0.999),
+    "nan": st.just(np.nan),
+    "inf": st.just(np.inf),
+}
+
+
+@st.composite
+def mixed_batches(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(SLOPES)), min_size=1, max_size=6))
+    a = np.array([draw(SLOPES[kind]) for kind in kinds])
+    c = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=len(a), max_size=len(a))))
+    guess = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(a), max_size=len(a)))
+    return a, c, np.array(guess)[:, None], draw(st.integers(1, 60))
+
+
+def lone_reference(a, c, x, fp):
+    """The stopping rules of fixed_point_solve on one scalar x <- a x + c,
+    in Python floats: (x, sweeps, residuals), x frozen at the solution or
+    at the last iterate before a rejecting sweep."""
+    residuals, best = [], math.inf
+    for _ in range(fp.max_iter):
+        new = a * x + c
+        res = abs(new - x)
+        residuals.append(res)
+        best = min(best, res) if res == res else best
+        if res <= fp.tol:
+            return new, len(residuals), residuals
+        if not res < math.inf or res > DIVERGENCE_FACTOR * best:
+            return x, len(residuals), residuals
+        x = new
+    return x, fp.max_iter, residuals
+
+
+@given(batch=mixed_batches())
+@settings(max_examples=60, deadline=None)
+def test_batched_solve_ends_every_sample_as_it_ends_alone(batch):
+    # one batch mixes every way a sample can stop; each sample ends with
+    # the x, count, residual, verdict and trail of its lone solve, which
+    # follows the scalar reference, and the history is the largest finite
+    # residual of the samples still iterating at each sweep
+    a, c, guess, max_iter = batch
+    fp = FixedPointConfig(tol=1e-12, max_iter=max_iter)
+
+    def solve(a, c, guess, norm):
+        def iteration(x):
+            with np.errstate(all="ignore"):
+                return a * x + c
+
+        def residual(new, old):
+            with np.errstate(all="ignore"):
+                return norm(np.abs(new - old))
+
+        return fixed_point_solve(iteration, guess, fp, residual)
+
+    out = solve(a[:, None], c[:, None], guess, lambda r: r[:, 0])
+    alone = [solve(a[s], c[s], guess[s], lambda r: r[0]) for s in range(len(a))]
+    assert out.trail.shape == (out.iterations, len(a))
+    assert out.iterations == max(one.iterations for one in alone)
+    expected_history = np.full(out.iterations, np.nan)
+    for s, one in enumerate(alone):
+        x, n, residuals = lone_reference(float(a[s]), float(c[s]), float(guess[s, 0]), fp)
+        assert one.iterations == one.sample_iterations == n == out.sample_iterations[s]
+        np.testing.assert_array_equal(one.x, [x])
+        np.testing.assert_array_equal(one.trail, residuals)
+        np.testing.assert_array_equal(one.residual, residuals[-1])
+        assert one.converged == (residuals[-1] <= fp.tol)
+        np.testing.assert_array_equal(out.x[s], one.x)
+        np.testing.assert_array_equal(out.residual[s], one.residual)
+        assert out.converged[s] == one.converged
+        np.testing.assert_array_equal(out.trail[:n, s], one.trail)
+        assert np.isnan(out.trail[n:, s]).all()
+        finite = np.where(np.isfinite(residuals), residuals, np.nan)
+        expected_history[:n] = np.fmax(expected_history[:n], finite)
+    np.testing.assert_array_equal(out.history, expected_history)
+    assert all(type(h) is float for h in out.history)
+
+
 def test_step_rejects_an_overflowing_sample_and_keeps_the_batch():
     # the first sweep overflows on a sample with huge data: that sample
     # is rejected with its input state, the others step as they would alone
@@ -215,6 +299,13 @@ def test_fixed_point_config_validation():
         FixedPointConfig(tol=0.0)
     with pytest.raises(ValueError):
         FixedPointConfig(tol=float("nan"))
+    # range() needs an integer count: a float one used to fail inside the solve
+    for max_iter in (0, 2.5, float("nan"), float("inf"), "3"):
+        with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
+            FixedPointConfig(max_iter=max_iter)
+        with pytest.raises(ConfigError, match="fp_max_iter must be"):
+            RunConfig(seed=1, fp_max_iter=max_iter)
+    assert FixedPointConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 # ---------------------------------------------------------------- stepping

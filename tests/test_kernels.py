@@ -93,6 +93,17 @@ def test_interp_exp_matches_at_nodes(spec, omega, t):
         assert abs(val - np.exp(1j * omega * s)) < 1e-9 * max(1.0, np.abs(coeffs).max())
 
 
+@pytest.mark.parametrize("t", [0.0, -0.1, np.nan, np.inf])
+@pytest.mark.parametrize("d", [1, 2])
+def test_interp_exp_refuses_a_step_that_is_not_finite_and_positive(d, t):
+    # a NaN step used to give NaN coefficients, an infinite one numpy warnings
+    spec = default_kernel_spec(d)
+    with pytest.raises(ValueError, match="step t must be finite and > 0"):
+        interp_exp(spec, 1.0, t)
+    with pytest.raises(ValueError, match="step t must be finite and > 0"):
+        kernel_K2d(spec, ModeQuad(1, 2, 1, 2), 0.5, t)
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(0, ())
