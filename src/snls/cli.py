@@ -12,6 +12,7 @@ validity preconditions failed (e.g. too many rejected steps).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import parse_config
@@ -26,7 +27,10 @@ from .integrator import simulate
 from .torus import write_snapshot
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built at the first main() call and then reused:
+    parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="snls",
         description="Stochastic cubic Schrödinger simulation and scheme diagnostics",

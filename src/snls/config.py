@@ -46,6 +46,12 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        # the file parser casts these with int; from the Python API a float
+        # or a bool would pass the range checks below
+        for key in ("seed", "K", "n_steps", "kernel_d", "fp_max_iter"):
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         # written as `not lo < x < hi` so that NaN and inf fail too
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must be in 0..2^64-1, got {self.seed}")
@@ -70,8 +76,6 @@ class RunConfig:
                               f"(1+K^2)^alpha at K={self.K}")
         if not 0 < self.fp_tol < np.inf:
             raise ConfigError(f"fp_tol must be finite and > 0, got {self.fp_tol}")
-        if not isinstance(self.fp_max_iter, numbers.Integral):
-            raise ConfigError(f"fp_max_iter must be an integer, got {self.fp_max_iter!r}")
         if not 1 <= self.fp_max_iter:
             raise ConfigError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
         for key, value in (("lambda", self.lam), ("kappa", self.kappa)):

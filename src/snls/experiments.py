@@ -7,6 +7,7 @@ Monte-Carlo aggregation runs in fixed seed order for bit reproducibility.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,8 +149,11 @@ def cmd_local_error(
         rejections = samples - int(np.count_nonzero(accepted))
         errors = sobolev_norm(coarse.state - ref.state, config.alpha)[accepted]
         if rejections > 0.2 * samples:
+            rejected = [seeds[i] for i in np.flatnonzero(~accepted)]
+            more = f" and {rejections - 5} more" if rejections > 5 else ""
             raise ExperimentInvalidError(
-                f"{rejections}/{samples} rejected steps at t={t}"
+                f"{rejections}/{samples} rejected steps at t={t}; path seeds of the rejected "
+                f"samples: {', '.join(map(str, rejected[:5]))}{more}"
             )
         rms = float(np.sqrt(np.mean(errors**2)))
         degenerate = rms < 1e-13 * scale
@@ -178,8 +182,8 @@ SYMPLECTIC_H = 1e-5
 
 def cmd_kernel_error(d: int, seed: int) -> ErrorTable:
     """max_{quads, s<=t} |K_2d - exact kernel| against t, on the KERNEL_* table."""
-    if d not in (1, 2):
-        raise ValueError(f"d must be 1 or 2, got {d}")
+    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d not in (1, 2):
+        raise ValueError(f"d must be the integer 1 or 2, got {d!r}")
     spec = default_kernel_spec(d)
     rng = np.random.default_rng([seed, d])
     quads = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,16 @@ def interp_exp(spec: KernelSpec, omega, t: float) -> np.ndarray:
     return np.linalg.solve(vander, vals.reshape(spec.d, -1)).reshape(vals.shape)
 
 
+def _horner(c, x):
+    """sum_j c[j] x^j over the leading axis of c, in the steps of numpy's
+    polyval(x, c, tensor=False), so the values are numpy's bit for bit
+    without importing numpy.polynomial."""
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
+
+
 def kernel_exact(q: ModeQuad, s):
     """e^{is(-2 k k1 + 2 k2 k3)}."""
     return np.exp(1j * s * (-2.0 * q.k * q.k1 + 2.0 * q.k2 * q.k3))
@@ -82,8 +91,8 @@ def kernel_K2d(spec: KernelSpec, q: ModeQuad, s, t: float):
     - P_d[e^{2i.k2k3}](s) P_d[e^{-2i.kk1}](s), broadcast over q and s."""
     w_dom = -2.0 * q.k * q.k1
     w_low = 2.0 * q.k2 * q.k3
-    p_low = polyval(s, interp_exp(spec, w_low, t), tensor=False)
-    p_dom = polyval(s, interp_exp(spec, w_dom, t), tensor=False)
+    p_low = _horner(interp_exp(spec, w_low, t), s)
+    p_dom = _horner(interp_exp(spec, w_dom, t), s)
     e_dom = np.exp(1j * w_dom * s)
     e_low = np.exp(1j * w_low * s)
     return e_dom * p_low + e_low * p_dom - p_low * p_dom

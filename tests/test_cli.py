@@ -2,7 +2,11 @@
 
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,36 @@ def test_unknown_tableau_exit_1(tmp_path, capsys):
 def test_usage_error_exit_1():
     assert main(["no-such-command"]) == 1
     assert main(["simulate"]) == 1  # --config is required
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    cfg = write_cfg(tmp_path, BASE)
+    before = snls.cli._build_parser.cache_info()
+    assert main(["kernel-error", "--config", cfg]) == 0
+    assert main(["no-such-command"]) == 1
+    assert main(["simulate", "--config", cfg]) == 0
+    info = snls.cli._build_parser.cache_info()
+    assert info.misses == 1 and info.hits + info.misses == before.hits + before.misses + 3
+
+
+def test_cached_parser_after_a_failing_call_matches_a_fresh_process(tmp_path, capsys):
+    # a usage error and a missing --config go through the one parser
+    # before kernel-error does; its exit code, stdout and CSV must be
+    # those of a fresh interpreter
+    cfg = write_cfg(tmp_path, BASE + "kernel_d=2\n")
+    here, fresh = tmp_path / "here.csv", tmp_path / "fresh.csv"
+    assert main(["no-such-command"]) == 1
+    assert main(["kernel-error"]) == 1
+    capsys.readouterr()
+    code = main(["kernel-error", "--config", cfg, "--out", str(here)])
+    out = capsys.readouterr().out
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "snls.cli", "kernel-error", "--config", cfg,
+                           "--out", str(fresh)],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True)
+    assert (code, out) == (proc.returncode, proc.stdout) == (0, "d=2 slope=2.9663\n")
+    assert here.read_bytes() == fresh.read_bytes()
 
 
 def test_rejected_step_exit_2(tmp_path, capsys):

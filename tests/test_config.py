@@ -76,6 +76,23 @@ def test_invalid_domain_values_rejected():
         RunConfig(seed=1, kernel_d=3)
 
 
+@pytest.mark.parametrize("key", ["seed", "K", "n_steps", "kernel_d", "fp_max_iter"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+def test_integer_fields_must_be_integers(key, value):
+    # the file parser casts with int; the Python API must not let a float
+    # or a bool through the range checks (n_steps=2.5 died in simulate,
+    # K=2.5 in default_phi, kernel_d=2.0 in cmd_kernel_error)
+    fields = {"seed": 1, "K": 2, "n_steps": 2, key: value}
+    with pytest.raises(ConfigError, match=f"{key} must be an integer, got {value!r}"):
+        RunConfig(**fields)
+
+
+def test_numpy_integer_fields_pass():
+    cfg = RunConfig(seed=np.uint64(1), K=np.int64(2), n_steps=np.int32(2),
+                    kernel_d=np.int8(2), fp_max_iter=np.int64(5))
+    assert cfg == RunConfig(seed=1, K=2, n_steps=2, kernel_d=2, fp_max_iter=5)
+
+
 @pytest.mark.parametrize("name", ["no-such-preset", "rough-abc", "rough-nan"])
 def test_bad_initial_data_name_rejected(name):
     # by the config itself, before any command builds the field

@@ -13,7 +13,7 @@ from snls.experiments import (
     reference_solution,
 )
 from snls.diagnostics import sobolev_norm, symplectic_defect
-from snls.integrator import FixedPointConfig, midpoint_tableau, step
+from snls.integrator import ExperimentInvalidError, FixedPointConfig, midpoint_tableau, step
 from snls.maps import ModelParams
 from snls.noise import default_phi, sample_path
 from snls.torus import SpectralField, free_propagator
@@ -96,6 +96,26 @@ def test_cmd_local_error_names_a_sample_count_too_large_at_every_K():
     assert "largest usable K" not in message
 
 
+def test_cmd_local_error_rejection_names_the_rejected_path_seeds():
+    # kappa=3 with 30 sweeps rejects 10 of 16 samples at t=0.25; the
+    # message lists the first five path seeds (seed + 1000*i + 1)
+    cfg = RunConfig(seed=3, K=2, kappa=3.0, fp_max_iter=30)
+    t = 0.25
+    with pytest.raises(ExperimentInvalidError) as info:
+        cmd_local_error(cfg, samples=16, t_values=(t,))
+    assert str(info.value) == ("10/16 rejected steps at t=0.25; path seeds of the rejected "
+                               "samples: 4, 1004, 3004, 8004, 9004 and 5 more")
+    # each named seed can be re-run alone, and is rejected alone; an
+    # unnamed one between them is accepted
+    params, phi, tab, fp = cfg.stepping()
+    u0 = initial_field(cfg.initial_data, cfg.K, seed=cfg.seed)
+    for seed, rejected in ((4, True), (1004, True), (2004, False), (9004, True)):
+        path = sample_path(seed, t, 8, cfg.K)
+        coarse = step(u0, tab, params, phi, path, 0.0, t, fp)
+        ref = reference_solution(u0, params, phi, path, t, fp)
+        assert bool(coarse.converged and ref.converged) is not rejected
+
+
 def test_cmd_local_error_degenerate_when_linear():
     # lam = kappa = 0: every step is the exact free flow, errors are
     # rounding-level and flagged degenerate; no slope is fitted
@@ -106,8 +126,14 @@ def test_cmd_local_error_degenerate_when_linear():
 
 
 def test_cmd_kernel_error_rejects_bad_d():
-    with pytest.raises(ValueError):
-        cmd_kernel_error(3, seed=0)
+    # 2.0 == 2 and True == 1, but neither is the integer degree
+    for d in (3, 0, 2.0, 1.0, True, "2", None):
+        with pytest.raises(ValueError, match=f"d must be the integer 1 or 2, got {d!r}"):
+            cmd_kernel_error(d, seed=0)
+
+
+def test_cmd_kernel_error_takes_a_numpy_integer_d():
+    assert cmd_kernel_error(np.int64(2), seed=0).rows == cmd_kernel_error(2, seed=0).rows
 
 
 def test_cmd_kernel_error_d1_small():

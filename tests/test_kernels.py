@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from snls.kernels import (
     KernelSpec,
     ModeQuad,
+    _horner,
     default_kernel_spec,
     interp_exp,
     kernel_K2d,
@@ -91,6 +92,25 @@ def test_interp_exp_matches_at_nodes(spec, omega, t):
         s = t * g
         val = sum(c * s**j for j, c in enumerate(coeffs))
         assert abs(val - np.exp(1j * omega * s)) < 1e-9 * max(1.0, np.abs(coeffs).max())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_horner_is_numpy_polyval_bit_for_bit(d):
+    # kernel_K2d's shapes: coefficients (d, Q, 1) from interp_exp and s of
+    # shape (S,), or a scalar s
+    from numpy.polynomial.polynomial import polyval
+
+    rng = np.random.default_rng(d)
+    spec = default_kernel_spec(d)
+    omega = rng.integers(-128, 129, size=(40, 1)).astype(float)
+    t = 2.0**-5
+    s = np.linspace(0.0, t, 65)[1:]
+    for c in (interp_exp(spec, omega, t),
+              rng.standard_normal((d, 40, 1)) + 1j * rng.standard_normal((d, 40, 1))):
+        for x in (s, float(s[7])):
+            got, want = _horner(c, x), polyval(x, c, tensor=False)
+            assert got.shape == want.shape == np.broadcast_shapes(c.shape[1:], np.shape(x))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("t", [0.0, -0.1, np.nan, np.inf])

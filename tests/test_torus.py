@@ -140,17 +140,19 @@ def test_fast_len_is_scipys_next_fast_len():
 
 def test_library_imports_numpy_alone():
     # every snls module, imported in a fresh interpreter, leaves scipy
-    # out of sys.modules: at run time the library needs numpy alone
+    # out of sys.modules: at run time the library needs numpy alone; nor
+    # does it import numpy.polynomial (kernels evaluates its polynomials
+    # with its own Horner sum), which costs every process import time
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import importlib, pkgutil, sys, snls\n"
             "names = [m.name for m in pkgutil.iter_modules(snls.__path__)]\n"
             "for name in names:\n"
             "    importlib.import_module('snls.' + name)\n"
-            "print(len(names), 'scipy' in sys.modules)\n")
+            "print(len(names), 'scipy' in sys.modules, 'numpy.polynomial' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
     n_modules = len(list((src / "snls").glob("*.py"))) - 1  # all but __init__
-    assert proc.stdout.split() == [str(n_modules), "False"]
+    assert proc.stdout.split() == [str(n_modules), "False", "False"]
 
 
 def test_cubic_convolution_zero_field():
