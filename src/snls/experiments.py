@@ -7,6 +7,7 @@ Monte-Carlo aggregation runs in fixed seed order for bit reproducibility.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -98,6 +99,27 @@ def reference_solution(
     return StepOutcome(u, iterations, residual, converged)
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a ValueError naming it unless it is an integer
+    (a numpy integer is, a bool is not)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _step_sizes(t_values) -> tuple:
+    """t_values as a tuple; a ValueError unless it holds at least one step
+    size and every one is a finite real > 0."""
+    try:
+        ts = tuple(t_values)
+    except TypeError:
+        ts = ()
+    if not ts or not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                         and 0 < t < math.inf for t in ts):
+        raise ValueError(f"t_values must be one or more finite step sizes > 0, got {t_values!r}")
+    return ts
+
+
 def cmd_local_error(
     config: RunConfig,
     samples: int = 64,
@@ -109,6 +131,8 @@ def cmd_local_error(
 
     Each step size runs its sample paths as one batch; a sample whose
     coarse step or reference is rejected counts as a rejection."""
+    samples, ref_level = _integer("samples", samples), _integer("ref_level", ref_level)
+    t_values = _step_sizes(t_values)
     if samples < 16:
         raise ValueError(f"need at least 16 samples, got {samples}")
     # sample path i is seeded with seed + 1000*i + 1
@@ -180,19 +204,35 @@ KERNEL_T_VALUES = {1: tuple(2.0**-e for e in range(7, 14)),
 SYMPLECTIC_H = 1e-5
 
 
+def _draw_quads(seed: int, d: int) -> np.ndarray:
+    """cmd_kernel_error's KERNEL_QUADS mode quads, one (k, k1, k2, k3) per row.
+
+    Triples (k1, k2, k3) come from default_rng([seed, d]) in blocks of
+    KERNEL_QUADS rows; those with k = -k1 + k2 + k3 in the mode bound and
+    k*k1*k2*k3 != 0 are kept in order.  numpy's bounded integer draws
+    continue one stream from call to call, so these are the quads that
+    drawing one triple at a time gives."""
+    rng = np.random.default_rng([seed, d])
+    blocks, kept = [], 0
+    while kept < KERNEL_QUADS:
+        k1, k2, k3 = rng.integers(-KERNEL_MODE_BOUND, KERNEL_MODE_BOUND + 1,
+                                  size=(KERNEL_QUADS, 3)).T
+        k = -k1 + k2 + k3
+        quads = np.stack([k, k1, k2, k3], axis=1)
+        blocks.append(quads[(np.abs(k) <= KERNEL_MODE_BOUND) & (k * k1 * k2 * k3 != 0)])
+        kept += len(blocks[-1])
+    return np.concatenate(blocks)[:KERNEL_QUADS]
+
+
 def cmd_kernel_error(d: int, seed: int) -> ErrorTable:
     """max_{quads, s<=t} |K_2d - exact kernel| against t, on the KERNEL_* table."""
     if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d not in (1, 2):
         raise ValueError(f"d must be the integer 1 or 2, got {d!r}")
+    seed = _integer("seed", seed)
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
     spec = default_kernel_spec(d)
-    rng = np.random.default_rng([seed, d])
-    quads = []
-    while len(quads) < KERNEL_QUADS:
-        k1, k2, k3 = rng.integers(-KERNEL_MODE_BOUND, KERNEL_MODE_BOUND + 1, size=3)
-        k = -k1 + k2 + k3
-        if abs(k) <= KERNEL_MODE_BOUND and k * k1 * k2 * k3 != 0:
-            quads.append((k, k1, k2, k3))
-    q = ModeQuad(*np.array(quads).T[:, :, None])  # one quad per row
+    q = ModeQuad(*_draw_quads(seed, d).T[:, :, None])  # one quad per row
     table = ErrorTable()
     for t in KERNEL_T_VALUES[d]:
         s = np.linspace(0.0, t, KERNEL_S_POINTS + 1)[1:]
