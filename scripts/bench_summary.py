@@ -12,6 +12,13 @@ per-layer ones, with the git sha and dirty flag the runs recorded.  The
 machine (nproc, CPU model) and the library versions are recorded once,
 and a run on any other machine or versions is refused: medians from two
 machines do not compare.
+
+When the labels `parent` and `change` are both given, a `compare`
+section holds, per workload and end-to-end metric of BENCHMARK.json
+(whose `better` gives the direction): the change's median over the
+parent's, the number of seeds run untraced on both sides, on how many of
+those seeds the change is better, and whether the gap between the
+medians exceeds the parent's IQR.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ import json
 import statistics
 import sys
 from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def quartiles(values):
@@ -68,6 +77,35 @@ def summarize(records):
     return workloads
 
 
+def compare(records, sides):
+    """Change against parent per workload and end-to-end metric, paired by
+    seed over untraced runs; a seed run on one side only is not paired."""
+    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    by_seed = {}
+    for label in ("parent", "change"):
+        for (workload, trace, seed), r in records[label].items():
+            for name, m in r["metrics"].items():
+                if not trace and name in better:
+                    by_seed.setdefault((workload, name), {}).setdefault(label, {})[seed] = m["value"]
+    result = {}
+    for (workload, name), values in sorted(by_seed.items()):
+        if len(values) < 2:
+            continue
+        parent, change = values["parent"], values["change"]
+        p = sides["parent"][workload]["metrics"][name]
+        c = sides["change"][workload]["metrics"][name]
+        sign = 1 if better[name] == "higher" else -1
+        seeds = parent.keys() & change.keys()
+        result.setdefault(workload, {})[name] = {
+            "better": better[name],
+            "ratio": c["median"] / p["median"],
+            "seeds": len(seeds),
+            "change_better": sum(sign * (change[s] - parent[s]) > 0 for s in seeds),
+            "gap_exceeds_parent_iqr": abs(c["median"] - p["median"]) > p["iqr"],
+        }
+    return result
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -103,6 +141,8 @@ def main(argv=None):
         "versions": versions,
         "sides": {label: summarize(recs) for label, recs in records.items()},
     }
+    if {"parent", "change"} <= records.keys():
+        summary["compare"] = compare(records, summary["sides"])
     Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     return 0
 

@@ -18,16 +18,16 @@ def bench_summary():
     return module
 
 
-def write_results(directory, throughputs, machine=MACHINE):
+def write_results(directory, values, machine=MACHINE, metric="throughput"):
     # one untraced simulate-k8 run per value, seeds 1, 2, ...
     directory.mkdir()
-    for seed, value in enumerate(throughputs, 1):
+    for seed, value in enumerate(values, 1):
         record = {
             "workload": "simulate-k8", "trace": 0, "seed": seed, "tiny": False,
             "seconds": 15.0, "failed": 0, "attempted": 100,
             "git": {"sha": "0" * 40, "dirty": False},
             "machine": machine, "versions": {"numpy": "2.0", "python": "3.11"},
-            "metrics": {"throughput": {"unit": "1/s", "value": value}},
+            "metrics": {metric: {"unit": "1/s", "value": value}},
         }
         (directory / f"result-simulate-k8-seed{seed}-trace0.json").write_text(json.dumps(record))
     return str(directory)
@@ -44,6 +44,28 @@ def test_median_quartiles_and_iqr(bench_summary, tmp_path):
     assert metric == {"unit": "1/s", "n": 5, "median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0}
     assert summary["sides"]["parent"]["simulate-k8"]["seeds"] == [1, 2, 3, 4, 5]
     assert summary["sides"]["change"]["simulate-k8"]["metrics"]["throughput"]["median"] == 20.0
+    # seeds 4 and 5 ran on the parent only
+    assert summary["compare"] == {"simulate-k8": {"throughput": {
+        "better": "higher", "ratio": 20.0 / 3.0, "seeds": 3, "change_better": 3,
+        "gap_exceeds_parent_iqr": True}}}
+
+
+def test_compare_counts_a_lower_is_better_metric_on_seeds_run_on_both_sides(
+        bench_summary, tmp_path):
+    # setup_s is lower-is-better; seed 4 ran on the parent only, where
+    # it is worse than every change run
+    parent = write_results(tmp_path / "parent", [1.0, 2.0, 3.0, 10.0], metric="setup_s")
+    change = write_results(tmp_path / "change", [0.5, 2.5, 1.0], metric="setup_s")
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["sides"]["parent"]["simulate-k8"]["metrics"]["setup_s"]["iqr"] == 3.0
+    assert summary["compare"] == {"simulate-k8": {"setup_s": {
+        "better": "lower", "ratio": 1.0 / 2.5, "seeds": 3, "change_better": 2,
+        "gap_exceeds_parent_iqr": False}}}
+    # without both a parent and a change there is nothing to compare
+    assert bench_summary.main(["--out", str(out), f"a={parent}", f"b={change}"]) == 0
+    assert "compare" not in json.loads(out.read_text())
 
 
 def test_results_from_two_machines_exit_1(bench_summary, tmp_path, capsys):

@@ -1,11 +1,16 @@
 """Experiment drivers: error tables, references, and validity gates."""
 
+import re
+
 import numpy as np
 import pytest
 
 from snls.config import RunConfig, initial_field
 from snls.experiments import (
+    KERNEL_MODE_BOUND,
+    KERNEL_QUADS,
     ErrorTable,
+    _draw_quads,
     cmd_conservation,
     cmd_kernel_error,
     cmd_local_error,
@@ -134,6 +139,66 @@ def test_cmd_kernel_error_rejects_bad_d():
 
 def test_cmd_kernel_error_takes_a_numpy_integer_d():
     assert cmd_kernel_error(np.int64(2), seed=0).rows == cmd_kernel_error(2, seed=0).rows
+
+
+def test_cmd_kernel_error_refuses_a_seed_that_is_not_a_u64():
+    for seed in (1.5, True, "3", None, np.float64(2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            cmd_kernel_error(1, seed=seed)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in 0..2^64-1, got {seed}")):
+            cmd_kernel_error(1, seed=seed)
+    top = 2**64 - 1
+    assert cmd_kernel_error(1, seed=np.uint64(top)).rows == cmd_kernel_error(1, seed=top).rows
+
+
+def test_cmd_local_error_refuses_bad_arguments():
+    cfg = RunConfig(seed=1, K=2)
+    cases = [({"samples": bad}, f"samples must be an integer, got {bad!r}")
+             for bad in (16.5, 16.0, True, "16")]
+    cases += [({"ref_level": bad}, f"ref_level must be an integer, got {bad!r}")
+              for bad in (8.0, None)]
+    cases += [({"t_values": bad}, "t_values must be one or more finite step sizes > 0, got ")
+              for bad in ((), [], 0.25, (0.25, float("nan")), (0.25, 0.0), (-0.25,),
+                          (float("inf"),), ("0.25",), (True,))]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError) as info:
+            cmd_local_error(cfg, **kwargs)
+        assert str(info.value).startswith(message), kwargs
+
+
+def test_cmd_local_error_takes_numpy_integers_and_a_step_size_array():
+    cfg = RunConfig(seed=2, K=2, lam=0.0, kappa=0.0)
+    table = cmd_local_error(cfg, samples=np.int64(16), ref_level=np.int64(8),
+                            t_values=np.array([0.25]))
+    assert table.rows == cmd_local_error(cfg, samples=16, ref_level=8, t_values=(0.25,)).rows
+
+
+def one_triple_at_a_time(seed, d):
+    """cmd_kernel_error's quads drawn one triple per call, and the number
+    of triples drawn."""
+    rng = np.random.default_rng([seed, d])
+    quads, draws = [], 0
+    while len(quads) < KERNEL_QUADS:
+        k1, k2, k3 = rng.integers(-KERNEL_MODE_BOUND, KERNEL_MODE_BOUND + 1, size=3)
+        draws += 1
+        k = -k1 + k2 + k3
+        if abs(k) <= KERNEL_MODE_BOUND and k * k1 * k2 * k3 != 0:
+            quads.append((k, k1, k2, k3))
+    return np.array(quads), draws
+
+
+def test_block_draw_gives_the_quads_of_one_triple_at_a_time():
+    draws = []
+    for seed in (*range(200), 2**63, 2**64 - 1):
+        for d in (1, 2):
+            expected, n = one_triple_at_a_time(seed, d)
+            quads = _draw_quads(seed, d)
+            assert quads.shape == expected.shape and quads.dtype == expected.dtype
+            assert quads.tobytes() == expected.tobytes(), (seed, d)
+            draws.append(n)
+    # every case needs a second block, and some a third
+    assert min(draws) > KERNEL_QUADS and max(draws) > 2 * KERNEL_QUADS
 
 
 def test_cmd_kernel_error_d1_small():
