@@ -135,6 +135,9 @@ def cmd_local_error(
     t_values = _step_sizes(t_values)
     if samples < 16:
         raise ValueError(f"need at least 16 samples, got {samples}")
+    if ref_level < 8:
+        raise ValueError(f"ref_level must be >= 8 (the reference needs 2^ref_level >= 256 "
+                         f"substeps), got {ref_level}")
     # sample path i is seeded with seed + 1000*i + 1
     max_seed = MAX_SEED - 1000 * (samples - 1) - 1
     if config.seed > max_seed:
@@ -146,10 +149,12 @@ def cmd_local_error(
     max_K = (MAX_PATH_VALUES // (samples * 2**ref_level) - 1) // 2
     if max_K < 1:
         max_samples = MAX_PATH_VALUES // (3 * 2**ref_level)
+        fix = (f"sample count is {max_samples}" if max_samples >= 16 else  # else none fits
+               f"ref_level is {(MAX_PATH_VALUES // (3 * 16)).bit_length() - 1} (for 16 samples)")
         raise ValueError(
             f"{samples} local-error samples are too many at refinement level {ref_level}: "
             f"their paths would pass {MAX_PATH_VALUES} values even at K=1; the largest "
-            f"usable sample count is {max_samples}"
+            f"usable {fix}"
         )
     if config.K > max_K:
         raise ValueError(
@@ -200,6 +205,8 @@ KERNEL_QUADS = 40
 KERNEL_S_POINTS = 64
 KERNEL_T_VALUES = {1: tuple(2.0**-e for e in range(7, 14)),
                    2: tuple(2.0**-e for e in range(2, 12))}
+# s/t: t * _S_FRACTIONS is linspace(0, t, 65)[1:] bit for bit (t/64, j/64 exact)
+_S_FRACTIONS = np.linspace(0.0, 1.0, KERNEL_S_POINTS + 1)[1:]
 # the finite-difference step of cmd_symplectic's Jacobian
 SYMPLECTIC_H = 1e-5
 
@@ -235,7 +242,7 @@ def cmd_kernel_error(d: int, seed: int) -> ErrorTable:
     q = ModeQuad(*_draw_quads(seed, d).T[:, :, None])  # one quad per row
     table = ErrorTable()
     for t in KERNEL_T_VALUES[d]:
-        s = np.linspace(0.0, t, KERNEL_S_POINTS + 1)[1:]
+        s = t * _S_FRACTIONS
         worst = float(np.max(np.abs(kernel_K2d(spec, q, s, t) - kernel_exact(q, s))))
         table.add_row(t, worst, worst, KERNEL_QUADS, 0, worst < 1e-15)
     table.fit_slope()

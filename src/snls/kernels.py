@@ -89,10 +89,9 @@ def kernel_K2d(spec: KernelSpec, q: ModeQuad, s, t: float):
     """Interpolated kernel
     e^{-2iskk1} P_d[e^{2i.k2k3}](s) + e^{2isk2k3} P_d[e^{-2i.kk1}](s)
     - P_d[e^{2i.k2k3}](s) P_d[e^{-2i.kk1}](s), broadcast over q and s."""
-    w_dom = -2.0 * q.k * q.k1
-    w_low = 2.0 * q.k2 * q.k3
-    p_low = _horner(interp_exp(spec, w_low, t), s)
-    p_dom = _horner(interp_exp(spec, w_dom, t), s)
-    e_dom = np.exp(1j * w_dom * s)
-    e_low = np.exp(1j * w_low * s)
+    # both phases as one stack, its axis in front of the broadcast shape of q and s
+    w = np.stack(np.broadcast_arrays(2.0 * q.k2 * q.k3, -2.0 * q.k * q.k1))
+    w = w.reshape(w.shape[:1] + (1,) * (np.ndim(s) - w.ndim + 1) + w.shape[1:])
+    p_low, p_dom = _horner(interp_exp(spec, w, t), s)
+    e_low, e_dom = np.exp(1j * w * s)
     return e_dom * p_low + e_low * p_dom - p_low * p_dom

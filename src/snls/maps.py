@@ -109,10 +109,10 @@ def _toeplitz_index(K: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _midpoint_multipliers(K: int, t: float):
-    """Padded size n, the padded-grid multipliers e^{-itk^2}, 1/(ik)
-    (0 at k=0), e^{-itk^2}/(ik) and (i/2)e^{itk^2}, and e^{itk^2} and
-    (i/2)/(ik) on modes -K..K, of map_F_midpoint_physical (read-only:
-    shared by every call)."""
+    """Padded size n, map_F_midpoint_physical's stacked padded-grid multipliers
+    of its first round (1, 1/(ik) (0 at k=0), e^{-itk^2}/(ik)) and third
+    (e^{-itk^2}, (i/2)e^{itk^2}), and e^{itk^2} and (i/2)/(ik) on modes
+    -K..K (read-only: shared by every call)."""
     n = _pad_size(K)
     kpad = np.fft.fftfreq(n, d=1.0 / n)  # mode numbers of the padded grid
     e_minus = np.exp(-1j * t * kpad**2)  # e^{it Laplacian}
@@ -120,7 +120,7 @@ def _midpoint_multipliers(K: int, t: float):
     inv_d = np.zeros(n, dtype=np.complex128)
     nz = kpad != 0
     inv_d[nz] = 1.0 / (1j * kpad[nz])
-    mults = (e_minus, inv_d, e_minus * inv_d, 0.5j * e_plus,
+    mults = (np.array((np.ones(n), inv_d, e_minus * inv_d)), np.array((e_minus, 0.5j * e_plus)),
              _extract(e_plus, K), _extract(0.5j * inv_d, K))
     for m in mults:
         m.flags.writeable = False
@@ -148,25 +148,19 @@ def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> 
     c = v.coefficients
     if params.lam == 0.0:
         return SpectralField.wrap(np.zeros_like(c), grid)
-    n, e_minus, inv_d, e_minus_inv_d, half_i_e_plus, e_plus_k, half_i_inv_d_k = (
-        _midpoint_multipliers(K, t))
-
-    # transforms whose inputs are ready together share one FFT call;
-    # physical samples are the unnormalized inverse transform
-    def phys(*specs):
-        return np.fft.ifft(np.array(specs), norm="forward")
-
-    def spect(*samples):
-        return np.fft.fft(np.array(samples), norm="forward")
+    n, first, third, e_plus_k, half_i_inv_d_k = _midpoint_multipliers(K, t)
+    # each round's transforms share one FFT call, stacked on a leading axis that
+    # its multiplier table takes; physical samples are the unnormalized inverse
+    stacked = (slice(None),) + (None,) * (c.ndim - 1)
 
     cv = _embed(c, K, n)  # spectrum on padded grid
     v0 = c[..., K, None]  # zero mode, broadcast over modes
     # physical samples of v, of its inverse derivative d^-1 v and of E(t) d^-1 v
-    u, inv_u, einv_u = phys(cv, inv_d * cv, e_minus_inv_d * cv)
+    u, inv_u, einv_u = np.fft.ifft(first[stacked] * cv, norm="forward")
     u_sq = u * u
-    # (v*v)_m untruncated, the S_A kk1 != 0 second piece and the S_B
+    # the S_A kk1 != 0 second piece, (v*v)_m untruncated and the S_B
     # square that needs E(-t)
-    u_sq_spec, piece2, einv_sq = spect(u_sq, np.conj(inv_u) * u_sq, einv_u * einv_u)
+    spectra = np.fft.fft(np.array((np.conj(inv_u) * u_sq, u_sq, einv_u * einv_u)), norm="forward")
 
     # S_A, kk1 != 0: (i/2) d^-1 { E(-t)[ conj(E(t)d^-1 v) * E(t)(v^2) ]
     #                             - conj(d^-1 v) * v^2 };
@@ -174,13 +168,13 @@ def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> 
     # G = (i/2)[ E(-t)((E(t)d^-1 v)^2) - (d^-1 v)^2 ]  (k2 k3 != 0 pairs)
     #   + t (2 v0 v - delta_0 v0^2)                    (k2 k3 = 0 pairs),
     # all of it physical but the E(-t) term
-    e_u_sq, g = phys(e_minus * u_sq_spec, half_i_e_plus * einv_sq)
+    e_u_sq, g = np.fft.ifft(third[stacked] * spectra[1:], norm="forward")
     g += t * v0 * (2.0 * u - v0) - 0.5j * inv_u * inv_u
     # S_B - t C in one transform, C being the spectrum of conj(v) v^2;
     # only modes -K..K are kept from here on
-    piece1, s_b_cubic = _extract(
-        spect(np.conj(einv_u) * e_u_sq, np.conj(u) * (g - t * u_sq)), K)
-    u_sq_k, piece2 = _extract(np.array((u_sq_spec, piece2)), K)
+    piece1, s_b_cubic = _extract(np.fft.fft(
+        np.array((np.conj(einv_u) * e_u_sq, np.conj(u) * (g - t * u_sq))), norm="forward"), K)
+    piece2, u_sq_k = _extract(spectra[:2], K)
     s_a = half_i_inv_d_k * (e_plus_k * piece1 - piece2)
 
     # S_A, kk1 = 0: t conj(v0) (v*v)_k for k != 0;

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from snls.config import RunConfig, initial_field
+import snls.experiments
 from snls.experiments import (
     KERNEL_MODE_BOUND,
     KERNEL_QUADS,
+    KERNEL_S_POINTS,
+    KERNEL_T_VALUES,
     ErrorTable,
+    _S_FRACTIONS,
     _draw_quads,
     cmd_conservation,
     cmd_kernel_error,
@@ -152,12 +156,26 @@ def test_cmd_kernel_error_refuses_a_seed_that_is_not_a_u64():
     assert cmd_kernel_error(1, seed=np.uint64(top)).rows == cmd_kernel_error(1, seed=top).rows
 
 
-def test_cmd_local_error_refuses_bad_arguments():
+def test_cmd_local_error_refuses_bad_arguments(monkeypatch):
+    # every argument is refused before any path is sampled
+    def no_sampling(*args):
+        raise AssertionError("sample_path called")
+
+    monkeypatch.setattr(snls.experiments, "sample_path", no_sampling)
     cfg = RunConfig(seed=1, K=2)
     cases = [({"samples": bad}, f"samples must be an integer, got {bad!r}")
              for bad in (16.5, 16.0, True, "16")]
     cases += [({"ref_level": bad}, f"ref_level must be an integer, got {bad!r}")
               for bad in (8.0, None)]
+    cases += [({"ref_level": bad}, f"ref_level must be >= 8 (the reference needs 2^ref_level "
+                                   f">= 256 substeps), got {bad}")
+              for bad in (7, 0, -1)]
+    # no sample count of at least 16 fits 2^27 path values above level 21
+    cases += [({"samples": 16, "ref_level": bad},
+               f"16 local-error samples are too many at refinement level {bad}: their paths "
+               "would pass 134217728 values even at K=1; the largest usable ref_level is 21 "
+               "(for 16 samples)")
+              for bad in (22, 30)]
     cases += [({"t_values": bad}, "t_values must be one or more finite step sizes > 0, got ")
               for bad in ((), [], 0.25, (0.25, float("nan")), (0.25, 0.0), (-0.25,),
                           (float("inf"),), ("0.25",), (True,))]
@@ -165,6 +183,21 @@ def test_cmd_local_error_refuses_bad_arguments():
         with pytest.raises(ValueError) as info:
             cmd_local_error(cfg, **kwargs)
         assert str(info.value).startswith(message), kwargs
+
+
+def test_cmd_local_error_takes_the_largest_usable_ref_level():
+    # 16 samples at level 21 are 3 * 16 * 2^21 = 2^27 path values at K=1:
+    # the size checks pass, and K=2 is then named as too large
+    with pytest.raises(ValueError, match="K=2 is too large for 16 local-error samples at "
+                                         "refinement level 21"):
+        cmd_local_error(RunConfig(seed=1, K=2), samples=16, ref_level=21)
+
+
+def test_kernel_error_points_are_linspace_bit_for_bit():
+    for t in (*KERNEL_T_VALUES[1], *KERNEL_T_VALUES[2], 0.03, 1 / 3, 7.9e-300, 2.5e300,
+              *np.random.default_rng(0).uniform(1e-6, 1.0, 200)):
+        want = np.linspace(0.0, t, KERNEL_S_POINTS + 1)[1:]
+        assert (t * _S_FRACTIONS).tobytes() == want.tobytes(), t
 
 
 def test_cmd_local_error_takes_numpy_integers_and_a_step_size_array():

@@ -3,6 +3,7 @@ symmetries, and the approximation order."""
 
 import numpy as np
 import pytest
+import snls.kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -16,6 +17,7 @@ from snls.kernels import (
     kernel_K2d,
     kernel_exact,
 )
+from snls.experiments import _draw_quads
 from snls.oracles import kernel_weight, weighted_exp_integral
 
 
@@ -215,6 +217,53 @@ def test_array_kernels_match_scalar_kernels(quads, spec, s_fracs, t):
         for j, sj in enumerate(s):
             assert abs(grid_K2d[i, j] - kernel_K2d(spec, p, sj, t)) <= 1e-14
             assert abs(grid_exact[i, j] - kernel_exact(p, sj)) <= 1e-14
+
+
+def kernel_K2d_per_phase(spec, q, s, t):
+    """kernel_K2d with each phase evaluated on its own (two interpolation
+    solves, two Horner sums, two exponentials): the oracle of the stack."""
+    w_dom = -2.0 * q.k * q.k1
+    w_low = 2.0 * q.k2 * q.k3
+    p_low = _horner(interp_exp(spec, w_low, t), s)
+    p_dom = _horner(interp_exp(spec, w_dom, t), s)
+    e_dom = np.exp(1j * w_dom * s)
+    e_low = np.exp(1j * w_low * s)
+    return e_dom * p_low + e_low * p_dom - p_low * p_dom
+
+
+def kernel_cases():
+    """(quad, s) on the four shape pairs: scalar quad with scalar s and
+    with s of shape (64,), quads (40, 1) with s (64,), quads (5,) with
+    scalar s."""
+    s64 = np.linspace(0.0, 1.0, 65)[1:]
+    quads = _draw_quads(3, 2)
+    return [(ModeQuad(3, -2, 4, -3), 0.7), (ModeQuad(3, -2, 4, -3), s64),
+            (ModeQuad(*quads.T[:, :, None]), s64), (ModeQuad(*quads[:5].T), 0.7)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("t", [2.0**-5, 0.03])
+def test_stacked_kernel_is_the_per_phase_kernel_bit_for_bit(d, t):
+    spec = default_kernel_spec(d)
+    for q, s_frac in kernel_cases():
+        got, want = kernel_K2d(spec, q, t * s_frac, t), kernel_K2d_per_phase(spec, q, t * s_frac, t)
+        assert got.shape == want.shape == np.broadcast_shapes(np.shape(q.k), np.shape(s_frac))
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (d, np.shape(q.k), np.shape(s_frac))
+
+
+def test_kernel_K2d_makes_one_interpolation_call(monkeypatch):
+    calls = []
+
+    def counted(spec, omega, t):
+        calls.append(np.shape(omega))
+        return interp_exp(spec, omega, t)
+
+    monkeypatch.setattr(snls.kernels, "interp_exp", counted)
+    for q, s in kernel_cases():
+        calls.clear()
+        kernel_K2d(default_kernel_spec(2), q, s * 0.01, 0.01)
+        assert len(calls) == 1 and calls[0][0] == 2
 
 
 def test_kernel_exact_on_resonance_free_quads():

@@ -134,6 +134,28 @@ def test_maps_act_on_each_sample_of_a_batch():
                                        atol=1e-15 * max(1.0, np.max(np.abs(one))))
 
 
+def test_fast_path_makes_four_fft_calls_of_ten_transforms(monkeypatch):
+    # the four rounds of stacked transforms (3 + 3 + 2 + 2), for one field
+    # and for a batch with two batch axes, whose samples are the flat
+    # batch's bit for bit
+    K, t = 8, 0.01
+    fields = np.stack([random_field(K, s).coefficients for s in range(6)])
+    flat = map_F_midpoint_physical(PARAMS, t, SpectralField(fields, TorusGrid(K)))
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(a, *args, _f=getattr(np.fft, name), **kwargs):
+            calls.append(a.size // a.shape[-1])
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    for batch in ((), (2, 3)):
+        calls.clear()
+        c = fields[0] if batch == () else fields.reshape(batch + (2 * K + 1,))
+        out = map_F_midpoint_physical(PARAMS, t, SpectralField(c, TorusGrid(K)))
+        n_fields = int(np.prod(batch))
+        assert [rows // n_fields for rows in calls] == [3, 3, 2, 2], batch
+    assert out.coefficients.tobytes() == flat.coefficients.reshape(2, 3, -1).tobytes()
+
+
 def test_fast_path_zero_lambda():
     v = random_field(4, 1)
     out = map_F_midpoint_physical(ModelParams(lam=0.0, kappa=1.0), 0.01, v)
