@@ -5,13 +5,13 @@
 
 Each golden is the output file of one `snls` command on a fixed config,
 made with this checkout's src/ (for `simulate`, also its `.final`
-snapshot).  versions.json records the numpy and
-Python versions that made them: tests/test_golden.py compares fresh
-outputs with the goldens byte for byte on that numpy version only, and
-to a relative 1e-8 on every version.  A change that moves output bits
-on purpose regenerates the goldens and says in CHANGES.md by how much
-the values moved: the script prints, per file and numeric column, the
-largest relative move from the goldens it replaces.
+snapshot).  versions.json records the numpy and Python versions that
+made them: tests/test_golden.py compares fresh outputs with the goldens
+byte for byte on that numpy version only, and to a relative 1e-8 on
+every version.  A change that moves output bits on purpose regenerates
+the goldens and says in CHANGES.md by how much the values moved: the
+script prints, per file and numeric column, the largest relative move
+from the goldens it replaces.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ def largest_moves(got: str, want: str) -> dict:
         if not b.startswith("#") and all(_number(f) is None for f in fb):
             header = fb
         for j, (x, y) in enumerate(zip(fa, fb)):
-            (kx, _, vx), (ky, _, vy) = x.rpartition("="), y.rpartition("=")
-            nx, ny = _number(vx), _number(vy)
             if x == y:
                 continue
+            (kx, _, vx), (ky, _, vy) = x.rpartition("="), y.rpartition("=")
+            nx, ny = _number(vx), _number(vy)
             if nx is None or ny is None or kx != ky or len(fa) != len(fb):
                 moves.setdefault("layout", f"line {line}: {a!r}, golden {b!r}")
                 continue

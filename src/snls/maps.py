@@ -150,7 +150,7 @@ def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> 
         return SpectralField.wrap(np.zeros_like(c), grid)
     n, first, third, e_plus_k, half_i_inv_d_k = _midpoint_multipliers(K, t)
     # each round's transforms share one FFT call, stacked on a leading axis that
-    # its multiplier table takes; physical samples are the unnormalized inverse
+    # its multiplier table takes; physical samples are the unnormalized inverse transform
     stacked = (slice(None),) + (None,) * (c.ndim - 1)
 
     cv = _embed(c, K, n)  # spectrum on padded grid

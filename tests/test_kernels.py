@@ -3,11 +3,12 @@ symmetries, and the approximation order."""
 
 import numpy as np
 import pytest
-import snls.kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import snls.kernels
+from snls.experiments import _draw_quads
 from snls.kernels import (
     KernelSpec,
     ModeQuad,
@@ -17,7 +18,6 @@ from snls.kernels import (
     kernel_K2d,
     kernel_exact,
 )
-from snls.experiments import _draw_quads
 from snls.oracles import kernel_weight, weighted_exp_integral
 
 
