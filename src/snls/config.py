@@ -7,26 +7,22 @@ command's output is a pure function of its config.
 
 from __future__ import annotations
 
-import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import _check
 from .diagnostics import sobolev_norm
 from .integrator import TABLEAUX, FixedPointConfig
 from .maps import ModelParams
-from .noise import MAX_SEED, default_phi
+from .noise import MAX_K, MAX_PATH_VALUES, default_phi
 from .torus import SpectralField, TorusGrid, read_snapshot
 
 
 class ConfigError(ValueError):
     pass
-
-
-# the largest Brownian path simulate or local-error may allocate, in
-# doubles (1 GiB)
-MAX_PATH_VALUES = 2**27
 
 
 @dataclass(frozen=True)
@@ -46,53 +42,40 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        # the file parser casts these with int; from the Python API a float
-        # or a bool would pass the range checks below
-        for key in ("seed", "K", "n_steps", "kernel_d", "fp_max_iter"):
-            value = getattr(self, key)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-        # written as `not lo < x < hi` so that NaN and inf fail too
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ConfigError(f"seed must be in 0..2^64-1, got {self.seed}")
-        max_K = (MAX_PATH_VALUES - 1) // 2
-        if not 1 <= self.K <= max_K:
-            raise ConfigError(f"K must be in 1..{max_K}, got {self.K}")
-        max_steps = MAX_PATH_VALUES // (2 * self.K + 1)
-        if not 0 <= self.n_steps <= max_steps:
-            raise ConfigError(
-                f"n_steps must be in 0..{max_steps} at K={self.K} (a path of at most "
-                f"{MAX_PATH_VALUES} values), got {self.n_steps}"
-            )
-        if not 0 < self.t < np.inf or not self.t * self.n_steps < np.inf:
-            raise ConfigError(f"t must be finite and > 0, and so must t*n_steps, got "
-                              f"t={self.t}, n_steps={self.n_steps}")
-        if not 1 < self.alpha < np.inf:
-            raise ConfigError(f"alpha must be finite and > 1, got {self.alpha}")
-        with np.errstate(over="ignore"):
-            top_weight = (1.0 + np.float64(self.K) ** 2) ** self.alpha
-        if not top_weight < np.inf:
-            raise ConfigError(f"alpha={self.alpha} overflows the Sobolev weight "
-                              f"(1+K^2)^alpha at K={self.K}")
-        if not 0 < self.fp_tol < np.inf:
-            raise ConfigError(f"fp_tol must be finite and > 0, got {self.fp_tol}")
-        if not 1 <= self.fp_max_iter:
-            raise ConfigError(f"fp_max_iter must be >= 1, got {self.fp_max_iter}")
-        for key, value in (("lambda", self.lam), ("kappa", self.kappa)):
-            if not -np.inf < value < np.inf:
-                raise ConfigError(f"{key} must be finite, got {value}")
-        if self.tableau not in TABLEAUX:
-            raise ConfigError(
-                f"unknown tableau {self.tableau!r}; valid names: {', '.join(TABLEAUX)}"
-            )
-        if self.kernel_d not in (1, 2):
-            raise ConfigError(f"kernel_d must be 1 or 2, got {self.kernel_d}")
-        # built here too, so that kernel-error, which builds no initial
-        # field, refuses a bad name or a malformed or overflowing preset or
-        # snapshot too; the presets have unit mass or H^2 norm, so only a
-        # snapshot overflows the H^alpha norm, which bounds every norm a run
-        # records
+        # the file parser casts every key and the Python API passes any value:
+        # each number is stored as a Python int or float, so that 2*K+1 cannot
+        # overflow a numpy integer.  A ValueError of a check is a ConfigError
+        store = partial(object.__setattr__, self)
         try:
+            store("seed", _check.seed(self.seed))
+            store("K", _check.integer("K", self.K, 1, MAX_K))
+            store("n_steps", _check.integer("n_steps", self.n_steps))
+            store("kernel_d", _check.integer("kernel_d", self.kernel_d, 1, 2))
+            store("fp_max_iter", _check.integer("fp_max_iter", self.fp_max_iter, 1))
+            store("t", _check.real("t", self.t, gt=0))
+            store("lam", _check.real("lambda", self.lam))
+            store("kappa", _check.real("kappa", self.kappa))
+            store("alpha", _check.real("alpha", self.alpha, gt=1))
+            store("fp_tol", _check.real("fp_tol", self.fp_tol, gt=0))
+            max_steps = MAX_PATH_VALUES // (2 * self.K + 1)
+            _check.integer("n_steps", self.n_steps, 0, max_steps, must=(
+                f"in 0..{max_steps} at K={self.K} (a path of at most {MAX_PATH_VALUES} values)"))
+            if not self.t * self.n_steps < np.inf:
+                raise ValueError(f"t must be finite and > 0, and so must t*n_steps, got "
+                                 f"t={self.t}, n_steps={self.n_steps}")
+            with np.errstate(over="ignore"):
+                top_weight = (1.0 + np.float64(self.K) ** 2) ** self.alpha
+            if not top_weight < np.inf:
+                raise ValueError(f"alpha={self.alpha} overflows the Sobolev weight "
+                                 f"(1+K^2)^alpha at K={self.K}")
+            if self.tableau not in TABLEAUX:
+                raise ValueError(
+                    f"unknown tableau {self.tableau!r}; valid names: {', '.join(TABLEAUX)}")
+            # built here too, so that kernel-error, which builds no initial
+            # field, refuses a bad name or a malformed or overflowing preset or
+            # snapshot too; the presets have unit mass or H^2 norm, so only a
+            # snapshot overflows the H^alpha norm, which bounds every norm a run
+            # records
             u0 = _build_initial(self.initial_data, TorusGrid(self.K), self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -162,10 +145,7 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
         values.update(overrides)
     if "seed" not in values:
         raise ConfigError(f"{path}: missing mandatory key 'seed' (no implicit entropy)")
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**values)
 
 
 def initial_field(data_id: str, K: int, seed: int = 0) -> SpectralField:
@@ -203,6 +183,8 @@ def _build_initial(data_id: str, grid: TorusGrid, seed: int) -> SpectralField:
 def _roughness(data_id: str) -> float | None:
     """The exponent s of a rough-<s> preset, None for smooth or an
     existing snapshot path; a ConfigError for any other name."""
+    if not isinstance(data_id, str):
+        raise ConfigError(f"initial_data must be a name or a path, got {data_id!r}")
     if data_id.startswith("rough-"):
         try:
             s = float(data_id[len("rough-"):])

@@ -7,12 +7,11 @@ Monte-Carlo aggregation runs in fixed seed order for bit reproducibility.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _check
 from .config import MAX_PATH_VALUES, RunConfig, initial_field
 from .diagnostics import sobolev_norm, symplectic_defect
 from .integrator import (
@@ -26,7 +25,7 @@ from .integrator import (
 )
 from .kernels import ModeQuad, default_kernel_spec, kernel_K2d, kernel_exact
 from .maps import ModelParams
-from .noise import MAX_SEED, BrownianPath, CovarianceOp, sample_path
+from .noise import BrownianPath, CovarianceOp, sample_path
 from .torus import SpectralField
 
 
@@ -99,27 +98,6 @@ def reference_solution(
     return StepOutcome(u, iterations, residual, converged)
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; a ValueError naming it unless it is an integer
-    (a numpy integer is, a bool is not)."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _step_sizes(t_values) -> tuple:
-    """t_values as a tuple; a ValueError unless it holds at least one step
-    size and every one is a finite real > 0."""
-    try:
-        ts = tuple(t_values)
-    except TypeError:
-        ts = ()
-    if not ts or not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
-                         and 0 < t < math.inf for t in ts):
-        raise ValueError(f"t_values must be one or more finite step sizes > 0, got {t_values!r}")
-    return ts
-
-
 def cmd_local_error(
     config: RunConfig,
     samples: int = 64,
@@ -131,24 +109,28 @@ def cmd_local_error(
 
     Each step size runs its sample paths as one batch; a sample whose
     coarse step or reference is rejected counts as a rejection."""
-    samples, ref_level = _integer("samples", samples), _integer("ref_level", ref_level)
-    t_values = _step_sizes(t_values)
-    if samples < 16:
-        raise ValueError(f"need at least 16 samples, got {samples}")
-    if ref_level < 8:
-        raise ValueError(f"ref_level must be >= 8 (the reference needs 2^ref_level >= 256 "
-                         f"substeps), got {ref_level}")
+    samples = _check.integer("samples", samples, 16)
+    ref_level = _check.integer("ref_level", ref_level)
+    _check.integer("ref_level", ref_level, 8, must=(
+        ">= 8 (the reference needs 2^ref_level >= 256 substeps)"))
+    try:
+        ts = tuple(_check.real("t", t, gt=0) for t in t_values)
+    except (TypeError, ValueError):  # not iterable, or a bad step size
+        ts = ()
+    if not ts:
+        raise ValueError(f"t_values must be one or more finite step sizes > 0, got {t_values!r}")
     # sample path i is seeded with seed + 1000*i + 1
-    max_seed = MAX_SEED - 1000 * (samples - 1) - 1
+    max_seed = _check.MAX_SEED - 1000 * (samples - 1) - 1
     if config.seed > max_seed:
         raise ValueError(
             f"seed {config.seed} is too large for {samples} local-error samples: "
             f"their path seeds run past 2^64-1; the largest usable seed is {max_seed}"
         )
-    # the stacked path holds samples * (2K+1) * 2^ref_level values
-    max_K = (MAX_PATH_VALUES // (samples * 2**ref_level) - 1) // 2
+    # the stacked path holds samples * (2K+1) * 2^ref_level values; a
+    # shift, not 2**ref_level, which a huge ref_level would make huge
+    max_K = ((MAX_PATH_VALUES >> ref_level) // samples - 1) // 2
     if max_K < 1:
-        max_samples = MAX_PATH_VALUES // (3 * 2**ref_level)
+        max_samples = (MAX_PATH_VALUES >> ref_level) // 3
         fix = (f"sample count is {max_samples}" if max_samples >= 16 else  # else none fits
                f"ref_level is {(MAX_PATH_VALUES // (3 * 16)).bit_length() - 1} (for 16 samples)")
         raise ValueError(
@@ -170,7 +152,7 @@ def cmd_local_error(
 
     seeds = tuple(config.seed + 1000 * i + 1 for i in range(samples))
     table = ErrorTable()
-    for t in t_values:
+    for t in ts:
         path = sample_path(seeds, t, ref_level, config.K)
         coarse = step(u, tab, params, phi, path, 0.0, t, fp)
         ref = reference_solution(u, params, phi, path, t, fp)
@@ -233,11 +215,8 @@ def _draw_quads(seed: int, d: int) -> np.ndarray:
 
 def cmd_kernel_error(d: int, seed: int) -> ErrorTable:
     """max_{quads, s<=t} |K_2d - exact kernel| against t, on the KERNEL_* table."""
-    if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d not in (1, 2):
-        raise ValueError(f"d must be the integer 1 or 2, got {d!r}")
-    seed = _integer("seed", seed)
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be in 0..2^64-1, got {seed}")
+    d = _check.integer("d", d, 1, 2, must="the integer 1 or 2")
+    seed = _check.seed(seed)
     spec = default_kernel_spec(d)
     q = ModeQuad(*_draw_quads(seed, d).T[:, :, None])  # one quad per row
     table = ErrorTable()

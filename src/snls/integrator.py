@@ -11,11 +11,11 @@ fixed-point iteration and forms the update through the free propagator.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _check
 from .diagnostics import sobolev_norm
 from .maps import ModelParams, map_F_midpoint_physical, map_P_frozen
 from .noise import BrownianPath, CovarianceOp, increment
@@ -36,15 +36,7 @@ class Tableau:
 
     def __post_init__(self):
         for name in ("a0", "a1", "b0", "b1"):
-            value = getattr(self, name)
-            # numbers.Real admits Python and numpy scalars, not arrays or strings
-            try:
-                finite = isinstance(value, numbers.Real) and math.isfinite(value)
-            except OverflowError:  # an int past the float range
-                finite = False
-            if not finite:
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _check.real(name, getattr(self, name)))
 
 
 def midpoint_tableau() -> Tableau:
@@ -70,11 +62,10 @@ class FixedPointConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        object.__setattr__(self, "tol", _check.real("tol", self.tol, gt=0))
         # range() needs an integer: a float count fails only inside the solve
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        object.__setattr__(self, "max_iter", _check.integer(
+            "max_iter", self.max_iter, 1, must="an integer >= 1"))
 
 
 @dataclass

@@ -13,6 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _check
+
+# the largest interpolation order: interp_exp's Vandermonde system on t*gamma
+# has condition number ~t^-(d-1), past 1e15 at d=5 and kernel-error's steps
+# (3.5e15 at t=2^-11), so no digit would be right.  Callers use d=1 and d=2
+MAX_KERNEL_D = 4
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -22,19 +29,18 @@ class KernelSpec:
     gamma: tuple
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"interpolation order d must be >= 1, got {self.d}")
-        if len(self.gamma) != self.d:
-            raise ValueError("need exactly d interpolation points")
-        if len(set(self.gamma)) != self.d:
-            raise ValueError("interpolation points must be distinct")
+        d = _check.integer("interpolation order d", self.d, 1, MAX_KERNEL_D)
+        if not isinstance(self.gamma, tuple) or len(self.gamma) != d:
+            raise ValueError(f"gamma must be a tuple of d={d} points, got {self.gamma!r}")
         for g in self.gamma:
-            if not 0.0 <= g <= 1.0:
-                raise ValueError(f"interpolation point {g} outside [0,1]")
+            _check.real("gamma", g, within=(0.0, 1.0), must="in [0, 1]")
+        if len(set(self.gamma)) != d:
+            raise ValueError("interpolation points must be distinct")
 
 
 def default_kernel_spec(d: int) -> KernelSpec:
     """d=1: the single point 0 (symplectic kernel); d>=2: equispaced."""
+    d = _check.integer("interpolation order d", d, 1, MAX_KERNEL_D)  # before the points
     if d == 1:
         return KernelSpec(1, (0.0,))
     return KernelSpec(d, tuple(j / (d - 1) for j in range(d)))
@@ -62,8 +68,7 @@ def interp_exp(spec: KernelSpec, omega, t: float) -> np.ndarray:
     """Coefficients (ascending powers of s) of the degree d-1 polynomial
     matching e^{i omega s} at s = t*gamma_j, along a leading axis of
     length d followed by the shape of omega."""
-    if not 0 < t < np.inf:
-        raise ValueError(f"step t must be finite and > 0, got {t}")
+    t = _check.real("step t", t, gt=0)
     nodes = t * np.asarray(spec.gamma, dtype=float)
     vals = np.exp(1j * np.multiply.outer(nodes, omega))
     vander = np.vander(nodes, N=spec.d, increasing=True)

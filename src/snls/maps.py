@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _check
 from .noise import CovarianceOp, NoiseIncrement
 from .torus import SpectralField, _embed, _extract, _fast_len, _pad_size
 
@@ -32,10 +33,9 @@ class ModelParams:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if not np.isfinite(self.lam) or not np.isfinite(self.kappa):
-            raise ValueError("lambda and kappa must be finite")
-        if not 1 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be finite and > 1, got {self.alpha}")
+        object.__setattr__(self, "lam", _check.real("lambda", self.lam))
+        object.__setattr__(self, "kappa", _check.real("kappa", self.kappa))
+        object.__setattr__(self, "alpha", _check.real("alpha", self.alpha, gt=1))
 
 
 # map_P_frozen forms its product directly up to this many modes and by

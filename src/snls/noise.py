@@ -26,10 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _check
+
 # quantization grain for increments; keeps dyadic sums exact in doubles
 _GRAIN = 2.0**-40
-# seeds are the first word of the uint64 Philox key
-MAX_SEED = 2**64 - 1
+# the largest Brownian path sample_path draws, in doubles (1 GiB)
+MAX_PATH_VALUES = 2**27
+# the largest mode cutoff K: a path holds 2K+1 values per cell
+MAX_K = (MAX_PATH_VALUES - 1) // 2
 # bound on |W_k| along a path: grain multiples below 2^13 are exact in
 # doubles, so sums of two values below 2^12 are still exact
 _W_LIMIT = 2.0**12
@@ -60,13 +64,11 @@ def _normals(seed: int | tuple, level: int, n_modes: int, n: int) -> np.ndarray:
     state a fresh Philox(key=...) starts in, so the draws are the same
     bits.  The generator lives only for this call.
     """
-    seeds = seed if isinstance(seed, tuple) else (seed,)
+    seeds = tuple(map(_check.seed, seed if isinstance(seed, tuple) else (seed,)))
     bit_generator = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     generator = np.random.Generator(bit_generator)
     out = np.empty((len(seeds), n_modes, n))
     for i, s in enumerate(seeds):
-        if not 0 <= s <= MAX_SEED:
-            raise ValueError(f"seed must be in 0..2^64-1, got {s}")
         for k in range(n_modes):
             key = np.array([s, ((k + (1 << 20)) << 24) + level], dtype=np.uint64)
             bit_generator.state = {
@@ -101,8 +103,7 @@ class CovarianceOp:
 
 def default_phi(K: int) -> CovarianceOp:
     """Phi_0 = 0, Phi_k = 1/k^2 otherwise."""
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    K = _check.integer("K", K, 1, MAX_K)
     k = np.arange(-K, K + 1).astype(float)
     phi = np.where(k == 0, 0.0, 1.0 / np.maximum(k**2, 1.0))
     return CovarianceOp(phi)
@@ -142,8 +143,7 @@ class BrownianPath:
     def mode_row(self, k: int) -> np.ndarray:
         if self.increments.ndim != 2:
             raise ValueError("mode rows are read from a single path, not a stacked one")
-        if not -self.K <= k <= self.K:
-            raise ValueError(f"mode {k} outside -{self.K}..{self.K}")
+        k = _check.integer("mode k", k, -self.K, self.K)
         return self.increments[k + self.K]
 
     def values(self, k: int) -> np.ndarray:
@@ -166,12 +166,15 @@ def sample_path(seed, horizon: float, level: int, K: int, n_base: int = 1) -> Br
     a tuple of seeds, the stacked path whose sample i is that of seed[i]."""
     if isinstance(seed, tuple) and not seed:
         raise ValueError("sample_path needs at least one seed, got an empty tuple")
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    if not 0 < horizon < np.inf:
-        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
-    if n_base < 1:
-        raise ValueError(f"n_base must be >= 1, got {n_base}")
+    level = _check.integer("level", level, 0)
+    horizon = _check.real("horizon", horizon, gt=0)
+    n_base = _check.integer("n_base", n_base, 1)
+    K = _check.integer("K", K, 1)
+    n_paths = len(seed) if isinstance(seed, tuple) else 1
+    # a shift, not 2**level, which a huge level would make huge
+    if n_paths * (2 * K + 1) * n_base > MAX_PATH_VALUES >> level:
+        raise ValueError(f"{n_paths} path(s) at K={K}, n_base={n_base} and level={level} "
+                         f"would hold more than {MAX_PATH_VALUES} values")
     normals = _normals(seed, 0, K + 1, n_base)
     rows = _quantize(np.sqrt(horizon / n_base) * normals)
     for lev in range(1, level + 1):

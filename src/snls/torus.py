@@ -14,6 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _check
+
 
 @dataclass(frozen=True)
 class TorusGrid:
@@ -22,8 +24,7 @@ class TorusGrid:
     K: int
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"mode cutoff K must be >= 1, got {self.K}")
+        object.__setattr__(self, "K", _check.integer("mode cutoff K", self.K, 1))
 
     @property
     def n_modes(self) -> int:

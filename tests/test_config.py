@@ -1,5 +1,7 @@
 """Config parsing and initial-data presets."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,17 @@ def test_invalid_domain_values_rejected():
         RunConfig(seed=1, alpha=1.0)
     with pytest.raises(ConfigError):
         RunConfig(seed=1, kernel_d=3)
+    # wrong types from the Python API: a TypeError or AttributeError, or for
+    # t=True a run, before the checker
+    for key, value, message in (("t", "0.1", "t must be finite and > 0, got '0.1'"),
+                                ("t", True, "t must be finite and > 0, got True"),
+                                ("lam", "x", "lambda must be finite, got 'x'"),
+                                ("alpha", None, "alpha must be finite and > 1, got None"),
+                                ("fp_tol", None, "fp_tol must be finite and > 0, got None"),
+                                ("initial_data", 3, "initial_data must be a name or a path, "
+                                                    "got 3")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig(seed=1, **{key: value})
 
 
 @pytest.mark.parametrize("key", ["seed", "K", "n_steps", "kernel_d", "fp_max_iter"])
@@ -91,6 +104,14 @@ def test_numpy_integer_fields_pass():
     cfg = RunConfig(seed=np.uint64(1), K=np.int64(2), n_steps=np.int32(2),
                     kernel_d=np.int8(2), fp_max_iter=np.int64(5))
     assert cfg == RunConfig(seed=1, K=2, n_steps=2, kernel_d=2, fp_max_iter=5)
+    # stored unconverted, an int8 K overflowed 2*K+1 and the path-size bound
+    want = RunConfig(seed=1, K=100)
+    for cfg in (RunConfig(seed=1, K=np.int8(100)),
+                RunConfig(seed=1, K=np.int8(2), n_steps=np.int8(100))):
+        for key in ("seed", "K", "n_steps", "kernel_d", "fp_max_iter"):
+            assert type(getattr(cfg, key)) is int, key
+        assert cfg.n_steps == want.n_steps and cfg.fp_max_iter == want.fp_max_iter
+    assert RunConfig(seed=1, K=np.int8(100)) == want
 
 
 @pytest.mark.parametrize("name", ["no-such-preset", "rough-abc", "rough-nan"])

@@ -306,6 +306,11 @@ def test_fixed_point_config_validation():
         with pytest.raises(ConfigError, match="fp_max_iter must be"):
             RunConfig(seed=1, fp_max_iter=max_iter)
     assert FixedPointConfig(max_iter=np.int64(3)).max_iter == 3
+    # "1" < 0 raised TypeError, and True passed as one iteration
+    with pytest.raises(ValueError, match="tol must be finite and > 0, got '1'"):
+        FixedPointConfig(tol="1")
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 1, got True"):
+        FixedPointConfig(max_iter=True)
 
 
 # ---------------------------------------------------------------- stepping

@@ -115,10 +115,11 @@ def test_horner_is_numpy_polyval_bit_for_bit(d):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("t", [0.0, -0.1, np.nan, np.inf])
+@pytest.mark.parametrize("t", [0.0, -0.1, np.nan, np.inf, "1"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_interp_exp_refuses_a_step_that_is_not_finite_and_positive(d, t):
-    # a NaN step used to give NaN coefficients, an infinite one numpy warnings
+    # a NaN step used to give NaN coefficients, an infinite one numpy
+    # warnings and a str one a TypeError
     spec = default_kernel_spec(d)
     with pytest.raises(ValueError, match="step t must be finite and > 0"):
         interp_exp(spec, 1.0, t)
@@ -135,6 +136,21 @@ def test_kernel_spec_validation():
         KernelSpec(1, (1.5,))
     with pytest.raises(ValueError):
         KernelSpec(2, (0.0,))
+    # True was accepted as d=1, 1.5 raised TypeError
+    for d in (True, 1.5):
+        with pytest.raises(ValueError, match=f"interpolation order d must be an integer, got {d}"):
+            default_kernel_spec(d)
+    with pytest.raises(ValueError, match="gamma must be in \\[0, 1\\], got nan"):
+        KernelSpec(1, (np.nan,))
+
+
+def test_kernel_spec_refuses_a_huge_order_at_once():
+    # the gamma tuple is never built: 2**70 points used to run out of memory
+    for d in (2**70, 10**6):
+        with pytest.raises(ValueError, match=f"interpolation order d must be in 1..4, got {d}"):
+            default_kernel_spec(d)
+        with pytest.raises(ValueError, match="interpolation order d must be in 1..4"):
+            KernelSpec(d, (0.0,))
 
 
 def test_default_specs():

@@ -37,6 +37,11 @@ def test_model_params_validation():
         ModelParams(lam=1.0, kappa=1.0, alpha=0.5)
     with pytest.raises(ValueError):
         ModelParams(lam=1.0, kappa=1.0, alpha=np.nan)
+    # numpy's isfinite and the alpha comparison raised TypeError on these
+    with pytest.raises(ValueError, match="lambda must be finite, got 'x'"):
+        ModelParams("x", 1.0)
+    with pytest.raises(ValueError, match="alpha must be finite and > 1, got None"):
+        ModelParams(1.0, 1.0, None)
 
 
 # ------------------------------------------------------------------ map_F

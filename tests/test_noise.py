@@ -2,6 +2,7 @@
 and the discrete Stratonovich identities."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -36,6 +37,12 @@ def test_covariance_requires_odd_length():
 
 
 def test_default_phi_values():
+    # a float K used to pass the range check and fail as "phi must hold an
+    # odd number of modes"; a K past any path is refused before arange
+    for K, message in ((2.5, "K must be an integer, got 2.5"), (0, "K must be in 1..67108863"),
+                       (2**64 + 1, "K must be in 1..67108863")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            default_phi(K)
     op = default_phi(3)
     np.testing.assert_allclose(
         op.phi, [1 / 9, 1 / 4, 1.0, 0.0, 1.0, 1 / 4, 1 / 9]
@@ -116,6 +123,23 @@ def test_sample_path_validation():
     sample_path(2**64 - 1, 1.0, 0, 2)
     with pytest.raises(ValueError, match="at least one seed"):
         sample_path((), 1.0, 2, 2)
+    # a float or a bool seed used to become the Philox key: 1.5 drew seed 1's path
+    for seed in (1.5, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            sample_path(seed, 1.0, 1, 2)
+    for K in (0, -3):
+        with pytest.raises(ValueError, match=f"K must be >= 1, got {K}$"):
+            sample_path(1, 1.0, 1, K)
+    for name in ("level", "K", "n_base"):
+        args = {"level": 1, "K": 2, "n_base": 1, name: 1.5}
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got 1.5"):
+            sample_path(1, 1.0, **args)
+    # the path size is refused before any draw: 2^level is never formed
+    for args in ({"level": 2**64 + 1}, {"K": 2**70}, {"n_base": 2**64 + 1}, {"level": 26},
+                 {"K": 2**26}):
+        args = {"level": 0, "K": 1, "n_base": 1, **args}
+        with pytest.raises(ValueError, match="would hold more than 134217728 values"):
+            sample_path(1, 1.0, **args)
 
 
 def test_paths_past_the_exact_range_are_refused():

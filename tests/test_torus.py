@@ -36,6 +36,11 @@ def random_field(K, seed, scale=1.0):
 def test_make_grid_rejects_bad_K():
     with pytest.raises(ValueError, match="K must be >= 1"):
         TorusGrid(0)
+    # 1.5 was accepted and "3" raised TypeError
+    for K in (1.5, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"K must be an integer, got {K!r}")):
+            TorusGrid(K)
+    assert type(TorusGrid(np.int8(3)).K) is int
 
 
 def test_field_validation():
