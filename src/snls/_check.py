@@ -22,7 +22,9 @@ def integer(name: str, value, lo=None, hi=None, must=None) -> int:
 
 def real(name: str, value, gt=-math.inf, within=(-math.inf, math.inf), must=None) -> float:
     """value as a finite float > gt in the closed interval `within`; `must` as above."""
-    is_real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # a float first: the ABC test alone takes about 0.4 us
+    is_real = type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool))
     try:
         x = float(value) if is_real else math.nan
     except OverflowError:  # an int past the float range

@@ -155,7 +155,7 @@ def initial_field(data_id: str, K: int, seed: int = 0) -> SpectralField:
     rough-<s>: coefficients ~ (1+k^2)^(-(s+1/2)/2) with seeded random
                phases, unit mass.
     """
-    return _build_initial(data_id, TorusGrid(K), seed)
+    return _build_initial(data_id, TorusGrid(K), _check.seed(seed))
 
 
 def _build_initial(data_id: str, grid: TorusGrid, seed: int) -> SpectralField:
@@ -182,7 +182,7 @@ def _build_initial(data_id: str, grid: TorusGrid, seed: int) -> SpectralField:
 
 def _roughness(data_id: str) -> float | None:
     """The exponent s of a rough-<s> preset, None for smooth or an
-    existing snapshot path; a ConfigError for any other name."""
+    existing snapshot file; a ConfigError for any other name."""
     if not isinstance(data_id, str):
         raise ConfigError(f"initial_data must be a name or a path, got {data_id!r}")
     if data_id.startswith("rough-"):
@@ -193,6 +193,7 @@ def _roughness(data_id: str) -> float | None:
         if not np.isfinite(s):
             raise ConfigError(f"roughness exponent in {data_id!r} must be finite")
         return s
-    if data_id != "smooth" and not os.path.exists(data_id):
-        raise ConfigError(f"unknown initial data {data_id!r}")
+    if data_id != "smooth" and not os.path.isfile(data_id):
+        raise ConfigError(f"unknown initial data {data_id!r}: initial_data must be smooth, "
+                          f"rough-<s> or a snapshot file")
     return None

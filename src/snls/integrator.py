@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _check
+from . import _check, maps
 from .diagnostics import sobolev_norm
 from .maps import ModelParams, map_F_midpoint_physical, map_P_frozen
 from .noise import BrownianPath, CovarianceOp, increment
@@ -223,10 +223,15 @@ def step(
     invertible; for the midpoint rule B is a real multiple of the
     skew-Hermitian L, so it always is.  The contraction rate drops from
     about rho_K + rho_L to about rho_K + rho_L^2, and fixed_point_solve
-    counts the outer sweeps.
+    counts the outer sweeps.  When L is a direct product (2K+1 <=
+    maps.DIRECT_MAX_MODES) and sqrt(t) |a1 kappa| sum|Phi_k| >=
+    maps.EXACT_NOISE_MIN_RHO, a bound that reads no noise value, a sweep
+    is U <- (I - B)^-1 r instead, with B built once from L of the unit
+    fields; ||(I - B)^-1|| <= 1 leaves the rate at rho_K alone (the
+    midpoint rule as a Cayley transform).
 
-    The solve starts from NOISE_SWEEPS sweeps of V = u_n + sqrt(t) a1 L(V)
-    from V = u_n, the stage equation without K: this removes the
+    The solve starts from the stage equation without K, solved the same
+    way from V = u_n (V = u_n + sqrt(t) a1 L(V)): this removes the
     O(sqrt t) noise part of the starting error and leaves the O(t) part
     of K.  For b = 2a (the midpoint rule and its (b, b/2) family) the
     update is taken from the stage, 2U - u_n, and costs no evaluation;
@@ -256,14 +261,27 @@ def step(
         return U
 
     def iteration(U):
-        return noise_sweeps(u + tab.a0 * t_K(U), U)
+        return noise_solve(u + tab.a0 * t_K(U), U)
 
     def norm(new, old):
         return sobolev_norm(SpectralField.wrap(new - old, grid), params.alpha)
 
+    n = grid.n_modes
+    rho = sqrt_t * abs(tab.a1 * params.kappa) * np.abs(phi.phi).sum()
     # an overflow rejects its sample through a non-finite residual
     with np.errstate(all="ignore"):
-        solve = fixed_point_solve(iteration, noise_sweeps(u, u), fp, norm)
+        if n <= maps.DIRECT_MAX_MODES and rho >= maps.EXACT_NOISE_MIN_RHO:
+            # column j of B is B of unit field j, which sits on a leading axis
+            lead = (1,) * (max(u.ndim, X.w.ndim) - 1)
+            units = np.eye(n, dtype=complex).reshape(n, *lead, n)
+            B = (sqrt_t * tab.a1) * np.moveaxis(L(units), 0, -1)
+            inverse = np.linalg.inv(np.eye(n) - B)
+
+            def noise_solve(rhs, U):
+                return (inverse @ rhs[..., None])[..., 0]
+        else:
+            noise_solve = noise_sweeps
+        solve = fixed_point_solve(iteration, noise_solve(u, u), fp, norm)
         if tab.b0 == 2 * tab.a0 and tab.b1 == 2 * tab.a1:
             # at the fixed point U = u + a0 tK(U) + a1 sqrt(t) L(U), so
             # u + b0 tK(U) + b1 sqrt(t) L(U) = u + 2(U - u) = 2U - u

@@ -43,6 +43,9 @@ class ModelParams:
 # K=8 took simulate from 0.33 to 0.48 s per 200 steps, and forcing the
 # direct product at K=256 from 0.23 to 0.70 s per 40 steps (2 vCPUs)
 DIRECT_MAX_MODES = 33
+# integrator.step solves the stage's noise part exactly on the direct side
+# from this sqrt(t)|a1 kappa| sum|Phi_k| up (crossover table in CHANGES.md)
+EXACT_NOISE_MIN_RHO = 0.1
 
 
 def map_P_frozen(

@@ -154,7 +154,7 @@ class BrownianPath:
 
     def cell_index(self, s: float) -> int:
         """Index of the grid point at time s; s must sit on the grid."""
-        j = s / self.dt
+        j = _check.real("time", s) / self.dt
         j_round = int(round(j))
         if not 0 <= j_round <= self.n_cells or abs(j - j_round) > 1e-9:
             raise ValueError(f"time {s} is not on the level-{self.level} grid")
