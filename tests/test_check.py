@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snls.experiments
-from snls.config import ConfigError, RunConfig
+from snls.config import ConfigError, RunConfig, initial_field
 from snls.experiments import cmd_kernel_error, cmd_local_error
 from snls.integrator import FixedPointConfig, Tableau
 from snls.kernels import KernelSpec, default_kernel_spec, interp_exp
@@ -34,6 +34,11 @@ def _interp_exp(t):
 
 def _local_error(**kwargs):
     return cmd_local_error(CFG, **kwargs)
+
+
+def _initial_field(seed):
+    # a rough preset: its phases are drawn from the seed
+    return initial_field("rough-1", 2, seed=seed)
 
 
 # (callable, its valid arguments, the kind of each: "int", "real", "str"
@@ -57,6 +62,7 @@ CALLS = {
                                       K=(2, "int"), n_base=(1, "int"))),
     "interp_exp": (_interp_exp, dict(t=(0.5, "real"))),
     "cmd_kernel_error": (cmd_kernel_error, dict(d=(1, "int"), seed=(0, "int"))),
+    "initial_field": (_initial_field, dict(seed=(1, "int"))),
     "cmd_local_error": (_local_error, dict(samples=(16, "int"), t_values=((0.25,), "seq"),
                                            ref_level=(8, "int"))),
 }

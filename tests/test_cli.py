@@ -126,13 +126,27 @@ def test_rejected_symplectic_step_exit_2(tmp_path, capsys):
 def test_overflowing_step_exit_2(tmp_path, capsys):
     # an overflow in the stage solve is a rejected step that names its
     # step, time and residual, not a bad config, and prints no warning
-    cfg = write_cfg(tmp_path, "seed=1\nK=4\nt=0.01\nn_steps=3\nkappa=1e300\n")
+    cfg = write_cfg(tmp_path, "seed=1\nK=4\nt=0.01\nn_steps=3\nlambda=1e300\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "experiment invalid: step 0 from t=0: " in err
-    assert "diverging after 1 iterations (residual nan)" in err
+    assert "diverging after 1 iterations (residual inf)" in err
+
+
+def test_huge_kappa_is_a_cayley_step(tmp_path):
+    # the noise part of this stage is solved exactly: (I - B)^-1 with a
+    # huge skew-Hermitian B is finite and mass-conserving, and so is the run
+    out = tmp_path / "kappa.csv"
+    cfg = write_cfg(tmp_path, f"seed=1\nK=4\nt=0.01\nn_steps=3\nkappa=1e300\nout={out}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg]) == 0
+    masses = [float(line.split(",")[2]) for line in out.read_text().splitlines()
+              if line[0].isdigit()]
+    assert len(masses) == 4
+    assert max(abs(m - masses[0]) for m in masses) <= 1e-12 * masses[0]
 
 
 def test_explicit_blow_up_exit_2(tmp_path, capsys):

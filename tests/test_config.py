@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from snls.cli import main
 from snls.config import ConfigError, RunConfig, initial_field, parse_config
 from snls.diagnostics import mass, sobolev_norm
 from snls.integrator import FixedPointConfig, explicit_tableau
@@ -119,6 +120,17 @@ def test_bad_initial_data_name_rejected(name):
     # by the config itself, before any command builds the field
     with pytest.raises(ConfigError, match="initial data|roughness exponent"):
         RunConfig(seed=1, initial_data=name)
+
+
+def test_a_directory_is_not_snapshot_initial_data(tmp_path, capsys):
+    # refused by name, not opened: the CLI exits 1 with a message naming the key
+    with pytest.raises(ConfigError, match="initial_data must be smooth, rough-<s> or a "
+                                          "snapshot file"):
+        RunConfig(seed=1, initial_data=str(tmp_path))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=1\ninitial_data={tmp_path}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "initial_data must be" in capsys.readouterr().err
 
 
 def test_infinite_horizon_rejected():

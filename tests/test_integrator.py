@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import snls.integrator
+import snls.maps
 from snls.diagnostics import energy_h0, mass, sobolev_norm
 from snls.integrator import (
     DIVERGENCE_FACTOR,
@@ -376,11 +377,14 @@ def _counting(monkeypatch, name):
     return calls
 
 
+@pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("tableau, extra_F", [(midpoint_tableau, 0), (explicit_tableau, 1)])
-def test_step_map_evaluation_counts(tableau, extra_F, monkeypatch):
-    # one F per outer sweep and NOISE_SWEEPS P per sweep and for the
-    # starting guess; the midpoint update comes from the stage, any
-    # other tableau evaluates F (and P) once more
+def test_step_map_evaluation_counts(tableau, extra_F, exact, monkeypatch):
+    # one F per outer sweep; the Richardson branch makes NOISE_SWEEPS P
+    # per sweep and for the starting guess, the exact branch one P for
+    # the whole step (L of the unit fields); the midpoint update comes
+    # from the stage, any other tableau evaluates F (and P) once more
+    monkeypatch.setattr(snls.maps, "EXACT_NOISE_MIN_RHO", 0.0 if exact else np.inf)
     F_calls = _counting(monkeypatch, "map_F_midpoint_physical")
     P_calls = _counting(monkeypatch, "map_P_frozen")
     K, t = 6, 0.01
@@ -389,7 +393,39 @@ def test_step_map_evaluation_counts(tableau, extra_F, monkeypatch):
     assert out.converged
     n = int(out.iterations)
     assert len(F_calls) == n + extra_F
-    assert len(P_calls) == NOISE_SWEEPS * (n + 1) + extra_F
+    assert len(P_calls) == (1 if exact else NOISE_SWEEPS * (n + 1)) + extra_F
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_strong_noise_steps_converge(seed):
+    # K=8 smooth data, t=0.1 and kappa=3: sqrt(t) |a1 kappa| sum|Phi_k|
+    # is 1.45, far past the Richardson sweeps' reach (seed 1 took 98
+    # sweeps with them, seed 4 took 51 and the other four were rejected);
+    # with the noise part solved exactly every one is a short solve
+    record = simulate(RunConfig(seed=seed, K=8, t=0.1, kappa=3.0, n_steps=1))
+    assert record.column("fp_iters")[1] <= 15
+    m = record.column("mass")
+    assert abs(m[1] - m[0]) <= 1e-12 * m[0]
+
+
+@pytest.mark.parametrize("samples", [None, 3])
+def test_exact_and_richardson_noise_solves_give_the_same_stage(samples, monkeypatch):
+    # K=6, t=0.01: both branches converge, to the stage equation's one
+    # fixed point, so the stages agree to the solver tolerance
+    params = ModelParams(lam=1.0, kappa=1.0)
+    K, t = 6, 0.01
+    seeds = [5] if samples is None else range(samples)
+    fields = [random_field(K, s, scale=0.2).coefficients for s in seeds]
+    u = SpectralField(fields[0] if samples is None else np.stack(fields), TorusGrid(K))
+    path = sample_path(seeds[0] if samples is None else tuple(seeds), t, 0, K)
+    stages = []
+    for gate in (0.0, np.inf):
+        monkeypatch.setattr(snls.maps, "EXACT_NOISE_MIN_RHO", gate)
+        out = step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, t, FP)
+        assert np.all(out.converged)
+        stages.append(0.5 * (free_propagator(out.state, -t).coefficients + u.coefficients))
+    assert np.all(sobolev_norm(SpectralField(stages[0] - stages[1], u.grid), params.alpha)
+                  <= FP.tol)
 
 
 @pytest.mark.parametrize("samples", [None, 3])

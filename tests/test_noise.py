@@ -2,6 +2,7 @@
 and the discrete Stratonovich identities."""
 
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -163,6 +164,21 @@ def test_cell_index_off_grid_rejected():
         p.cell_index(0.3)
     with pytest.raises(ValueError):
         p.cell_index(1.25)
+
+
+@pytest.mark.parametrize("time", ["x", None, True, math.nan, math.inf, 1 + 0j])
+def test_cell_index_and_increment_refuse_a_time_that_is_not_a_finite_real(time):
+    p = sample_path(0, 1.0, 2, 1)
+    message = re.escape(f"time must be finite, got {time!r}")
+    with pytest.raises(ValueError, match=message):
+        p.cell_index(time)
+    with pytest.raises(ValueError, match=message):
+        increment(p, 0.25, time)
+
+
+def test_cell_index_takes_numpy_and_integer_times():
+    p = sample_path(0, 1.0, 2, 1)
+    assert p.cell_index(np.float64(0.5)) == 2 and p.cell_index(1) == 4
 
 
 def test_endpoint_variance_is_horizon():
