@@ -377,23 +377,25 @@ def _counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("tableau, extra_F", [(midpoint_tableau, 0), (explicit_tableau, 1)])
-def test_step_map_evaluation_counts(tableau, extra_F, exact, monkeypatch):
+def test_step_map_evaluation_counts(tableau, extra_F, monkeypatch):
     # one F per outer sweep; the Richardson branch makes NOISE_SWEEPS P
     # per sweep and for the starting guess, the exact branch one P for
     # the whole step (L of the unit fields); the midpoint update comes
     # from the stage, any other tableau evaluates F (and P) once more
-    monkeypatch.setattr(snls.maps, "EXACT_NOISE_MIN_RHO", 0.0 if exact else np.inf)
     F_calls = _counting(monkeypatch, "map_F_midpoint_physical")
     P_calls = _counting(monkeypatch, "map_P_frozen")
     K, t = 6, 0.01
-    out = step(random_field(K, 3, scale=0.2), tableau(), ModelParams(lam=1.0, kappa=1.0),
-               default_phi(K), sample_path(1, t, 0, K), 0.0, t, FP)
-    assert out.converged
-    n = int(out.iterations)
-    assert len(F_calls) == n + extra_F
-    assert len(P_calls) == (1 if exact else NOISE_SWEEPS * (n + 1)) + extra_F
+    for exact in (False, True):
+        monkeypatch.setattr(snls.maps, "EXACT_NOISE_MIN_RHO", 0.0 if exact else np.inf)
+        F_calls.clear()
+        P_calls.clear()
+        out = step(random_field(K, 3, scale=0.2), tableau(), ModelParams(lam=1.0, kappa=1.0),
+                   default_phi(K), sample_path(1, t, 0, K), 0.0, t, FP)
+        assert out.converged
+        n = int(out.iterations)
+        assert len(F_calls) == n + extra_F
+        assert len(P_calls) == (1 if exact else NOISE_SWEEPS * (n + 1)) + extra_F
 
 
 @pytest.mark.parametrize("seed", range(1, 7))

@@ -160,6 +160,7 @@ def test_paths_past_the_exact_range_are_refused():
 def test_cell_index_off_grid_rejected():
     p = sample_path(0, 1.0, 2, 1)
     assert p.cell_index(0.25) == 1
+    assert p.cell_index(np.float64(0.5)) == 2 and p.cell_index(1) == 4
     with pytest.raises(ValueError):
         p.cell_index(0.3)
     with pytest.raises(ValueError):
@@ -174,11 +175,6 @@ def test_cell_index_and_increment_refuse_a_time_that_is_not_a_finite_real(time):
         p.cell_index(time)
     with pytest.raises(ValueError, match=message):
         increment(p, 0.25, time)
-
-
-def test_cell_index_takes_numpy_and_integer_times():
-    p = sample_path(0, 1.0, 2, 1)
-    assert p.cell_index(np.float64(0.5)) == 2 and p.cell_index(1) == 4
 
 
 def test_endpoint_variance_is_horizon():
