@@ -8,7 +8,12 @@ Each LABEL=DIR names a directory of `perfbench/run.py` result files
 perfbench/out/).  For every label, workload and metric the summary
 holds the median, the quartiles and the IQR over the seeds, from
 untraced runs for the end-to-end metrics and from traced runs for the
-per-layer ones, with the git sha and dirty flag the runs recorded.  The
+per-layer ones, with the git sha and dirty flag the runs recorded.
+perfbench scales only the end-to-end throughput and setup_s by its
+measured machine speed; the per-layer times of the one traced run per
+side (unit s or us) are raw wall time, marked `"clock": "wall"`, and
+compare two moments of a drifting machine, not two programs.  Only the
+per-layer counts compare across sides.  The
 machine (nproc, CPU model) and the library versions are recorded once,
 and a run on any other machine or versions is refused: medians from two
 machines do not compare.
@@ -67,8 +72,10 @@ def summarize(records):
         if r["git"] not in w["git"]:
             w["git"].append(r["git"])
         for name, m in r["metrics"].items():
-            w["metrics"].setdefault(name, {"unit": m["unit"], "values": []})["values"].append(
-                m["value"])
+            metric = w["metrics"].setdefault(name, {"unit": m["unit"], "values": []})
+            metric["values"].append(m["value"])
+            if trace and m["unit"] in ("s", "us"):
+                metric["clock"] = "wall"
     for w in workloads.values():
         for m in w["metrics"].values():
             values = m.pop("values")

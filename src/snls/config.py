@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from . import _check
-from .diagnostics import sobolev_norm
+from .diagnostics import _sobolev_weights, sobolev_norm
 from .integrator import TABLEAUX, FixedPointConfig
 from .maps import ModelParams
 from .noise import MAX_K, MAX_PATH_VALUES, default_phi
@@ -63,11 +63,7 @@ class RunConfig:
             if not self.t * self.n_steps < np.inf:
                 raise ValueError(f"t must be finite and > 0, and so must t*n_steps, got "
                                  f"t={self.t}, n_steps={self.n_steps}")
-            with np.errstate(over="ignore"):
-                top_weight = (1.0 + np.float64(self.K) ** 2) ** self.alpha
-            if not top_weight < np.inf:
-                raise ValueError(f"alpha={self.alpha} overflows the Sobolev weight "
-                                 f"(1+K^2)^alpha at K={self.K}")
+            _sobolev_weights(self.K, self.alpha)  # refuses an alpha whose weight overflows
             if self.tableau not in TABLEAUX:
                 raise ValueError(
                     f"unknown tableau {self.tableau!r}; valid names: {', '.join(TABLEAUX)}")

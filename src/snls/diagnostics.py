@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _check
 from .torus import SpectralField, cubic_convolution
 
 
@@ -18,6 +19,7 @@ def mass(u: SpectralField) -> float:
 def energy_h0(u: SpectralField, lam: float) -> float:
     """Deterministic Hamiltonian (1/2) sum k^2 |u_k|^2 + (lam/4) * quartic,
     with the quartic evaluated on the truncated mode set."""
+    lam = _check.real("lambda", lam)
     kinetic = 0.5 * float(np.sum(_k_squared(u.grid.K) * np.abs(u.coefficients) ** 2))
     if lam == 0.0:
         return kinetic
@@ -28,8 +30,7 @@ def energy_h0(u: SpectralField, lam: float) -> float:
 def sobolev_norm(u: SpectralField, alpha: float):
     """sqrt( sum_k (1+k^2)^alpha |u_k|^2 ): a float for one field, an
     array over the batch axes for a batch."""
-    if not alpha >= 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    alpha = _check.real("alpha", alpha, within=(0.0, np.inf), must="finite and >= 0")
     return np.sqrt((_sobolev_weights(u.grid.K, alpha) * np.abs(u.coefficients) ** 2).sum(axis=-1))
 
 
@@ -44,9 +45,13 @@ def _k_squared(K: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _sobolev_weights(K: int, alpha: float) -> np.ndarray:
-    """(1+k^2)^alpha for k = -K..K (read-only: shared by every call)."""
-    k = np.arange(-K, K + 1).astype(float)
-    weights = (1.0 + k**2) ** alpha
+    """(1+k^2)^alpha for k = -K..K (read-only: shared by every call); an
+    alpha whose largest weight overflows is refused before any allocation."""
+    with np.errstate(over="ignore"):
+        top = (1.0 + np.float64(K) ** 2) ** alpha
+    if not top < np.inf:
+        raise ValueError(f"alpha={alpha} overflows the Sobolev weight (1+K^2)^alpha at K={K}")
+    weights = (1.0 + _k_squared(K)) ** alpha
     weights.flags.writeable = False
     return weights
 
@@ -75,8 +80,8 @@ def symplectic_defect(step_closure, u: SpectralField, h: float = 1e-5) -> float:
 
     step_closure maps a batch of fields to a batch of fields; it is
     called once, on the 2*dim perturbed states u +- h e_i."""
-    if h <= 0:
-        raise ValueError(f"finite-difference step h must be > 0, got {h}")
+    h = _check.real("finite-difference step h", h, gt=0, within=(0.0, np.finfo(float).max / 2),
+                    must="finite and > 0 with 2h finite")
     grid = u.grid
     x0 = _pack(u.coefficients)
     dim = len(x0)

@@ -22,20 +22,18 @@ if TYPE_CHECKING:  # integrator imports this module
 
 def _resonant_sum(c: np.ndarray, weight) -> np.ndarray:
     """sum over k = -k1+k2+k3 (all indices in -K..K) of
-    weight(k, k1, k2, k3) conj(c)_{k1} c_{k2} c_{k3}, along the last axis."""
+    weight(q) conj(c)_{k1} c_{k2} c_{k3}, along the last axis; q is the
+    ModeQuad of every resonant quad as index arrays, k1 slowest and k3
+    fastest, and each output mode adds its quads in that order."""
     K = (c.shape[-1] - 1) // 2
-    cf = np.moveaxis(c, -1, 0)  # modes first: cf[i] is mode i-K of every sample
-    out = np.zeros_like(cf)
-    for i1 in range(2 * K + 1):
-        k1 = i1 - K
-        for i2 in range(2 * K + 1):
-            k2 = i2 - K
-            for i3 in range(2 * K + 1):
-                k3 = i3 - K
-                k = -k1 + k2 + k3
-                if -K <= k <= K:
-                    out[k + K] += weight(k, k1, k2, k3) * np.conj(cf[i1]) * cf[i2] * cf[i3]
-    return np.moveaxis(out, 0, -1)
+    k1, k2, k3 = np.meshgrid(*3 * [np.arange(-K, K + 1)], indexing="ij")
+    k = -k1 + k2 + k3
+    keep = np.abs(k) <= K
+    q = ModeQuad(k[keep], k1[keep], k2[keep], k3[keep])
+    terms = weight(q) * np.conj(c[..., q.k1 + K]) * c[..., q.k2 + K] * c[..., q.k3 + K]
+    out = np.zeros(c.shape, dtype=complex)
+    np.add.at(out, (..., q.k + K), terms)
+    return out
 
 
 def map_F(
@@ -49,16 +47,13 @@ def map_F(
     """Deterministic resonance map, direct O(K^3) sum over quads."""
     if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
-    if params.lam == 0.0:
-        return SpectralField(np.zeros_like(v.coefficients), v.grid)
-    out = _resonant_sum(
-        v.coefficients, lambda *quad: kernel_weight(spec, ModeQuad(*quad), t, c, p))
+    out = _resonant_sum(v.coefficients, lambda q: kernel_weight(spec, q, t, c, p))
     return SpectralField(-1j * params.lam * out, v.grid)
 
 
 def cubic_convolution_direct(f: SpectralField) -> SpectralField:
     """Direct O(K^3) triple sum; the dealiasing ground truth."""
-    return SpectralField(_resonant_sum(f.coefficients, lambda *quad: 1.0), f.grid)
+    return SpectralField(_resonant_sum(f.coefficients, lambda q: 1.0), f.grid)
 
 
 def orthogonality_defect(u: SpectralField, g: SpectralField) -> float:
@@ -67,37 +62,38 @@ def orthogonality_defect(u: SpectralField, g: SpectralField) -> float:
     return float(np.real(np.vdot(u.coefficients, g.coefficients)))
 
 
-def weighted_exp_integral(omega: float, T: float, p: int) -> complex:
-    """Closed-form int_0^T s^p e^{i omega s} ds."""
+def weighted_exp_integral(omega, T: float, p: int):
+    """Closed-form int_0^T s^p e^{i omega s} ds, elementwise over omega."""
     if p < 0:
         raise ValueError(f"power p must be >= 0, got {p}")
     if T < 0:
         raise ValueError(f"upper limit T must be >= 0, got {T}")
-    if T == 0.0:
-        return 0.0 + 0.0j
-    iw = 1j * omega
+    omega = np.asarray(omega, dtype=float)
+    out = np.empty(omega.shape, dtype=complex)
     # The integration-by-parts recursion divides by omega once per power
     # of s, losing ~eps/|omega T|^{p+1}; below |omega T| = 1 the series
-    # int s^p sum_m (i w s)^m / m! ds converges fast enough to use instead.
-    if abs(omega * T) < 1.0:
-        acc = 0.0 + 0.0j
-        term = T ** (p + 1)
-        for m in range(40):
-            contrib = term / (p + m + 1)
-            acc += contrib
-            if abs(contrib) < 1e-18 * abs(acc):
-                break
-            term *= iw * T / (m + 1)
-        return acc
+    # int s^p sum_m (i w s)^m / m! ds converges fast enough to use
+    # instead: its terms past m ~ 20 are below the sum's rounding
+    series = np.abs(omega * T) < 1.0
+    iw = 1j * omega[series]
+    term = np.full(iw.shape, T ** (p + 1), dtype=complex)
+    acc = np.zeros(iw.shape, dtype=complex)
+    for m in range(40):
+        acc += term / (p + m + 1)
+        term = term * (iw * T / (m + 1))
+    out[series] = acc
+    iw = 1j * omega[~series]
     val = (np.exp(iw * T) - 1.0) / iw  # p = 0
     for q in range(1, p + 1):
         val = (T**q * np.exp(iw * T) - q * val) / iw
-    return val
+    out[~series] = val
+    return out[()]
 
 
-def kernel_weight(spec: KernelSpec, q: ModeQuad, t: float, c: float, p: int) -> complex:
-    """(1/t^{p+1}) int_0^{ct} K_2d(s) s^p ds in closed form; interp_exp
-    checks t and weighted_exp_integral checks p."""
+def kernel_weight(spec: KernelSpec, q: ModeQuad, t: float, c: float, p: int):
+    """(1/t^{p+1}) int_0^{ct} K_2d(s) s^p ds in closed form, elementwise
+    over the modes of q; interp_exp checks t and weighted_exp_integral
+    checks p."""
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"node c must lie in [0,1], got {c}")
     w_dom = -2.0 * q.k * q.k1
@@ -106,13 +102,13 @@ def kernel_weight(spec: KernelSpec, q: ModeQuad, t: float, c: float, p: int) -> 
     a_dom = interp_exp(spec, w_dom, t)  # P_d[e^{-2i.kk1}]
     T = c * t
     total = 0.0 + 0.0j
-    for j, aj in enumerate(a_low):
-        total += aj * weighted_exp_integral(w_dom, T, p + j)
-    for j, aj in enumerate(a_dom):
-        total += aj * weighted_exp_integral(w_low, T, p + j)
-    prod = np.convolve(a_low, a_dom)
-    for j, cj in enumerate(prod):
-        total -= cj * T ** (p + j + 1) / (p + j + 1)
+    for a, w in ((a_low, w_dom), (a_dom, w_low)):
+        for j, aj in enumerate(a):
+            total += aj * weighted_exp_integral(w, T, p + j)
+    # the product of the two interpolants, a_low[i] a_dom[j] s^{i+j}
+    for i, ai in enumerate(a_low):
+        for j, aj in enumerate(a_dom):
+            total -= ai * aj * T ** (p + i + j + 1) / (p + i + j + 1)
     return total / t ** (p + 1)
 
 

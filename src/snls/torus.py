@@ -101,8 +101,7 @@ def _extract(spec: np.ndarray, K: int) -> np.ndarray:
 
 def free_propagator(f: SpectralField, t: float) -> SpectralField:
     """e^{it Laplacian}: multiply coefficient k by e^{-i t k^2}."""
-    if not np.isfinite(t):
-        raise ValueError(f"propagation time must be finite, got {t}")
+    t = _check.real("propagation time t", t)
     return SpectralField.wrap(f.coefficients * _propagator(f.grid.K, t), f.grid)
 
 
@@ -110,7 +109,10 @@ def free_propagator(f: SpectralField, t: float) -> SpectralField:
 def _propagator(K: int, t: float) -> np.ndarray:
     """e^{-i t k^2} for k = -K..K (read-only: shared by every call)."""
     k = np.arange(-K, K + 1).astype(float)
-    mult = np.exp(-1j * t * k**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mult = np.exp(-1j * t * k**2)
+    if not np.isfinite(mult[0]):  # k = -K, the largest phase
+        raise ValueError(f"propagation time t={t} overflows the phase t K^2 at K={K}")
     mult.flags.writeable = False
     return mult
 

@@ -18,18 +18,21 @@ def bench_summary():
     return module
 
 
-def write_results(directory, values, machine=MACHINE, metric="throughput"):
-    # one untraced simulate-k8 run per value, seeds 1, 2, ...
-    directory.mkdir()
+def write_results(directory, values, machine=MACHINE, metric="throughput", trace=0, units=None):
+    # one simulate-k8 run per value, seeds 1, 2, ..., holding `metric` in
+    # 1/s or else each metric of `units` (name -> unit) at that value
+    directory.mkdir(exist_ok=True)
     for seed, value in enumerate(values, 1):
         record = {
-            "workload": "simulate-k8", "trace": 0, "seed": seed, "tiny": False,
+            "workload": "simulate-k8", "trace": trace, "seed": seed, "tiny": False,
             "seconds": 15.0, "failed": 0, "attempted": 100,
             "git": {"sha": "0" * 40, "dirty": False},
             "machine": machine, "versions": {"numpy": "2.0", "python": "3.11"},
-            "metrics": {metric: {"unit": "1/s", "value": value}},
+            "metrics": {name: {"unit": unit, "value": value}
+                        for name, unit in (units or {metric: "1/s"}).items()},
         }
-        (directory / f"result-simulate-k8-seed{seed}-trace0.json").write_text(json.dumps(record))
+        path = directory / f"result-simulate-k8-seed{seed}-trace{trace}.json"
+        path.write_text(json.dumps(record))
     return str(directory)
 
 
@@ -66,6 +69,24 @@ def test_compare_counts_a_lower_is_better_metric_on_seeds_run_on_both_sides(
     # without both a parent and a change there is nothing to compare
     assert bench_summary.main(["--out", str(out), f"a={parent}", f"b={change}"]) == 0
     assert "compare" not in json.loads(out.read_text())
+
+
+def test_per_layer_times_of_traced_runs_are_marked_wall_clock(bench_summary, tmp_path):
+    # perfbench scales setup_s by the machine's speed but leaves a traced
+    # run's per-layer times raw: only the latter carry "clock": "wall"
+    side = write_results(tmp_path / "side", [1.0, 2.0], units={"setup_s": "s"})
+    write_results(tmp_path / "side", [167.0], trace=1, units={
+        "maps.F_fast.us_per_call": "us", "maps.F_fast.self_s": "s", "maps.F_fast.calls": "count",
+        "torus.fft.flops_computed.per_step": "flop", "trace.overhead": "ratio"})
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main(["--out", str(out), f"change={side}"]) == 0
+    metrics = json.loads(out.read_text())["sides"]["change"]["simulate-k8"]["metrics"]
+    assert {name for name, m in metrics.items() if "clock" in m} == {
+        "maps.F_fast.us_per_call", "maps.F_fast.self_s"}
+    assert metrics["maps.F_fast.us_per_call"] == {
+        "unit": "us", "n": 1, "median": 167.0, "q1": 167.0, "q3": 167.0, "iqr": 0.0,
+        "clock": "wall"}
+    assert metrics["setup_s"]["median"] == 1.5
 
 
 def test_results_from_two_machines_exit_1(bench_summary, tmp_path, capsys):

@@ -15,21 +15,39 @@ from hypothesis import strategies as st
 
 import snls.experiments
 from snls.config import ConfigError, RunConfig, initial_field
+from snls.diagnostics import energy_h0, sobolev_norm, symplectic_defect
 from snls.experiments import cmd_kernel_error, cmd_local_error
 from snls.integrator import FixedPointConfig, Tableau
 from snls.kernels import KernelSpec, default_kernel_spec, interp_exp
 from snls.maps import ModelParams
 from snls.noise import default_phi, sample_path
-from snls.torus import TorusGrid
+from snls.torus import SpectralField, TorusGrid, free_propagator
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "snls"
 
 SPEC = default_kernel_spec(1)
 CFG = RunConfig(seed=1, K=2)
+FIELD = SpectralField([0.1, 0.2j, 1.0, -0.3, 0.4 - 0.1j], TorusGrid(2))
 
 
 def _interp_exp(t):
     return interp_exp(SPEC, 1.0, t)
+
+
+def _sobolev_norm(alpha):
+    return sobolev_norm(FIELD, alpha)
+
+
+def _energy_h0(lam):
+    return energy_h0(FIELD, lam)
+
+
+def _symplectic_defect(h):
+    return symplectic_defect(lambda v: v, FIELD, h)
+
+
+def _free_propagator(t):
+    return free_propagator(FIELD, t)
 
 
 def _local_error(**kwargs):
@@ -63,6 +81,10 @@ CALLS = {
     "interp_exp": (_interp_exp, dict(t=(0.5, "real"))),
     "cmd_kernel_error": (cmd_kernel_error, dict(d=(1, "int"), seed=(0, "int"))),
     "initial_field": (_initial_field, dict(seed=(1, "int"))),
+    "sobolev_norm": (_sobolev_norm, dict(alpha=(2.0, "real"))),
+    "energy_h0": (_energy_h0, dict(lam=(1.0, "real"))),
+    "symplectic_defect": (_symplectic_defect, dict(h=(1e-5, "real"))),
+    "free_propagator": (_free_propagator, dict(t=(0.01, "real"))),
     "cmd_local_error": (_local_error, dict(samples=(16, "int"), t_values=((0.25,), "seq"),
                                            ref_level=(8, "int"))),
 }
