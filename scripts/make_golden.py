@@ -43,6 +43,8 @@ GOLDENS = {
                                      "initial_data": "smooth"}),
     "simulate-k256.csv": ("simulate", {**_SIMULATE, "K": 256, "n_steps": 40,
                                        "fp_tol": 1e-10, "initial_data": "rough-1"}),
+    # the CLI's own sample count and step sizes (64 samples, t = 2^-4..2^-9)
+    "local-error-k1.csv": ("local-error", {"seed": 1, "K": 1}),
 }
 
 

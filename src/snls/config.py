@@ -75,8 +75,7 @@ class RunConfig:
             u0 = _build_initial(self.initial_data, TorusGrid(self.K), self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        with np.errstate(over="ignore"):
-            norm = sobolev_norm(u0, self.alpha)
+        norm = sobolev_norm(u0.coefficients, self.alpha)
         if not norm < np.inf:
             raise ConfigError(f"snapshot {self.initial_data}: H^alpha norm at "
                               f"alpha={self.alpha} is not finite ({norm})")
@@ -162,8 +161,7 @@ def _build_initial(data_id: str, grid: TorusGrid, seed: int) -> SpectralField:
     if data_id == "smooth":
         coeffs = np.exp(-((ks / 1.5) ** 2)) * np.exp(0.4j * ks)
         coeffs[np.abs(ks) > 3] = 0.0
-        f = SpectralField(coeffs, grid)
-        return (1.0 / sobolev_norm(f, 2.0)) * f
+        return SpectralField((1.0 / sobolev_norm(coeffs, 2.0)) * coeffs, grid)
     if s is None:
         return read_snapshot(data_id, grid)
     rng = np.random.default_rng([seed, 0xD15C0])
@@ -173,7 +171,7 @@ def _build_initial(data_id: str, grid: TorusGrid, seed: int) -> SpectralField:
         norm = np.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
     if not np.isfinite(norm):
         raise ConfigError(f"initial data {data_id!r} overflows at K={grid.K}")
-    return (1.0 / norm) * SpectralField(coeffs, grid)
+    return SpectralField((1.0 / norm) * coeffs, grid)
 
 
 def _roughness(data_id: str) -> float | None:

@@ -1,5 +1,6 @@
-"""Conserved-quantity functionals, Sobolev norms, and the Jacobian-based
-symplecticity test."""
+"""Conserved-quantity functionals and Sobolev norms of coefficient arrays
+(..., 2K+1), and the Jacobian-based symplecticity test of fields.  A
+functional past the float range is inf or NaN, without a numpy warning."""
 
 from __future__ import annotations
 
@@ -8,30 +9,33 @@ from functools import lru_cache
 import numpy as np
 
 from . import _check
-from .torus import SpectralField, cubic_convolution
+from .torus import SpectralField, cubic_convolution, mode_cutoff
 
 
-def mass(u: SpectralField) -> float:
-    """sum_k |u_k|^2 (Fourier convention)."""
-    return float(np.sum(np.abs(u.coefficients) ** 2))
+@np.errstate(over="ignore")
+def mass(c: np.ndarray) -> float:
+    """sum_k |c_k|^2 (Fourier convention)."""
+    return float(np.sum(np.abs(c) ** 2))
 
 
-def energy_h0(u: SpectralField, lam: float) -> float:
-    """Deterministic Hamiltonian (1/2) sum k^2 |u_k|^2 + (lam/4) * quartic,
+@np.errstate(over="ignore", invalid="ignore")
+def energy_h0(c: np.ndarray, lam: float) -> float:
+    """Deterministic Hamiltonian (1/2) sum k^2 |c_k|^2 + (lam/4) * quartic,
     with the quartic evaluated on the truncated mode set."""
     lam = _check.real("lambda", lam)
-    kinetic = 0.5 * float(np.sum(_k_squared(u.grid.K) * np.abs(u.coefficients) ** 2))
+    kinetic = 0.5 * float(np.sum(_k_squared(mode_cutoff(c)) * np.abs(c) ** 2))
     if lam == 0.0:
         return kinetic
-    quartic = np.vdot(u.coefficients, cubic_convolution(u).coefficients)
+    quartic = np.vdot(c, cubic_convolution(c))
     return kinetic + 0.25 * lam * float(np.real(quartic))
 
 
-def sobolev_norm(u: SpectralField, alpha: float):
-    """sqrt( sum_k (1+k^2)^alpha |u_k|^2 ): a float for one field, an
+@np.errstate(over="ignore")
+def sobolev_norm(c: np.ndarray, alpha: float):
+    """sqrt( sum_k (1+k^2)^alpha |c_k|^2 ): a float for one field, an
     array over the batch axes for a batch."""
     alpha = _check.real("alpha", alpha, within=(0.0, np.inf), must="finite and >= 0")
-    return np.sqrt((_sobolev_weights(u.grid.K, alpha) * np.abs(u.coefficients) ** 2).sum(axis=-1))
+    return np.sqrt((_sobolev_weights(mode_cutoff(c), alpha) * np.abs(c) ** 2).sum(axis=-1))
 
 
 @lru_cache(maxsize=64)

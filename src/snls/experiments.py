@@ -146,7 +146,7 @@ def cmd_local_error(
         )
     params, phi, tab, fp = config.stepping()
     u0 = initial_field(config.initial_data, config.K, seed=config.seed)
-    scale = sobolev_norm(u0, config.alpha)
+    scale = sobolev_norm(u0.coefficients, config.alpha)
 
     u = SpectralField(np.broadcast_to(u0.coefficients, (samples, u0.grid.n_modes)), u0.grid)
 
@@ -158,7 +158,8 @@ def cmd_local_error(
         ref = reference_solution(u, params, phi, path, t, fp)
         accepted = coarse.converged & ref.converged
         rejections = samples - int(np.count_nonzero(accepted))
-        errors = sobolev_norm(coarse.state - ref.state, config.alpha)[accepted]
+        errors = sobolev_norm(coarse.state.coefficients - ref.state.coefficients,
+                              config.alpha)[accepted]
         if rejections > 0.2 * samples:
             rejected = [seeds[i] for i in np.flatnonzero(~accepted)]
             more = f" and {rejections - 5} more" if rejections > 5 else ""

@@ -211,7 +211,8 @@ def step(
 ) -> StepOutcome:
     """One step of the scheme over [t_n, t_n + t].  The noise increment
     X of that interval is drawn from the path and frozen for the whole
-    solve, so on a fixed path the step is a deterministic map of u_n.
+    solve as one noise operator, so on a fixed path the step is a
+    deterministic map of u_n.  The solve runs on u_n's coefficients.
 
     The stage equation U = u_n + t a0 K(U) + sqrt(t) a1 L(U) is solved
     by fixed-point iteration on the stage field.  Each sweep evaluates
@@ -243,6 +244,7 @@ def step(
     if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
     X = increment(path, t_n, t_n + t)
+    noise = maps.noise_operator(phi, X)
     sqrt_t = np.sqrt(t)
     grid = u_n.grid
     u = u_n.coefficients
@@ -253,7 +255,7 @@ def step(
         return map_F_midpoint_physical(params, t, SpectralField.wrap(U, grid)).coefficients
 
     def L(U):
-        return map_P_frozen(params, phi, SpectralField.wrap(U, grid), X).coefficients
+        return map_P_frozen(params, SpectralField.wrap(U, grid), noise).coefficients
 
     def noise_sweeps(rhs, U):
         for _ in range(NOISE_SWEEPS):
@@ -264,7 +266,7 @@ def step(
         return noise_solve(u + tab.a0 * t_K(U), U)
 
     def norm(new, old):
-        return sobolev_norm(SpectralField.wrap(new - old, grid), params.alpha)
+        return sobolev_norm(new - old, params.alpha)
 
     n = grid.n_modes
     rho = sqrt_t * abs(tab.a1 * params.kappa) * np.abs(phi.phi).sum()
@@ -289,16 +291,11 @@ def step(
             update = 2 * solve.x - u
         else:
             update = u + tab.b0 * t_K(solve.x) + (sqrt_t * tab.b1) * L(solve.x)
-        state = free_propagator(SpectralField.wrap(update, grid), t)
+        state = free_propagator(update, t)
     if not solve.converged.all():
-        kept = np.where(np.expand_dims(solve.converged, -1), state.coefficients, u)
-        state = SpectralField.wrap(kept, grid)
-    return StepOutcome(
-        state=state,
-        iterations=solve.sample_iterations,
-        residual=solve.residual,
-        converged=solve.converged,
-    )
+        state = np.where(np.expand_dims(solve.converged, -1), state, u)
+    return StepOutcome(SpectralField.wrap(state, grid), solve.sample_iterations, solve.residual,
+                       solve.converged)
 
 
 @dataclass
@@ -344,8 +341,8 @@ def simulate(config) -> RunRecord:
 
     def diagnostics(u, n):
         """Mass, H0 and H^alpha norm after n steps, raised by name if not finite."""
-        with np.errstate(all="ignore"):
-            values = (mass(u), energy_h0(u, config.lam), sobolev_norm(u, config.alpha))
+        c = u.coefficients
+        values = (mass(c), energy_h0(c, config.lam), sobolev_norm(c, config.alpha))
         for name, value in zip(RunRecord.COLUMNS[2:5], values):
             if not math.isfinite(value):
                 if n == 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -48,35 +49,21 @@ DIRECT_MAX_MODES = 33
 EXACT_NOISE_MIN_RHO = 0.1
 
 
-def map_P_frozen(
-    params: ModelParams,
-    phi: CovarianceOp,
-    v: SpectralField,
-    X: NoiseIncrement,
-) -> SpectralField:
-    """Frozen-noise stochastic map of a full-Taylor stage at node 1:
-    coefficient k is -i kappa sum_{k = k1 + k2} v_{k1} Phi_{k2} X_{k2}.
+@dataclass(frozen=True)
+class NoiseOperator:
+    """apply(a): the convolution of coefficients a with b = Phi X on
+    modes -K..K, which map_P_frozen scales by -i kappa."""
 
-    X is the normalized increment over the step, as integrator.step
-    draws it from the path.  Batch axes of v and X.w broadcast.
-    """
-    K = v.grid.K
-    if phi.K != K:
-        raise ValueError(f"covariance has K={phi.K}, field has K={K}")
-    if X.w.shape[-1] != 2 * K + 1:
-        raise ValueError("noise increment has wrong number of modes")
-    out = _noise_operator(phi, X)(v.coefficients)
-    out *= -1j * params.kappa
-    return SpectralField.wrap(out, v.grid)
+    K: int
+    apply: Callable[[np.ndarray], np.ndarray]
 
 
-def _noise_operator(phi: CovarianceOp, X: NoiseIncrement):
-    """apply(a): the convolution of a with b = Phi X on modes -K..K, as
-    map_P_frozen takes it.  The operator is built once per step: it is
-    cached on X, keyed on phi by identity (phi and X.w are read-only)."""
-    if X.operator is not None and X.operator[0] is phi:
-        return X.operator[1]
+def noise_operator(phi: CovarianceOp, X: NoiseIncrement) -> NoiseOperator:
+    """The frozen noise of a step as map_P_frozen takes it; integrator.step
+    builds it once per step.  Batch axes of X.w carry over."""
     K = phi.K
+    if X.w.shape[-1] != 2 * K + 1:
+        raise ValueError(f"noise increment has {X.w.shape[-1]} modes, covariance has K={K}")
     b = phi.phi * X.w
     if 2 * K + 1 <= DIRECT_MAX_MODES:
         # out_i = sum_j b_{i-j+K} a_j: the Toeplitz matrix of b, gathered
@@ -96,8 +83,22 @@ def _noise_operator(phi: CovarianceOp, X: NoiseIncrement):
         def apply(a):
             return np.fft.ifft(np.fft.fft(a, n) * op)[..., K : 3 * K + 1]
     op.flags.writeable = False
-    object.__setattr__(X, "operator", (phi, apply))
-    return apply
+    return NoiseOperator(K, apply)
+
+
+def map_P_frozen(params: ModelParams, v: SpectralField, noise: NoiseOperator) -> SpectralField:
+    """Frozen-noise stochastic map of a full-Taylor stage at node 1:
+    coefficient k is -i kappa sum_{k = k1 + k2} v_{k1} Phi_{k2} X_{k2}.
+
+    noise is noise_operator(phi, X) of the normalized increment X over
+    the step, as integrator.step draws it from the path.  Batch axes of
+    v and X.w broadcast.
+    """
+    if noise.K != v.grid.K:
+        raise ValueError(f"noise operator has K={noise.K}, field has K={v.grid.K}")
+    out = noise.apply(v.coefficients)
+    out *= -1j * params.kappa
+    return SpectralField.wrap(out, v.grid)
 
 
 @lru_cache(maxsize=64)

@@ -22,7 +22,7 @@ and paths are reproducible across runs and worker counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,12 +214,10 @@ class NoiseIncrement:
     """Normalized increments W_{n,k} = (W_k(t1) - W_k(t0)) / sqrt(t1-t0).
 
     w has shape (2K+1,), or (S, 2K+1) for a stacked path.  It is kept as
-    a read-only copy: map_P_frozen caches the noise operator it builds
-    from w here, and that operator must never describe other values."""
+    a read-only copy, so that the noise operator a step builds from it
+    never describes other values."""
 
     w: np.ndarray
-    # (phi, apply) of the last map_P_frozen call on this increment
-    operator: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.array(self.w, dtype=float)

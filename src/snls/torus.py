@@ -4,7 +4,9 @@ Fields are stored as the 2K+1 complex coefficients c_k, k = -K..K, in
 ascending-k order along the last axis.  Leading axes, if any, index a
 batch of independent fields (Monte-Carlo samples) on the same grid.  All
 inner products and norms use the plain Fourier convention sum_k |c_k|^2
-(the 2*pi factor of the physical integral is dropped uniformly).
+(the 2*pi factor of the physical integral is dropped uniformly).  The
+propagator and the cubic product take and return such arrays; a
+SpectralField pairs one with its grid.
 """
 
 from __future__ import annotations
@@ -52,8 +54,7 @@ class SpectralField:
         """A field on `coefficients` as given, neither copied nor checked.
 
         Internal: for complex (..., 2K+1) arrays the caller has just
-        computed and owns, as the maps, the propagator and the stage
-        solve do."""
+        computed and owns, as the maps and the stage solve do."""
         f = object.__new__(cls)
         f.coefficients = coefficients
         f.grid = grid
@@ -69,19 +70,14 @@ class SpectralField:
             raise ValueError("non-finite coefficient")
         self.coefficients = c
 
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.coefficients - other.coefficients, self.grid)
 
-    def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.coefficients * scalar, self.grid)
-
-    __rmul__ = __mul__
-
-
-def _check_same_grid(a: SpectralField, b: SpectralField) -> None:
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
+def mode_cutoff(c: np.ndarray) -> int:
+    """K of coefficient arrays on modes -K..K, read from the last axis;
+    a 0-d array or an even-length last axis is a ValueError."""
+    shape = np.shape(c)
+    if not shape or shape[-1] % 2 == 0:
+        raise ValueError(f"expected 2K+1 coefficients along the last axis, got shape {shape}")
+    return shape[-1] // 2
 
 
 def _embed(coeffs: np.ndarray, K: int, n: int) -> np.ndarray:
@@ -99,10 +95,10 @@ def _extract(spec: np.ndarray, K: int) -> np.ndarray:
     return np.concatenate((spec[..., n - K :], spec[..., : K + 1]), axis=-1)
 
 
-def free_propagator(f: SpectralField, t: float) -> SpectralField:
-    """e^{it Laplacian}: multiply coefficient k by e^{-i t k^2}."""
+def free_propagator(c: np.ndarray, t: float) -> np.ndarray:
+    """e^{it Laplacian} on coefficients c: multiply coefficient k by e^{-i t k^2}."""
     t = _check.real("propagation time t", t)
-    return SpectralField.wrap(f.coefficients * _propagator(f.grid.K, t), f.grid)
+    return c * _propagator(mode_cutoff(c), t)
 
 
 @lru_cache(maxsize=64)
@@ -137,17 +133,17 @@ def _pad_size(K: int) -> int:
     return _fast_len(4 * K + 1)
 
 
-def cubic_convolution(f: SpectralField) -> SpectralField:
+def cubic_convolution(c: np.ndarray) -> np.ndarray:
     """Spectrum of |u|^2 u on the truncated mode set, via padded transforms.
 
     Output coefficient k is sum over k = -k1+k2+k3 (all indices in -K..K)
     of conj(c)_{k1} c_{k2} c_{k3}; oracles.cubic_convolution_direct is the direct sum.
     """
-    K = f.grid.K
+    K = mode_cutoff(c)
     n = _pad_size(K)
-    u = np.fft.ifft(_embed(f.coefficients, K, n)) * n
+    u = np.fft.ifft(_embed(c, K, n)) * n
     spec = np.fft.fft(np.conj(u) * u * u) / n
-    return SpectralField.wrap(_extract(spec, K), f.grid)
+    return _extract(spec, K)
 
 
 def write_snapshot(f: SpectralField, path) -> None:

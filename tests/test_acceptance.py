@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import ACCEPTANCE_LINES
+from helpers import random_field
 
 from snls.config import RunConfig, initial_field
 from snls.diagnostics import mass, sobolev_norm, symplectic_defect
@@ -24,7 +25,7 @@ from snls.integrator import (
     step,
 )
 from snls.kernels import ModeQuad, default_kernel_spec, kernel_K2d
-from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen
+from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen, noise_operator
 from snls.noise import default_phi, increment, sample_path
 from snls.oracles import (
     cubic_convolution_direct,
@@ -36,7 +37,7 @@ from snls.oracles import (
     symmetrized_midpoint_double,
     validate_tableau,
 )
-from snls.torus import SpectralField, TorusGrid, cubic_convolution, free_propagator
+from snls.torus import SpectralField, cubic_convolution, free_propagator
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -44,13 +45,6 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
     ACCEPTANCE_LINES.append(line)
     print(line)
     assert ok, line
-
-
-def random_field(K, seed, scale=0.5):
-    rng = np.random.default_rng(seed)
-    grid = TorusGrid(K)
-    c = scale * (rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1))
-    return SpectralField(c, grid)
 
 
 def test_criterion_1_mass_conservation():
@@ -90,7 +84,7 @@ def test_criterion_2_pathwise_symplecticity():
 
     worst = 0.0
     for state_seed in range(5):
-        u = random_field(K, 100 + state_seed)
+        u = random_field(K, 100 + state_seed, scale=0.5)
         for noise_seed in range(5):
             path = sample_path(200 + noise_seed, t, 0, K)
 
@@ -103,8 +97,9 @@ def test_criterion_2_pathwise_symplecticity():
 
             worst = max(worst, symplectic_defect(closure, u, h=h))
 
-    u = random_field(K, 100)
-    linear = symplectic_defect(lambda v: free_propagator(v, t), u, h=h)
+    u = random_field(K, 100, scale=0.5)
+    linear = symplectic_defect(
+        lambda v: SpectralField(free_propagator(v.coefficients, t), v.grid), u, h=h)
 
     te = 1e-2
     path = sample_path(200, te, 0, K)
@@ -163,18 +158,18 @@ def test_criterion_5_orthogonality():
     phi = default_phi(K)
     spec = default_kernel_spec(1)
     worst_f = worst_p = 0.0
-    fields = [random_field(K, seed) for seed in range(200)]
+    fields = [random_field(K, seed, scale=0.5) for seed in range(200)]
     # the quad weights of the O(K^3) oracle do not depend on u: one call
     # takes the 200 draws as a batch
     grid = fields[0].grid
     batch = SpectralField(np.stack([u.coefficients for u in fields]), grid)
     F = map_F(params, spec, t, c, p, batch).coefficients
     for seed, u in enumerate(fields):
-        m = mass(u)
+        m = mass(u.coefficients)
         g = SpectralField(F[seed], grid)
         worst_f = max(worst_f, abs(orthogonality_defect(u, g)) / max(1.0, m**2))
         X = increment(sample_path(seed, t, 0, K), 0.0, t)
-        gp = map_P_frozen(params, phi, u, X)
+        gp = map_P_frozen(params, u, noise_operator(phi, X))
         scale = max(1.0, m * float(np.max(np.abs(X.w))))
         worst_p = max(worst_p, abs(orthogonality_defect(u, gp)) / scale)
     ok = worst_f <= 1e-12 and worst_p <= 1e-12
@@ -213,13 +208,13 @@ def test_criterion_7_oracle_equivalences():
     worst_map = worst_cubic = 0.0
     for seed in range(10):
         K = 1 + seed % 8
-        u = random_field(K, seed)
+        u = random_field(K, seed, scale=0.5)
         t = 0.01 * (1 + seed % 3)
         fast = map_F_midpoint_physical(params, t, u).coefficients
-        slow = (t * map_F(params, default_kernel_spec(1), t, 1.0, 0, u)).coefficients
+        slow = t * map_F(params, default_kernel_spec(1), t, 1.0, 0, u).coefficients
         worst_map = max(worst_map,
                         np.max(np.abs(fast - slow)) / max(1.0, np.max(np.abs(slow))))
-        a = cubic_convolution(u).coefficients
+        a = cubic_convolution(u.coefficients)
         b = cubic_convolution_direct(u).coefficients
         worst_cubic = max(worst_cubic,
                           np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b))))

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snls.experiments
+from snls import _check
 from snls.config import ConfigError, RunConfig, initial_field
 from snls.diagnostics import energy_h0, sobolev_norm, symplectic_defect
 from snls.experiments import cmd_kernel_error, cmd_local_error
@@ -35,11 +36,11 @@ def _interp_exp(t):
 
 
 def _sobolev_norm(alpha):
-    return sobolev_norm(FIELD, alpha)
+    return sobolev_norm(FIELD.coefficients, alpha)
 
 
 def _energy_h0(lam):
-    return energy_h0(FIELD, lam)
+    return energy_h0(FIELD.coefficients, lam)
 
 
 def _symplectic_defect(h):
@@ -47,7 +48,7 @@ def _symplectic_defect(h):
 
 
 def _free_propagator(t):
-    return free_propagator(FIELD, t)
+    return free_propagator(FIELD.coefficients, t)
 
 
 def _local_error(**kwargs):
@@ -158,3 +159,9 @@ def test_only_the_checker_imports_numbers():
     # the integer and real type tests live in snls._check alone
     found = {path.stem for path in SRC.glob("*.py") if "numbers" in _imports(path.read_text())}
     assert found == {"_check"}
+
+
+def test_an_int_past_the_float_range_is_refused_by_name():
+    # float() of it raises OverflowError, which the checker turns into NaN
+    with pytest.raises(ValueError, match=f"^t must be finite, got {10**400}$"):
+        _check.real("t", 10**400)

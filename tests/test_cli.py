@@ -333,6 +333,18 @@ def test_overflowing_snapshot_initial_data_exit_1(tmp_path, capsys, command):
         f"error: snapshot {snap}: H^alpha norm at alpha=2.0 is not finite (inf)\n")
 
 
+def test_initial_energy_past_the_float_range_exit_1(tmp_path, capsys):
+    # a finite H^alpha norm passes the config; the quartic energy of the
+    # data overflows, and simulate refuses it before the first step
+    snap = tmp_path / "big.csv"
+    snap.write_text("-1,1\n-1,0,0\n0,1e100,0\n1,0,0\n")
+    cfg = write_cfg(tmp_path, f"seed=1\nK=1\nn_steps=1\nfp_tol=1e90\ninitial_data={snap}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: initial data: energy_h0 is not finite (inf)\n"
+
+
 @pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_fp_tol_below_the_rounding_floor_exit_1(tmp_path, capsys, command):
     # the H^10 norm of this data is 5.3e7, so no residual reaches 1e-12:

@@ -1,5 +1,7 @@
 """Functionals and the Jacobian symplecticity probe."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,28 +13,20 @@ from snls.diagnostics import (
     sobolev_norm,
     symplectic_defect,
 )
-from snls.torus import SpectralField, TorusGrid, free_propagator
+from snls.torus import SpectralField, free_propagator
 
-
-def random_field(K, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    grid = TorusGrid(K)
-    c = scale * (rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1))
-    return SpectralField(c, grid)
+from helpers import random_field
 
 
 def test_mass_single_mode():
-    grid = TorusGrid(2)
     c = np.zeros(5, dtype=complex)
     c[3] = 3.0 - 4.0j
-    assert mass(SpectralField(c, grid)) == pytest.approx(25.0)
+    assert mass(c) == pytest.approx(25.0)
 
 
 def test_sobolev_norm_values():
-    grid = TorusGrid(2)
-    c = np.zeros(5, dtype=complex)
-    c[4] = 1.0  # k = 2
-    f = SpectralField(c, grid)
+    f = np.zeros(5, dtype=complex)
+    f[4] = 1.0  # k = 2
     assert sobolev_norm(f, 0.0) == pytest.approx(1.0)
     assert sobolev_norm(f, 2.0) == pytest.approx(5.0)  # (1+4)^2 = 25, sqrt = 5
     with pytest.raises(ValueError):
@@ -43,12 +37,10 @@ def test_energy_h0_against_physical_quadrature():
     # [DERIVED] for a field supported on |k| <= K/3 the truncated quartic
     # is the full quartic, so H0 = (1/2pi) int (|u_x|^2/2 + lam |u|^4/4)
     K = 9
-    grid = TorusGrid(K)
     rng = np.random.default_rng(4)
     c = np.zeros(2 * K + 1, dtype=complex)
     for k in (-3, -1, 0, 2, 3):
         c[k + K] = rng.standard_normal() + 1j * rng.standard_normal()
-    f = SpectralField(c, grid)
     lam = 0.7
 
     ks = np.arange(-K, K + 1)
@@ -61,14 +53,14 @@ def test_energy_h0_against_physical_quadrature():
 
     integrand = lambda x: 0.5 * np.abs(ux(x)) ** 2 + 0.25 * lam * np.abs(u(x)) ** 4
     val, _ = quad(integrand, 0.0, 2 * np.pi, limit=200, epsabs=1e-12)
-    np.testing.assert_allclose(energy_h0(f, lam), val / (2 * np.pi), rtol=1e-9)
+    np.testing.assert_allclose(energy_h0(c, lam), val / (2 * np.pi), rtol=1e-9)
 
 
 def test_energy_h0_lambda_zero_is_kinetic():
     f = random_field(4, 1)
     k = f.grid.modes().astype(float)
     expected = 0.5 * np.sum(k**2 * np.abs(f.coefficients) ** 2)
-    assert energy_h0(f, 0.0) == pytest.approx(expected)
+    assert energy_h0(f.coefficients, 0.0) == pytest.approx(expected)
 
 
 def test_canonical_form_structure():
@@ -88,13 +80,14 @@ def test_symplectic_defect_free_flow():
     # the exact linear flow is symplectic; central differences are exact
     # for linear maps up to rounding
     f = random_field(3, 1)
-    assert symplectic_defect(lambda u: free_propagator(u, 0.3), f) < 1e-10
+    assert symplectic_defect(
+        lambda u: SpectralField(free_propagator(u.coefficients, 0.3), u.grid), f) < 1e-10
 
 
 def test_symplectic_defect_detects_dissipation():
     # u -> 0.9 u scales the form by 0.81: defect 0.19
     f = random_field(2, 2)
-    d = symplectic_defect(lambda u: 0.9 * u, f)
+    d = symplectic_defect(lambda u: SpectralField(0.9 * u.coefficients, u.grid), f)
     assert d == pytest.approx(1.0 - 0.81, abs=1e-8)
 
 
@@ -110,7 +103,19 @@ def test_symplectic_defect_steps_every_column_in_one_batch():
 
     def closure(u):
         batches.append(u.coefficients.shape)
-        return free_propagator(u, 0.3)
+        return SpectralField(free_propagator(u.coefficients, 0.3), u.grid)
 
     assert symplectic_defect(closure, f) < 1e-10
     assert batches == [(4 * f.grid.n_modes, f.grid.n_modes)]
+
+
+def test_functionals_past_the_float_range_are_quietly_not_finite():
+    # a numpy overflow or invalid-value warning is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sobolev_norm(np.array([10, 1, 1, 1, 10], dtype=complex), 440.0) == np.inf
+        big = np.array([0, 0, 1e200], dtype=complex)
+        assert mass(big) == np.inf
+        assert energy_h0(big, 0.0) == np.inf
+        assert not np.isfinite(energy_h0(big, 1.0))
+        assert energy_h0(np.array([0, 1e100, 0], dtype=complex), 1.0) == np.inf

@@ -86,7 +86,7 @@ def test_reference_solution_convergence_on_same_path():
 
     # refinement-to-refinement gap is O(substep); a path misalignment
     # would instead show up at the O(sqrt(t)) noise scale (~0.2 here)
-    assert sobolev_norm(r8.state - r9.state, 2.0) < 1e-3
+    assert sobolev_norm(r8.state.coefficients - r9.state.coefficients, 2.0) < 1e-3
 
 
 def test_cmd_local_error_minimum_samples():
@@ -261,7 +261,8 @@ def test_cmd_symplectic_midpoint_vs_linear():
     out = cmd_symplectic(cfg)
     assert out["defect"] < 1e-5
     u0 = initial_field(cfg.initial_data, cfg.K, seed=cfg.seed)
-    assert symplectic_defect(lambda u: free_propagator(u, cfg.t), u0, h=1e-5) < 1e-10
+    assert symplectic_defect(lambda u: SpectralField(free_propagator(u.coefficients, cfg.t),
+                                                     u.grid), u0, h=1e-5) < 1e-10
 
 
 def test_batched_local_error_step_matches_serial_steps():
@@ -297,7 +298,7 @@ def test_batched_local_error_step_matches_serial_steps():
             rejected.add(i)
             continue
         for batched, serial in ((coarse.state, one.state), (ref.state, one_ref.state)):
-            diff = SpectralField(batched.coefficients[i], u0.grid) - serial
-            assert sobolev_norm(diff, 2.0) <= 1e-12 * sobolev_norm(serial, 2.0)
+            diff = batched.coefficients[i] - serial.coefficients
+            assert sobolev_norm(diff, 2.0) <= 1e-12 * sobolev_norm(serial.coefficients, 2.0)
     assert rejected == {6}
     assert set(np.flatnonzero(~(coarse.converged & ref.converged))) == rejected

@@ -25,18 +25,13 @@ from snls.integrator import (
     simulate,
     step,
 )
-from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen
+from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen, noise_operator
 from snls.noise import default_phi, increment, sample_path
 from snls.oracles import step_bound, validate_tableau
 from snls.torus import SpectralField, cubic_convolution, free_propagator, TorusGrid
 from snls.config import ConfigError, RunConfig
 
-
-def random_field(K, seed, scale=0.5):
-    rng = np.random.default_rng(seed)
-    grid = TorusGrid(K)
-    c = scale * (rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1))
-    return SpectralField(c, grid)
+from helpers import random_field
 
 
 FP = FixedPointConfig(tol=1e-12, max_iter=100)
@@ -250,7 +245,7 @@ def test_step_rejects_an_overflowing_sample_and_keeps_the_batch():
     params = ModelParams(lam=1.0, kappa=1.0)
     K, t = 4, 0.01
     phi = default_phi(K)
-    u = np.stack([random_field(K, s).coefficients for s in range(3)])
+    u = np.stack([random_field(K, s, scale=0.5).coefficients for s in range(3)])
     u[1] *= 1e150
     path = sample_path((1, 2, 3), t, 0, K)
     with np.errstate(all="raise"):  # no warning escapes the stage solve
@@ -282,7 +277,7 @@ def test_explicit_step_rejects_an_overflowing_K():
 def test_batched_step_matches_single_steps():
     params = ModelParams(lam=1.0, kappa=1.0)
     K, t = 6, 0.01
-    fields = [random_field(K, s) for s in range(3)]
+    fields = [random_field(K, s, scale=0.5) for s in range(3)]
     paths = [sample_path(s, t, 0, K) for s in range(3)]
     u = SpectralField(np.stack([f.coefficients for f in fields]), fields[0].grid)
     out = step(u, midpoint_tableau(), params, default_phi(K), sample_path((0, 1, 2), t, 0, K),
@@ -320,10 +315,11 @@ def test_fixed_point_config_validation():
 def test_step_conserves_mass_midpoint():
     params = ModelParams(lam=1.0, kappa=1.0)
     K = 6
-    u = random_field(K, 3)
+    u = random_field(K, 3, scale=0.5)
     path = sample_path(1, 0.01, 0, K)
     out = step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, 0.01, FP)
-    assert abs(mass(out.state) - mass(u)) < 1e-12 * mass(u)
+    m = mass(u.coefficients)
+    assert abs(mass(out.state.coefficients) - m) < 1e-12 * m
     assert out.converged and out.residual <= FP.tol
 
 
@@ -349,17 +345,17 @@ def test_stage_solves_the_stage_equation_like_plain_picard(samples):
     def stage_map(c):
         U = SpectralField(c, u.grid)
         return (u.coefficients + 0.5 * map_F_midpoint_physical(params, t, U).coefficients
-                + 0.5 * np.sqrt(t) * map_P_frozen(params, phi, U, X).coefficients)
+                + 0.5 * np.sqrt(t) * map_P_frozen(params, U, noise_operator(phi, X)).coefficients)
 
     def norm(new, old):
-        return sobolev_norm(SpectralField(new - old, u.grid), params.alpha)
+        return sobolev_norm(new - old, params.alpha)
 
     picard = fixed_point_solve(stage_map, u.coefficients, FP, norm)
     out = step(u, midpoint_tableau(), params, phi, path, 0.0, t, FP)
     assert np.all(out.converged) and np.all(picard.converged)
-    stage = 0.5 * (free_propagator(out.state, -t).coefficients + u.coefficients)
+    stage = 0.5 * (free_propagator(out.state.coefficients, -t) + u.coefficients)
     assert np.all(norm(stage_map(stage), stage) <= FP.tol)
-    scale = sobolev_norm(SpectralField(picard.x, u.grid), params.alpha)
+    scale = sobolev_norm(picard.x, params.alpha)
     assert np.all(norm(stage, picard.x) <= 1e-12 * scale)
     assert np.all(out.iterations < picard.sample_iterations)
 
@@ -425,9 +421,8 @@ def test_exact_and_richardson_noise_solves_give_the_same_stage(samples, monkeypa
         monkeypatch.setattr(snls.maps, "EXACT_NOISE_MIN_RHO", gate)
         out = step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, t, FP)
         assert np.all(out.converged)
-        stages.append(0.5 * (free_propagator(out.state, -t).coefficients + u.coefficients))
-    assert np.all(sobolev_norm(SpectralField(stages[0] - stages[1], u.grid), params.alpha)
-                  <= FP.tol)
+        stages.append(0.5 * (free_propagator(out.state.coefficients, -t) + u.coefficients))
+    assert np.all(sobolev_norm(stages[0] - stages[1], params.alpha) <= FP.tol)
 
 
 @pytest.mark.parametrize("samples", [None, 3])
@@ -449,22 +444,22 @@ def test_midpoint_update_from_the_stage_is_the_evaluated_update(samples):
     X = increment(path, 0.0, t)
     out = step(u, tab, params, phi, path, 0.0, t, FP)
     assert np.all(out.converged)
-    U = SpectralField(0.5 * (free_propagator(out.state, -t).coefficients + u.coefficients),
+    U = SpectralField(0.5 * (free_propagator(out.state.coefficients, -t) + u.coefficients),
                       u.grid)
     update = (u.coefficients + tab.b0 * map_F_midpoint_physical(params, t, U).coefficients
-              + tab.b1 * np.sqrt(t) * map_P_frozen(params, phi, U, X).coefficients)
-    evaluated = free_propagator(SpectralField(update, u.grid), t)
-    defect = sobolev_norm(out.state - evaluated, params.alpha)
-    assert np.all(defect <= 1e-12 * sobolev_norm(out.state, params.alpha))
+              + tab.b1 * np.sqrt(t) * map_P_frozen(params, U, noise_operator(phi, X)).coefficients)
+    evaluated = free_propagator(update, t)
+    defect = sobolev_norm(out.state.coefficients - evaluated, params.alpha)
+    assert np.all(defect <= 1e-12 * sobolev_norm(out.state.coefficients, params.alpha))
 
 
 def test_step_explicit_tableau_moves_mass():
     params = ModelParams(lam=1.0, kappa=1.0)
     K = 6
-    u = random_field(K, 3)
+    u = random_field(K, 3, scale=0.5)
     path = sample_path(1, 0.01, 0, K)
     out = step(u, explicit_tableau(), params, default_phi(K), path, 0.0, 0.01, FP)
-    assert abs(mass(out.state) - mass(u)) > 1e-8
+    assert abs(mass(out.state.coefficients) - mass(u.coefficients)) > 1e-8
 
 
 def test_step_rejects_oversized_step():
@@ -481,7 +476,7 @@ def test_step_rejects_oversized_step():
 def test_step_deterministic_given_path():
     params = ModelParams(lam=1.0, kappa=1.0)
     K = 4
-    u = random_field(K, 5)
+    u = random_field(K, 5, scale=0.5)
     path = sample_path(2, 0.01, 0, K)
     a = step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, 0.01, FP)
     b = step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, 0.01, FP)
@@ -495,7 +490,7 @@ def test_step_rejects_a_step_size_that_is_not_positive(t):
     K = 4
     path = sample_path(2, 0.01, 0, K)
     with pytest.raises(ValueError, match="step t must be > 0"):
-        step(random_field(K, 5), midpoint_tableau(), ModelParams(lam=1.0, kappa=1.0),
+        step(random_field(K, 5, scale=0.5), midpoint_tableau(), ModelParams(lam=1.0, kappa=1.0),
              default_phi(K), path, 0.0, t, FP)
 
 
@@ -505,16 +500,15 @@ def test_midpoint_step_matches_ode_oracle_without_noise():
     # scipy DOP853 on the spectral ODE with strong-order-2 tolerance
     K = 4
     lam = 1.0
-    u0 = random_field(K, 8)
+    u0 = random_field(K, 8, scale=0.5)
     grid = u0.grid
     params = ModelParams(lam=lam, kappa=0.0)
     phi = default_phi(K)
 
     def rhs(_, y):
         c = y[: 2 * K + 1] + 1j * y[2 * K + 1 :]
-        f = SpectralField(c, grid)
         k = grid.modes().astype(float)
-        dc = -1j * k**2 * c - 1j * lam * cubic_convolution(f).coefficients
+        dc = -1j * k**2 * c - 1j * lam * cubic_convolution(c)
         return np.concatenate([dc.real, dc.imag])
 
     errors = []
@@ -526,7 +520,7 @@ def test_midpoint_step_matches_ode_oracle_without_noise():
         sol = solve_ivp(rhs, (0.0, t), y0, method="DOP853", rtol=1e-12, atol=1e-12)
         exact = sol.y[: 2 * K + 1, -1] + 1j * sol.y[2 * K + 1 :, -1]
         errors.append(
-            sobolev_norm(out.state - SpectralField(exact, grid), 2.0)
+            sobolev_norm(out.state.coefficients - exact, 2.0)
         )
     # third-order one-step error (midpoint local order plus the O(t^2)
     # kernel defect integrated over the step): ratio ~ 8 when t halves

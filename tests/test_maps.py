@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snls.kernels import default_kernel_spec
-from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen
+from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen, noise_operator
 from snls.noise import (
     CovarianceOp,
     NoiseIncrement,
@@ -18,12 +18,7 @@ from snls.noise import (
 from snls.oracles import map_F, orthogonality_defect
 from snls.torus import SpectralField, TorusGrid, free_propagator
 
-
-def random_field(K, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    grid = TorusGrid(K)
-    c = scale * (rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1))
-    return SpectralField(c, grid)
+from helpers import random_field
 
 
 PARAMS = ModelParams(lam=1.3, kappa=0.8)
@@ -114,7 +109,7 @@ def test_fast_physical_path_matches_direct_sum(seed, K, t):
     # multiplier-operator evaluation == Fourier-side direct sum (1e-10)
     v = random_field(K, seed)
     fast = map_F_midpoint_physical(PARAMS, t, v).coefficients
-    slow = (t * map_F(PARAMS, SPEC1, t, 1.0, 0, v)).coefficients
+    slow = t * map_F(PARAMS, SPEC1, t, 1.0, 0, v).coefficients
     scale = max(1.0, np.max(np.abs(slow)))
     np.testing.assert_allclose(fast, slow, atol=1e-10 * scale)
 
@@ -129,7 +124,7 @@ def test_maps_act_on_each_sample_of_a_batch():
     maps = (
         lambda v, x: map_F_midpoint_physical(PARAMS, t, v),
         lambda v, x: map_F(PARAMS, SPEC1, t, 1.0, 0, v),
-        lambda v, x: map_P_frozen(PARAMS, phi, v, x),
+        lambda v, x: map_P_frozen(PARAMS, v, noise_operator(phi, x)),
     )
     for f in maps:
         out = f(batch, X).coefficients
@@ -161,6 +156,12 @@ def test_fast_path_makes_four_fft_calls_of_ten_transforms(monkeypatch):
     assert out.coefficients.tobytes() == flat.coefficients.reshape(2, 3, -1).tobytes()
 
 
+@pytest.mark.parametrize("t", [0.0, -0.01])
+def test_fast_path_rejects_nonpositive_t(t):
+    with pytest.raises(ValueError, match=f"step t must be > 0, got {t}"):
+        map_F_midpoint_physical(PARAMS, t, random_field(2, 0))
+
+
 def test_fast_path_zero_lambda():
     v = random_field(4, 1)
     out = map_F_midpoint_physical(ModelParams(lam=0.0, kappa=1.0), 0.01, v)
@@ -178,7 +179,7 @@ def make_increment(K, seed, step):
 def test_map_P_zero_kappa():
     v = random_field(3, 2)
     X = make_increment(3, 0, 0.01)
-    out = map_P_frozen(ModelParams(lam=1.0, kappa=0.0), default_phi(3), v, X)
+    out = map_P_frozen(ModelParams(lam=1.0, kappa=0.0), v, noise_operator(default_phi(3), X))
     np.testing.assert_array_equal(out.coefficients, 0.0)
 
 
@@ -191,13 +192,21 @@ def test_map_P_single_mode_closed_form():
     c[3] = a
     X = make_increment(2, 3, 0.01)
     phi = default_phi(2)
-    out = map_P_frozen(PARAMS, phi, SpectralField(c, grid), X)
+    out = map_P_frozen(PARAMS, SpectralField(c, grid), noise_operator(phi, X))
     expected = np.zeros(5, dtype=complex)
     for k in range(-2, 3):
         k2 = k - 1
         if -2 <= k2 <= 2:
             expected[k + 2] = -1j * PARAMS.kappa * a * phi.phi[k2 + 2] * X.w[k2 + 2]
     np.testing.assert_allclose(out.coefficients, expected, atol=1e-14)
+
+
+def test_noise_operator_and_map_P_refuse_a_mode_mismatch():
+    X = make_increment(3, 0, 0.01)
+    with pytest.raises(ValueError, match="noise increment has 7 modes, covariance has K=4"):
+        noise_operator(default_phi(4), X)
+    with pytest.raises(ValueError, match="noise operator has K=3, field has K=4"):
+        map_P_frozen(PARAMS, random_field(4, 0), noise_operator(default_phi(3), X))
 
 
 def map_P_double_sum(kappa, phi, v, w):
@@ -216,7 +225,6 @@ def map_P_double_sum(kappa, phi, v, w):
 @pytest.mark.parametrize("batched", ["field", "increment"])
 def test_map_P_matches_double_sum(K, batched):
     t, samples = 0.01, 3
-    phi = default_phi(K)
     fields = [random_field(K, s) for s in range(samples)]
     paths = [sample_path(s, t, 0, K) for s in range(samples)]
     if batched == "field":
@@ -225,10 +233,12 @@ def test_map_P_matches_double_sum(K, batched):
     else:
         v = fields[0]
         X = increment(sample_path(tuple(range(samples)), t, 0, K), 0.0, t)
-    out = map_P_frozen(PARAMS, phi, v, X).coefficients
-    expected = map_P_double_sum(PARAMS.kappa, phi.phi, v.coefficients, X.w)
-    assert out.shape == expected.shape == (samples, 2 * K + 1)
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+    # the second phi, on the same X, gives its own operator
+    for phi in (default_phi(K), CovarianceOp(1.0 + default_phi(K).phi)):
+        out = map_P_frozen(PARAMS, v, noise_operator(phi, X)).coefficients
+        expected = map_P_double_sum(PARAMS.kappa, phi.phi, v.coefficients, X.w)
+        assert out.shape == expected.shape == (samples, 2 * K + 1)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
 
 @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 6) | st.integers(17, 24))
@@ -237,7 +247,7 @@ def test_map_P_mass_orthogonality(seed, K):
     # Re<v, P*(v, X)> = 0 pathwise; relies on W_{-k} = W_k and even Phi
     v = random_field(K, seed)
     X = make_increment(K, seed + 1, 0.01)
-    g = map_P_frozen(PARAMS, default_phi(K), v, X)
+    g = map_P_frozen(PARAMS, v, noise_operator(default_phi(K), X))
     scale = np.sum(np.abs(v.coefficients) ** 2)
     assert abs(orthogonality_defect(v, g)) < 1e-12 * max(1.0, scale * np.max(np.abs(X.w)))
 
@@ -249,43 +259,30 @@ def test_map_P_orthogonality_fails_for_asymmetric_noise():
     K = 4
     v = random_field(K, 9)
     X = NoiseIncrement(w=rng.standard_normal(2 * K + 1))
-    g = map_P_frozen(PARAMS, default_phi(K), v, X)
+    g = map_P_frozen(PARAMS, v, noise_operator(default_phi(K), X))
     assert abs(orthogonality_defect(v, g)) > 1e-6
-
-
-@pytest.mark.parametrize("K", [8, 17])  # the cached Toeplitz matrix, the cached spectrum
-def test_map_P_operator_cached_on_the_increment_follows_phi(K):
-    # the per-step operator is cached on X; another phi on the same X
-    # must not reuse it
-    v = random_field(K, 4)
-    X = make_increment(K, 5, 0.01)
-    for phi in (default_phi(K), CovarianceOp(1.0 + default_phi(K).phi), default_phi(K)):
-        for _ in range(2):  # the second call reads the cache
-            out = map_P_frozen(PARAMS, phi, v, X).coefficients
-            expected = map_P_double_sum(PARAMS.kappa, phi.phi, v.coefficients, X.w)
-            np.testing.assert_allclose(out, expected, rtol=0,
-                                       atol=1e-14 * np.abs(expected).max())
 
 
 @pytest.mark.parametrize("K", [8, 17])
 @pytest.mark.parametrize("lam", [0.0, 1.3])
 def test_map_and_propagator_outputs_own_their_memory(K, lam):
     # outputs are wrapped unchecked, so none may alias an input; the
-    # cached noise operator and multipliers are read-only, so an output
+    # noise operator and the cached multipliers are read-only, so an output
     # that aliased one of them would not be writeable
     params = ModelParams(lam=lam, kappa=lam)
     v = random_field(K, 6)
     X = make_increment(K, 7, 0.01)
     phi = default_phi(K)
+    noise = noise_operator(phi, X)
     outs = [
-        map_F_midpoint_physical(params, 0.01, v),
-        map_P_frozen(params, phi, v, X),
-        map_P_frozen(params, phi, v, X),
-        free_propagator(v, 0.01),
-        free_propagator(v, 0.0),
+        map_F_midpoint_physical(params, 0.01, v).coefficients,
+        map_P_frozen(params, v, noise).coefficients,
+        map_P_frozen(params, v, noise).coefficients,
+        free_propagator(v.coefficients, 0.01),
+        free_propagator(v.coefficients, 0.0),
     ]
     shared = [v.coefficients, X.w, phi.phi]
     for out in outs:
-        assert not any(np.shares_memory(out.coefficients, a) for a in shared)
-        assert out.coefficients.flags.writeable
-    assert not np.shares_memory(outs[1].coefficients, outs[2].coefficients)
+        assert not any(np.shares_memory(out, a) for a in shared)
+        assert out.flags.writeable
+    assert not np.shares_memory(outs[1], outs[2])

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from snls.kernels import ModeQuad, default_kernel_spec
-from snls.oracles import _resonant_sum, kernel_weight, weighted_exp_integral
+from snls.oracles import _resonant_sum, kernel_weight, orthogonality_defect, weighted_exp_integral
+
+from helpers import random_field
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "snls"
 
@@ -156,3 +158,8 @@ def test_resonant_sum_is_the_triple_loop(K):
                                            * c[:, k2 + K] * c[:, k3 + K])
         np.testing.assert_allclose(_resonant_sum(c, weight), loop, rtol=0,
                                    atol=1e-15 * np.max(np.abs(loop)))
+
+
+def test_orthogonality_defect_rejects_fields_on_different_grids():
+    with pytest.raises(ValueError, match="fields live on different grids"):
+        orthogonality_defect(random_field(3, 1), random_field(4, 1))

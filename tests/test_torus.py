@@ -23,14 +23,10 @@ from snls.torus import (
     read_snapshot,
     write_snapshot,
 )
+from snls.diagnostics import energy_h0, sobolev_norm
 from snls.oracles import cubic_convolution_direct
 
-
-def random_field(K, seed, scale=1.0):
-    rng = np.random.default_rng(seed)
-    grid = TorusGrid(K)
-    c = scale * (rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1))
-    return SpectralField(c, grid)
+from helpers import random_field
 
 
 def test_make_grid_rejects_bad_K():
@@ -82,35 +78,49 @@ def test_wrap_neither_copies_nor_checks():
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(-5.0, 5.0))
 @settings(max_examples=40, deadline=None)
 def test_free_propagator_is_unitary_and_invertible(seed, t):
-    f = random_field(5, seed)
+    f = random_field(5, seed).coefficients
     g = free_propagator(f, t)
     np.testing.assert_allclose(
-        np.sum(np.abs(g.coefficients) ** 2),
-        np.sum(np.abs(f.coefficients) ** 2),
+        np.sum(np.abs(g) ** 2),
+        np.sum(np.abs(f) ** 2),
         rtol=1e-12,
     )
     back = free_propagator(g, -t)
-    np.testing.assert_allclose(back.coefficients, f.coefficients, atol=1e-12)
+    np.testing.assert_allclose(back, f, atol=1e-12)
 
 
 def test_free_propagator_zero_time_is_identity():
-    f = random_field(4, 7)
-    np.testing.assert_array_equal(free_propagator(f, 0.0).coefficients, f.coefficients)
+    f = random_field(4, 7).coefficients
+    np.testing.assert_array_equal(free_propagator(f, 0.0), f)
 
 
 def test_free_propagator_rejects_nonfinite_time():
-    f = random_field(2, 0)
+    f = random_field(2, 0).coefficients
     with pytest.raises(ValueError):
         free_propagator(f, np.nan)
 
 
+def test_free_propagator_refuses_a_phase_past_the_float_range():
+    with pytest.raises(ValueError, match="t=1e\\+308 overflows the phase t K\\^2 at K=2"):
+        free_propagator(np.zeros(5, dtype=complex), 1e308)
+
+
+@pytest.mark.parametrize("c", [np.array(1.0 + 0j), np.zeros(4), np.zeros((3, 6))])
+def test_array_functions_refuse_coefficients_of_no_odd_length(c):
+    # each reads K from the last axis with torus.mode_cutoff
+    message = re.escape(f"expected 2K+1 coefficients along the last axis, got shape {c.shape}")
+    for f in (lambda c: free_propagator(c, 0.1), cubic_convolution,
+              lambda c: sobolev_norm(c, 2.0), lambda c: energy_h0(c, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            f(c)
+
+
 def test_free_propagator_phase_value():
     # mode k=3, t=0.1 -> factor e^{-0.9i}  [TRIVIAL]
-    grid = TorusGrid(3)
     c = np.zeros(7, dtype=complex)
     c[6] = 1.0  # k = 3
-    g = free_propagator(SpectralField(c, grid), 0.1)
-    np.testing.assert_allclose(g.coefficients[6], np.exp(-0.9j), atol=1e-14)
+    g = free_propagator(c, 0.1)
+    np.testing.assert_allclose(g[6], np.exp(-0.9j), atol=1e-14)
 
 
 @given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 8))
@@ -118,7 +128,7 @@ def test_free_propagator_phase_value():
 def test_cubic_convolution_matches_direct_triple_sum(seed, K):
     # padded-FFT product vs O(K^3) direct sum oracle  [DERIVED]
     f = random_field(K, seed)
-    fast = cubic_convolution(f).coefficients
+    fast = cubic_convolution(f.coefficients)
     slow = cubic_convolution_direct(f).coefficients
     scale = max(1.0, np.max(np.abs(slow)))
     np.testing.assert_allclose(fast, slow, atol=1e-12 * scale)
@@ -126,11 +136,10 @@ def test_cubic_convolution_matches_direct_triple_sum(seed, K):
 
 def test_cubic_convolution_single_mode():
     # conj(u) u u with only u_1 = a: output mode 1 gets |a|^2 a  [TRIVIAL]
-    grid = TorusGrid(3)
     c = np.zeros(7, dtype=complex)
     a = 2.0 - 1.0j
     c[4] = a  # k = 1
-    out = cubic_convolution(SpectralField(c, grid)).coefficients
+    out = cubic_convolution(c)
     expected = np.zeros(7, dtype=complex)
     expected[4] = np.abs(a) ** 2 * a
     np.testing.assert_allclose(out, expected, atol=1e-13)
@@ -161,25 +170,8 @@ def test_library_imports_numpy_alone():
 
 
 def test_cubic_convolution_zero_field():
-    grid = TorusGrid(4)
-    out = cubic_convolution(SpectralField(np.zeros(9), grid))
-    np.testing.assert_array_equal(out.coefficients, 0.0)
-
-
-def test_field_arithmetic():
-    f = random_field(3, 1)
-    g = random_field(3, 2)
-    np.testing.assert_allclose(
-        (f - g).coefficients, f.coefficients - g.coefficients
-    )
-    np.testing.assert_allclose((2.5 * f).coefficients, 2.5 * f.coefficients)
-
-
-def test_grid_mismatch_rejected():
-    f = random_field(3, 1)
-    g = random_field(4, 1)
-    with pytest.raises(ValueError):
-        _ = f - g
+    out = cubic_convolution(np.zeros(9))
+    np.testing.assert_array_equal(out, 0.0)
 
 
 def test_snapshot_roundtrip_exact(tmp_path):
@@ -225,4 +217,15 @@ def test_snapshot_reader_names_a_bad_header(tmp_path, header):
     p.write_text(header + "\n" if header else "")
     message = f"snapshot {p}:1: expected k_min,k_max, got {header!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
+        read_snapshot(p, TorusGrid(4))
+
+
+@pytest.mark.parametrize("header, message", [
+    ("-3,4", "asymmetric mode range -3..4"),
+    ("-3,3", "header has K=3, grid has K=4"),
+])
+def test_snapshot_reader_refuses_a_header_of_another_mode_range(tmp_path, header, message):
+    p = tmp_path / "snap.csv"
+    p.write_text(header + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"snapshot {p}:1: {message}")):
         read_snapshot(p, TorusGrid(4))
