@@ -263,6 +263,22 @@ def test_map_P_orthogonality_fails_for_asymmetric_noise():
     assert abs(orthogonality_defect(v, g)) > 1e-6
 
 
+@pytest.mark.parametrize("K", [8, 17])  # the Toeplitz matrix, the spectrum
+def test_map_P_operator_cached_on_the_increment_follows_phi(K):
+    # a step holds the operator of its increment over all its map_P_frozen
+    # calls; each phi on the same X gets its own, and reusing one gives the
+    # same result every call
+    v = random_field(K, 4)
+    X = make_increment(K, 5, 0.01)
+    for phi in (default_phi(K), CovarianceOp(1.0 + default_phi(K).phi), default_phi(K)):
+        noise = noise_operator(phi, X)
+        expected = map_P_double_sum(PARAMS.kappa, phi.phi, v.coefficients, X.w)
+        for _ in range(2):  # the second call reuses the held operator
+            out = map_P_frozen(PARAMS, v, noise).coefficients
+            np.testing.assert_allclose(out, expected, rtol=0,
+                                       atol=1e-14 * np.abs(expected).max())
+
+
 @pytest.mark.parametrize("K", [8, 17])
 @pytest.mark.parametrize("lam", [0.0, 1.3])
 def test_map_and_propagator_outputs_own_their_memory(K, lam):
