@@ -35,6 +35,9 @@ from snls import cli  # noqa: E402
 # simulate-k256 config cut to 40 steps
 _SIMULATE = {"seed": 1, "t": 0.01, "lambda": 1.0, "kappa": 1.0, "alpha": 2.0,
              "tableau": "midpoint"}
+# scripts/symplectic.cfg's values
+_SYMPLECTIC = {"seed": 5, "K": 4, "t": 0.001, "lambda": 1.0, "kappa": 1.0,
+               "initial_data": "smooth"}
 # golden file name -> (command, config values)
 GOLDENS = {
     **{f"kernel-error-d{d}.csv": ("kernel-error", {"seed": 1, "kernel_d": d})
@@ -45,6 +48,9 @@ GOLDENS = {
                                        "fp_tol": 1e-10, "initial_data": "rough-1"}),
     # the CLI's own sample count and step sizes (64 samples, t = 2^-4..2^-9)
     "local-error-k1.csv": ("local-error", {"seed": 1, "K": 1}),
+    # symplectic writes key=value lines; conservation runs its default 100 steps
+    "symplectic.txt": ("symplectic", _SYMPLECTIC),
+    "conservation.csv": ("conservation", _SYMPLECTIC),
 }
 
 

@@ -60,6 +60,11 @@ def test_largest_moves_names_each_column_and_key(make_golden):
     assert make_golden.largest_moves(want.replace("err", "rms"), want) == {
         "layout": "line 2: 't,rms,n', golden 't,err,n'"}
     assert make_golden.format_moves({}) == "unchanged"
+    # symplectic's key=value lines: a moved value is named by its key
+    want = (GOLDEN / "symplectic.txt").read_text()
+    value = want.splitlines()[1].partition("=")[2]
+    got = want.replace(value, repr(2 * float(value)))
+    assert make_golden.largest_moves(got, want) == {"defect_half_h": 1.0}
 
 
 def _snapshot(text):
