@@ -1,6 +1,7 @@
 """Conserved-quantity functionals and Sobolev norms of coefficient arrays
-(..., 2K+1), and the Jacobian-based symplecticity test of fields.  A
-functional past the float range is inf or NaN, without a numpy warning."""
+(..., 2K+1), and the Jacobian-based symplecticity test of a one-step
+map of coefficients.  A functional past the float range is inf or NaN,
+without a numpy warning."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _check
-from .torus import SpectralField, cubic_convolution, mode_cutoff
+from .torus import cubic_convolution, mode_cutoff
 
 
 @np.errstate(over="ignore")
@@ -71,28 +72,25 @@ def _pack(c: np.ndarray) -> np.ndarray:
 
 def canonical_form(n_modes: int) -> np.ndarray:
     """Block-diagonal J with blocks [[0,1],[-1,0]] per mode."""
-    J = np.zeros((2 * n_modes, 2 * n_modes))
-    for i in range(n_modes):
-        J[2 * i, 2 * i + 1] = 1.0
-        J[2 * i + 1, 2 * i] = -1.0
-    return J
+    return np.kron(np.eye(n_modes), [[0.0, 1.0], [-1.0, 0.0]])
 
 
-def symplectic_defect(step_closure, u: SpectralField, h: float = 1e-5) -> float:
+def symplectic_defect(step_closure, c: np.ndarray, h: float = 1e-5) -> float:
     """|| M^T J M - J ||_inf for the central-difference Jacobian M of a
-    deterministic (frozen-noise) one-step map at u.
+    deterministic (frozen-noise) one-step map at the coefficients c of
+    one field.
 
-    step_closure maps a batch of fields to a batch of fields; it is
-    called once, on the 2*dim perturbed states u +- h e_i."""
+    step_closure maps a (2*dim, 2K+1) array of coefficients to one of
+    the same shape; it is called once, on the 2*dim perturbed states
+    c +- h e_i."""
     h = _check.real("finite-difference step h", h, gt=0, within=(0.0, np.finfo(float).max / 2),
                     must="finite and > 0 with 2h finite")
-    grid = u.grid
-    x0 = _pack(u.coefficients)
+    x0 = _pack(c)
     dim = len(x0)
     shifts = h * np.eye(dim)
     x = np.concatenate((x0 + shifts, x0 - shifts))  # row i: x0 + h e_i, row dim+i: x0 - h e_i
-    f = _pack(step_closure(SpectralField(x[:, 0::2] + 1j * x[:, 1::2], grid)).coefficients)
+    f = _pack(step_closure(x[:, 0::2] + 1j * x[:, 1::2]))
     M = ((f[:dim] - f[dim:]) / (2.0 * h)).T
-    J = canonical_form(grid.n_modes)
+    J = canonical_form(dim // 2)
     defect = M.T @ J @ M - J
     return float(np.max(np.abs(defect)))

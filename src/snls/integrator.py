@@ -274,7 +274,7 @@ def step(
     with np.errstate(all="ignore"):
         if n <= maps.DIRECT_MAX_MODES and rho >= maps.EXACT_NOISE_MIN_RHO:
             # column j of B is B of unit field j, which sits on a leading axis
-            lead = (1,) * (max(u.ndim, X.w.ndim) - 1)
+            lead = (1,) * (max(u.ndim, X.ndim) - 1)
             units = np.eye(n, dtype=complex).reshape(n, *lead, n)
             B = (sqrt_t * tab.a1) * np.moveaxis(L(units), 0, -1)
             inverse = np.linalg.inv(np.eye(n) - B)

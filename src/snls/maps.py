@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import _check
-from .noise import CovarianceOp, NoiseIncrement
+from .noise import CovarianceOp
 from .torus import SpectralField, _embed, _extract, _fast_len, _pad_size
 
 
@@ -58,13 +58,14 @@ class NoiseOperator:
     apply: Callable[[np.ndarray], np.ndarray]
 
 
-def noise_operator(phi: CovarianceOp, X: NoiseIncrement) -> NoiseOperator:
-    """The frozen noise of a step as map_P_frozen takes it; integrator.step
-    builds it once per step.  Batch axes of X.w carry over."""
+def noise_operator(phi: CovarianceOp, X: np.ndarray) -> NoiseOperator:
+    """The frozen noise of a step as map_P_frozen takes it, from the
+    normalized increment array X of noise.increment; integrator.step
+    builds it once per step.  Batch axes of X carry over."""
     K = phi.K
-    if X.w.shape[-1] != 2 * K + 1:
-        raise ValueError(f"noise increment has {X.w.shape[-1]} modes, covariance has K={K}")
-    b = phi.phi * X.w
+    if X.shape[-1] != 2 * K + 1:
+        raise ValueError(f"noise increment has {X.shape[-1]} modes, covariance has K={K}")
+    b = phi.phi * X
     if 2 * K + 1 <= DIRECT_MAX_MODES:
         # out_i = sum_j b_{i-j+K} a_j: the Toeplitz matrix of b, gathered
         # from b with K zeros on either side
@@ -92,7 +93,7 @@ def map_P_frozen(params: ModelParams, v: SpectralField, noise: NoiseOperator) ->
 
     noise is noise_operator(phi, X) of the normalized increment X over
     the step, as integrator.step draws it from the path.  Batch axes of
-    v and X.w broadcast.
+    v and X broadcast.
     """
     if noise.K != v.grid.K:
         raise ValueError(f"noise operator has K={noise.K}, field has K={v.grid.K}")
@@ -150,8 +151,6 @@ def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> 
     grid = v.grid
     K = grid.K
     c = v.coefficients
-    if params.lam == 0.0:
-        return SpectralField.wrap(np.zeros_like(c), grid)
     n, first, third, e_plus_k, half_i_inv_d_k = _midpoint_multipliers(K, t)
     # each round's transforms share one FFT call, stacked on a leading axis that
     # its multiplier table takes; physical samples are the unnormalized inverse transform

@@ -88,7 +88,7 @@ class CovarianceOp:
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = np.array(self.phi, dtype=float)  # read-only copy, like NoiseIncrement.w
+        phi = np.array(self.phi, dtype=float)  # a read-only copy
         phi.flags.writeable = False
         if phi.ndim != 1 or len(phi) % 2 != 1:
             raise ValueError("phi must hold an odd number of modes -K..K")
@@ -209,26 +209,11 @@ def refine(path: BrownianPath) -> BrownianPath:
     return _mirrored(path.seed, path.K, path.level + 1, path.horizon, rows, path.n_base)
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """Normalized increments W_{n,k} = (W_k(t1) - W_k(t0)) / sqrt(t1-t0).
-
-    w has shape (2K+1,), or (S, 2K+1) for a stacked path.  It is kept as
-    a read-only copy, so that the noise operator a step builds from it
-    never describes other values."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.array(self.w, dtype=float)
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
-
-
-def increment(path: BrownianPath, t0: float, t1: float) -> NoiseIncrement:
+def increment(path: BrownianPath, t0: float, t1: float) -> np.ndarray:
+    """Normalized increments W_{n,k} = (W_k(t1) - W_k(t0)) / sqrt(t1-t0),
+    of shape (2K+1,), or (S, 2K+1) for a stacked path."""
     j0 = path.cell_index(t0)
     j1 = path.cell_index(t1)
     if j1 <= j0:
         raise ValueError(f"need t1 > t0 on the grid, got [{t0}, {t1}]")
-    w = path.increments[..., j0:j1].sum(axis=-1) / np.sqrt((j1 - j0) * path.dt)
-    return NoiseIncrement(w=w)
+    return path.increments[..., j0:j1].sum(axis=-1) / np.sqrt((j1 - j0) * path.dt)

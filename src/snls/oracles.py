@@ -14,7 +14,7 @@ import numpy as np
 from .kernels import KernelSpec, ModeQuad, interp_exp
 from .maps import ModelParams
 from .noise import BrownianPath
-from .torus import SpectralField
+from .torus import mode_cutoff
 
 if TYPE_CHECKING:  # integrator imports this module
     from .integrator import Tableau
@@ -25,7 +25,7 @@ def _resonant_sum(c: np.ndarray, weight) -> np.ndarray:
     weight(q) conj(c)_{k1} c_{k2} c_{k3}, along the last axis; q is the
     ModeQuad of every resonant quad as index arrays, k1 slowest and k3
     fastest, and each output mode adds its quads in that order."""
-    K = (c.shape[-1] - 1) // 2
+    K = mode_cutoff(c)
     k1, k2, k3 = np.meshgrid(*3 * [np.arange(-K, K + 1)], indexing="ij")
     k = -k1 + k2 + k3
     keep = np.abs(k) <= K
@@ -42,25 +42,24 @@ def map_F(
     t: float,
     c: float,
     p: int,
-    v: SpectralField,
-) -> SpectralField:
-    """Deterministic resonance map, direct O(K^3) sum over quads."""
+    v: np.ndarray,
+) -> np.ndarray:
+    """Deterministic resonance map of coefficients v (..., 2K+1), direct
+    O(K^3) sum over quads."""
     if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
-    out = _resonant_sum(v.coefficients, lambda q: kernel_weight(spec, q, t, c, p))
-    return SpectralField(-1j * params.lam * out, v.grid)
+    return -1j * params.lam * _resonant_sum(v, lambda q: kernel_weight(spec, q, t, c, p))
 
 
-def cubic_convolution_direct(f: SpectralField) -> SpectralField:
+def cubic_convolution_direct(c: np.ndarray) -> np.ndarray:
     """Direct O(K^3) triple sum; the dealiasing ground truth."""
-    return SpectralField(_resonant_sum(f.coefficients, lambda q: 1.0), f.grid)
+    return _resonant_sum(c, lambda q: 1.0)
 
 
-def orthogonality_defect(u: SpectralField, g: SpectralField) -> float:
-    """Re sum_k conj(u_k) g_k; zero for both discretisation maps."""
-    if u.grid != g.grid:
-        raise ValueError("fields live on different grids")
-    return float(np.real(np.vdot(u.coefficients, g.coefficients)))
+def orthogonality_defect(u: np.ndarray, g: np.ndarray) -> float:
+    """Re sum_k conj(u_k) g_k; zero for both discretisation maps.  Arrays
+    of different sizes are a ValueError."""
+    return float(np.real(np.vdot(u, g)))
 
 
 def weighted_exp_integral(omega, T: float, p: int):

@@ -91,26 +91,25 @@ def test_criterion_2_pathwise_symplecticity():
             def closure(v):
                 # v is the batch of perturbed states, stepped on the one
                 # path; a rejected sample would be the identity map
-                outcome = step(v, tab, params, phi, path, 0.0, t, fp)
+                outcome = step(SpectralField(v, u.grid), tab, params, phi, path, 0.0, t, fp)
                 assert outcome.converged.all()
-                return outcome.state
+                return outcome.state.coefficients
 
-            worst = max(worst, symplectic_defect(closure, u, h=h))
+            worst = max(worst, symplectic_defect(closure, u.coefficients, h=h))
 
     u = random_field(K, 100, scale=0.5)
-    linear = symplectic_defect(
-        lambda v: SpectralField(free_propagator(v.coefficients, t), v.grid), u, h=h)
+    linear = symplectic_defect(lambda v: free_propagator(v, t), u.coefficients, h=h)
 
     te = 1e-2
     path = sample_path(200, te, 0, K)
     etab = explicit_tableau()
 
     def explicit_closure(v):
-        outcome = step(v, etab, params, phi, path, 0.0, te, fp)
+        outcome = step(SpectralField(v, u.grid), etab, params, phi, path, 0.0, te, fp)
         assert outcome.converged.all()
-        return outcome.state
+        return outcome.state.coefficients
 
-    explicit = symplectic_defect(explicit_closure, u, h=h)
+    explicit = symplectic_defect(explicit_closure, u.coefficients, h=h)
     elapsed = time.perf_counter() - t0
 
     ok = worst <= 1e-5 and linear <= 1e-10 and explicit >= 1e-3 and elapsed <= 120
@@ -161,17 +160,14 @@ def test_criterion_5_orthogonality():
     fields = [random_field(K, seed, scale=0.5) for seed in range(200)]
     # the quad weights of the O(K^3) oracle do not depend on u: one call
     # takes the 200 draws as a batch
-    grid = fields[0].grid
-    batch = SpectralField(np.stack([u.coefficients for u in fields]), grid)
-    F = map_F(params, spec, t, c, p, batch).coefficients
+    F = map_F(params, spec, t, c, p, np.stack([u.coefficients for u in fields]))
     for seed, u in enumerate(fields):
         m = mass(u.coefficients)
-        g = SpectralField(F[seed], grid)
-        worst_f = max(worst_f, abs(orthogonality_defect(u, g)) / max(1.0, m**2))
+        worst_f = max(worst_f, abs(orthogonality_defect(u.coefficients, F[seed])) / max(1.0, m**2))
         X = increment(sample_path(seed, t, 0, K), 0.0, t)
-        gp = map_P_frozen(params, u, noise_operator(phi, X))
-        scale = max(1.0, m * float(np.max(np.abs(X.w))))
-        worst_p = max(worst_p, abs(orthogonality_defect(u, gp)) / scale)
+        gp = map_P_frozen(params, u, noise_operator(phi, X)).coefficients
+        scale = max(1.0, m * float(np.max(np.abs(X))))
+        worst_p = max(worst_p, abs(orthogonality_defect(u.coefficients, gp)) / scale)
     ok = worst_f <= 1e-12 and worst_p <= 1e-12
     report(5, "orthogonality of discretisation maps", ok,
            f"max scaled Re<u,F(u)> {worst_f:.2e}, max scaled "
@@ -211,11 +207,11 @@ def test_criterion_7_oracle_equivalences():
         u = random_field(K, seed, scale=0.5)
         t = 0.01 * (1 + seed % 3)
         fast = map_F_midpoint_physical(params, t, u).coefficients
-        slow = t * map_F(params, default_kernel_spec(1), t, 1.0, 0, u).coefficients
+        slow = t * map_F(params, default_kernel_spec(1), t, 1.0, 0, u.coefficients)
         worst_map = max(worst_map,
                         np.max(np.abs(fast - slow)) / max(1.0, np.max(np.abs(slow))))
         a = cubic_convolution(u.coefficients)
-        b = cubic_convolution_direct(u).coefficients
+        b = cubic_convolution_direct(u.coefficients)
         worst_cubic = max(worst_cubic,
                           np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b))))
 

@@ -44,7 +44,7 @@ def _energy_h0(lam):
 
 
 def _symplectic_defect(h):
-    return symplectic_defect(lambda v: v, FIELD, h)
+    return symplectic_defect(lambda v: v, FIELD.coefficients, h)
 
 
 def _free_propagator(t):
@@ -159,6 +159,46 @@ def test_only_the_checker_imports_numbers():
     # the integer and real type tests live in snls._check alone
     found = {path.stem for path in SRC.glob("*.py") if "numbers" in _imports(path.read_text())}
     assert found == {"_check"}
+
+
+_FIELD_TYPES = {"SpectralField", "NoiseIncrement"}
+
+
+def _field_types(source: str) -> set:
+    """Which of _FIELD_TYPES a source names: imported (as any alias),
+    defined, used or read as a module attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            names.add(node.name)
+    return names & _FIELD_TYPES
+
+
+@pytest.mark.parametrize("source, names", [
+    ("from .torus import SpectralField", {"SpectralField"}),
+    ("from snls.torus import TorusGrid as G, SpectralField as F", {"SpectralField"}),
+    ("from . import torus\nf = torus.SpectralField", {"SpectralField"}),
+    ("class NoiseIncrement:\n    pass", {"NoiseIncrement"}),
+    ("from .torus import TorusGrid, mode_cutoff", set()),
+])
+def test_guard_sees_every_name_of_a_field_type(source, names):
+    assert _field_types(source) == names
+
+
+def test_fields_only_at_the_api_boundary():
+    # step, reference_solution, the two maps, snapshots and initial_field
+    # take fields; the oracles, the diagnostics and the noise increment
+    # are arrays
+    found = {path.stem: _field_types(path.read_text()) for path in SRC.glob("*.py")}
+    assert {module for module, names in found.items() if "SpectralField" in names} == {
+        "torus", "maps", "integrator", "experiments", "config"}
+    assert not any("NoiseIncrement" in names for names in found.values())
 
 
 def test_an_int_past_the_float_range_is_refused_by_name():

@@ -345,6 +345,37 @@ def test_initial_energy_past_the_float_range_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: initial data: energy_h0 is not finite (inf)\n"
 
 
+def _zero_data_config(tmp_path):
+    snap = tmp_path / "zero.csv"
+    snap.write_text("-1,1\n-1,0,0\n0,0,0\n1,0,0\n")
+    return write_cfg(tmp_path, f"seed=1\nK=1\nt=0.01\nn_steps=3\ninitial_data={snap}\n")
+
+
+def test_conservation_of_zero_initial_mass_exit_1(tmp_path, capsys):
+    # the drift relative to a zero mass is 0/0: refused by name, not NaN
+    cfg = _zero_data_config(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["conservation", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: initial data of zero mass: the relative mass drift is undefined\n")
+    assert captured.out == ""
+
+
+def test_local_error_of_zero_initial_data_is_degenerate(tmp_path, capsys):
+    # every error is 0 = 1e-13 times the zero H^alpha norm: each row is
+    # degenerate, and the slope fits no row instead of taking log 0
+    cfg = _zero_data_config(tmp_path)
+    out = tmp_path / "err.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["local-error", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "slope=nan rows=6\n"
+    rows = out.read_text().splitlines()[-6:]
+    assert [row.split(",")[1:] for row in rows] == 6 * [["0", "0", "64", "0", "1"]]
+
+
 @pytest.mark.parametrize("command", ALL_COMMANDS)
 def test_fp_tol_below_the_rounding_floor_exit_1(tmp_path, capsys, command):
     # the H^10 norm of this data is 5.3e7, so no residual reaches 1e-12:

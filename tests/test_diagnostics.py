@@ -13,7 +13,7 @@ from snls.diagnostics import (
     sobolev_norm,
     symplectic_defect,
 )
-from snls.torus import SpectralField, free_propagator
+from snls.torus import free_propagator
 
 from helpers import random_field
 
@@ -73,28 +73,27 @@ def test_canonical_form_structure():
 def test_symplectic_defect_identity_map():
     f = random_field(3, 0)
     # central differences carry ~eps*|x|/h rounding, so not exactly 0
-    assert symplectic_defect(lambda u: u, f) < 1e-10
+    assert symplectic_defect(lambda u: u, f.coefficients) < 1e-10
 
 
 def test_symplectic_defect_free_flow():
     # the exact linear flow is symplectic; central differences are exact
     # for linear maps up to rounding
     f = random_field(3, 1)
-    assert symplectic_defect(
-        lambda u: SpectralField(free_propagator(u.coefficients, 0.3), u.grid), f) < 1e-10
+    assert symplectic_defect(lambda u: free_propagator(u, 0.3), f.coefficients) < 1e-10
 
 
 def test_symplectic_defect_detects_dissipation():
     # u -> 0.9 u scales the form by 0.81: defect 0.19
     f = random_field(2, 2)
-    d = symplectic_defect(lambda u: SpectralField(0.9 * u.coefficients, u.grid), f)
+    d = symplectic_defect(lambda u: 0.9 * u, f.coefficients)
     assert d == pytest.approx(1.0 - 0.81, abs=1e-8)
 
 
 def test_symplectic_defect_rejects_bad_h():
     f = random_field(2, 2)
     with pytest.raises(ValueError):
-        symplectic_defect(lambda u: u, f, h=0.0)
+        symplectic_defect(lambda u: u, f.coefficients, h=0.0)
 
 
 def test_symplectic_defect_steps_every_column_in_one_batch():
@@ -102,10 +101,10 @@ def test_symplectic_defect_steps_every_column_in_one_batch():
     batches = []
 
     def closure(u):
-        batches.append(u.coefficients.shape)
-        return SpectralField(free_propagator(u.coefficients, 0.3), u.grid)
+        batches.append(u.shape)
+        return free_propagator(u, 0.3)
 
-    assert symplectic_defect(closure, f) < 1e-10
+    assert symplectic_defect(closure, f.coefficients) < 1e-10
     assert batches == [(4 * f.grid.n_modes, f.grid.n_modes)]
 
 

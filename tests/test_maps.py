@@ -10,7 +10,6 @@ from snls.kernels import default_kernel_spec
 from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen, noise_operator
 from snls.noise import (
     CovarianceOp,
-    NoiseIncrement,
     default_phi,
     increment,
     sample_path,
@@ -46,11 +45,11 @@ def test_map_F_zero_field_and_zero_lambda():
     grid = TorusGrid(3)
     z = SpectralField(np.zeros(7), grid)
     np.testing.assert_array_equal(
-        map_F(PARAMS, SPEC1, 0.01, 1.0, 0, z).coefficients, 0.0
+        map_F(PARAMS, SPEC1, 0.01, 1.0, 0, z.coefficients), 0.0
     )
     f = random_field(3, 0)
     np.testing.assert_array_equal(
-        map_F(ModelParams(lam=0.0, kappa=1.0), SPEC1, 0.01, 1.0, 0, f).coefficients,
+        map_F(ModelParams(lam=0.0, kappa=1.0), SPEC1, 0.01, 1.0, 0, f.coefficients),
         0.0,
     )
 
@@ -58,7 +57,7 @@ def test_map_F_zero_field_and_zero_lambda():
 def test_map_F_rejects_nonpositive_t():
     f = random_field(2, 0)
     with pytest.raises(ValueError):
-        map_F(PARAMS, SPEC1, 0.0, 1.0, 0, f)
+        map_F(PARAMS, SPEC1, 0.0, 1.0, 0, f.coefficients)
 
 
 def test_map_F_single_mode_closed_form():
@@ -67,12 +66,11 @@ def test_map_F_single_mode_closed_form():
     from snls.kernels import ModeQuad
     from snls.oracles import kernel_weight
 
-    grid = TorusGrid(2)
     a = 1.0 - 2.0j
     c = np.zeros(5, dtype=complex)
     c[3] = a  # k = 1
     t = 0.02
-    out = map_F(PARAMS, SPEC1, t, 1.0, 0, SpectralField(c, grid)).coefficients
+    out = map_F(PARAMS, SPEC1, t, 1.0, 0, c)
     w = kernel_weight(SPEC1, ModeQuad(1, 1, 1, 1), t, 1.0, 0)
     expected = np.zeros(5, dtype=complex)
     expected[3] = -1j * PARAMS.lam * w * np.abs(a) ** 2 * a
@@ -85,9 +83,9 @@ def test_map_F_single_mode_closed_form():
 def test_map_F_mass_orthogonality(seed, K, t):
     # Re<v, F(v)> = 0: the generator moves no mass
     v = random_field(K, seed)
-    g = map_F(PARAMS, SPEC1, t, 1.0, 0, v)
+    g = map_F(PARAMS, SPEC1, t, 1.0, 0, v.coefficients)
     scale = np.sum(np.abs(v.coefficients) ** 2) ** 2
-    assert abs(orthogonality_defect(v, g)) < 1e-12 * max(1.0, scale)
+    assert abs(orthogonality_defect(v.coefficients, g)) < 1e-12 * max(1.0, scale)
 
 
 def test_map_F_higher_order_kernel_and_power():
@@ -95,8 +93,9 @@ def test_map_F_higher_order_kernel_and_power():
     # still holds because the swap symmetry holds for every d and p
     spec2 = default_kernel_spec(2)
     v = random_field(3, 5)
-    g = map_F(PARAMS, spec2, 0.05, 0.6, 1, v)
-    assert abs(orthogonality_defect(v, g)) < 1e-12 * np.sum(np.abs(v.coefficients) ** 2) ** 2
+    g = map_F(PARAMS, spec2, 0.05, 0.6, 1, v.coefficients)
+    assert abs(orthogonality_defect(v.coefficients, g)) < (
+        1e-12 * np.sum(np.abs(v.coefficients) ** 2) ** 2)
 
 
 # ----------------------------------------------------------- fast path
@@ -109,7 +108,7 @@ def test_fast_physical_path_matches_direct_sum(seed, K, t):
     # multiplier-operator evaluation == Fourier-side direct sum (1e-10)
     v = random_field(K, seed)
     fast = map_F_midpoint_physical(PARAMS, t, v).coefficients
-    slow = t * map_F(PARAMS, SPEC1, t, 1.0, 0, v).coefficients
+    slow = t * map_F(PARAMS, SPEC1, t, 1.0, 0, v.coefficients)
     scale = max(1.0, np.max(np.abs(slow)))
     np.testing.assert_allclose(fast, slow, atol=1e-10 * scale)
 
@@ -119,17 +118,17 @@ def test_maps_act_on_each_sample_of_a_batch():
     fields = [random_field(K, s) for s in range(4)]
     batch = SpectralField(np.stack([f.coefficients for f in fields]), fields[0].grid)
     incs = [make_increment(K, s, t) for s in range(4)]
-    X = NoiseIncrement(w=np.stack([x.w for x in incs]))
+    X = np.stack(incs)
     phi = default_phi(K)
     maps = (
-        lambda v, x: map_F_midpoint_physical(PARAMS, t, v),
-        lambda v, x: map_F(PARAMS, SPEC1, t, 1.0, 0, v),
-        lambda v, x: map_P_frozen(PARAMS, v, noise_operator(phi, x)),
+        lambda v, x: map_F_midpoint_physical(PARAMS, t, v).coefficients,
+        lambda v, x: map_F(PARAMS, SPEC1, t, 1.0, 0, v.coefficients),
+        lambda v, x: map_P_frozen(PARAMS, v, noise_operator(phi, x)).coefficients,
     )
     for f in maps:
-        out = f(batch, X).coefficients
+        out = f(batch, X)
         for i in range(4):
-            one = f(fields[i], incs[i]).coefficients
+            one = f(fields[i], incs[i])
             np.testing.assert_allclose(out[i], one, rtol=0,
                                        atol=1e-15 * max(1.0, np.max(np.abs(one))))
 
@@ -197,7 +196,7 @@ def test_map_P_single_mode_closed_form():
     for k in range(-2, 3):
         k2 = k - 1
         if -2 <= k2 <= 2:
-            expected[k + 2] = -1j * PARAMS.kappa * a * phi.phi[k2 + 2] * X.w[k2 + 2]
+            expected[k + 2] = -1j * PARAMS.kappa * a * phi.phi[k2 + 2] * X[k2 + 2]
     np.testing.assert_allclose(out.coefficients, expected, atol=1e-14)
 
 
@@ -236,7 +235,7 @@ def test_map_P_matches_double_sum(K, batched):
     # the second phi, on the same X, gives its own operator
     for phi in (default_phi(K), CovarianceOp(1.0 + default_phi(K).phi)):
         out = map_P_frozen(PARAMS, v, noise_operator(phi, X)).coefficients
-        expected = map_P_double_sum(PARAMS.kappa, phi.phi, v.coefficients, X.w)
+        expected = map_P_double_sum(PARAMS.kappa, phi.phi, v.coefficients, X)
         assert out.shape == expected.shape == (samples, 2 * K + 1)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
@@ -249,7 +248,8 @@ def test_map_P_mass_orthogonality(seed, K):
     X = make_increment(K, seed + 1, 0.01)
     g = map_P_frozen(PARAMS, v, noise_operator(default_phi(K), X))
     scale = np.sum(np.abs(v.coefficients) ** 2)
-    assert abs(orthogonality_defect(v, g)) < 1e-12 * max(1.0, scale * np.max(np.abs(X.w)))
+    assert abs(orthogonality_defect(v.coefficients, g.coefficients)) < (
+        1e-12 * max(1.0, scale * np.max(np.abs(X))))
 
 
 def test_map_P_orthogonality_fails_for_asymmetric_noise():
@@ -258,9 +258,9 @@ def test_map_P_orthogonality_fails_for_asymmetric_noise():
     rng = np.random.default_rng(0)
     K = 4
     v = random_field(K, 9)
-    X = NoiseIncrement(w=rng.standard_normal(2 * K + 1))
+    X = rng.standard_normal(2 * K + 1)
     g = map_P_frozen(PARAMS, v, noise_operator(default_phi(K), X))
-    assert abs(orthogonality_defect(v, g)) > 1e-6
+    assert abs(orthogonality_defect(v.coefficients, g.coefficients)) > 1e-6
 
 
 @pytest.mark.parametrize("K", [8, 17])  # the Toeplitz matrix, the spectrum
@@ -272,7 +272,7 @@ def test_map_P_operator_cached_on_the_increment_follows_phi(K):
     X = make_increment(K, 5, 0.01)
     for phi in (default_phi(K), CovarianceOp(1.0 + default_phi(K).phi), default_phi(K)):
         noise = noise_operator(phi, X)
-        expected = map_P_double_sum(PARAMS.kappa, phi.phi, v.coefficients, X.w)
+        expected = map_P_double_sum(PARAMS.kappa, phi.phi, v.coefficients, X)
         for _ in range(2):  # the second call reuses the held operator
             out = map_P_frozen(PARAMS, v, noise).coefficients
             np.testing.assert_allclose(out, expected, rtol=0,
@@ -297,7 +297,7 @@ def test_map_and_propagator_outputs_own_their_memory(K, lam):
         free_propagator(v.coefficients, 0.01),
         free_propagator(v.coefficients, 0.0),
     ]
-    shared = [v.coefficients, X.w, phi.phi]
+    shared = [v.coefficients, X, phi.phi]
     for out in outs:
         assert not any(np.shares_memory(out, a) for a in shared)
         assert out.flags.writeable

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from snls.noise import (
     BrownianPath,
     CovarianceOp,
-    NoiseIncrement,
     default_phi,
     increment,
     refine,
@@ -201,7 +200,7 @@ def test_increment_normalization():
     p = sample_path(3, 1.0, 4, 2)
     X = increment(p, 0.25, 0.75)
     raw = p.increments[:, 4:12].sum(axis=1)
-    np.testing.assert_array_equal(X.w, raw / np.sqrt(0.5))
+    np.testing.assert_array_equal(X, raw / np.sqrt(0.5))
 
 
 def test_increment_rejects_degenerate_interval():
@@ -230,7 +229,7 @@ def test_stacked_path_increments_are_per_path_increments():
     for t0, t1 in ((0.0, 1.0), (0.25, 0.5)):
         X = increment(stacked, t0, t1)
         for i, p in enumerate(paths):
-            np.testing.assert_array_equal(X.w[i], increment(p, t0, t1).w)
+            np.testing.assert_array_equal(X[i], increment(p, t0, t1))
     with pytest.raises(ValueError):
         stacked.values(1)
     for bad in (-1, 2**64):
@@ -243,7 +242,7 @@ def test_increments_consistent_across_levels():
     f = refine(p)
     a = increment(p, 0.25, 1.0)
     b = increment(f, 0.25, 1.0)
-    np.testing.assert_array_equal(a.w, b.w)
+    np.testing.assert_array_equal(a, b)
 
 
 # ------------------------------------------- Stratonovich sum identities
@@ -287,17 +286,13 @@ def test_strat_integral_refinement_consistency():
     assert abs(a - b) < 0.2
 
 
-def test_increment_and_covariance_are_read_only_copies():
-    # map_P_frozen caches an operator built from X.w and phi on X, so
-    # neither may change under it
-    path = sample_path(3, 0.5, 0, 2)
-    X = increment(path, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        X.w[0] = 1.0
+def test_covariance_is_a_read_only_copy():
+    # CovarianceOp checks Phi_k = Phi_{-k} once, when it is made, so its
+    # phi may change neither in place nor through the array it was made from
     raw = np.ones(5)
-    X = NoiseIncrement(w=raw)
+    phi = CovarianceOp(raw)
     raw[0] = 2.0
-    assert X.w[0] == 1.0
+    assert phi.phi[0] == 1.0
     phi = default_phi(2)
     with pytest.raises(ValueError):
         phi.phi[0] = 1.0

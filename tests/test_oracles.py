@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 from snls.kernels import ModeQuad, default_kernel_spec
-from snls.oracles import _resonant_sum, kernel_weight, orthogonality_defect, weighted_exp_integral
+from snls.maps import ModelParams
+from snls.oracles import (
+    _resonant_sum,
+    cubic_convolution_direct,
+    kernel_weight,
+    map_F,
+    orthogonality_defect,
+    weighted_exp_integral,
+)
 
 from helpers import random_field
 
@@ -161,5 +169,14 @@ def test_resonant_sum_is_the_triple_loop(K):
 
 
 def test_orthogonality_defect_rejects_fields_on_different_grids():
-    with pytest.raises(ValueError, match="fields live on different grids"):
-        orthogonality_defect(random_field(3, 1), random_field(4, 1))
+    with pytest.raises(ValueError):
+        orthogonality_defect(random_field(3, 1).coefficients, random_field(4, 1).coefficients)
+
+
+def test_direct_sums_refuse_coefficients_of_no_odd_length():
+    # the arrays carry no grid, so the mode range comes from their shape
+    for c in (np.ones(4, dtype=complex), np.ones((3, 6), dtype=complex), np.complex128(1.0)):
+        with pytest.raises(ValueError, match="expected 2K\\+1 coefficients"):
+            cubic_convolution_direct(c)
+        with pytest.raises(ValueError, match="expected 2K\\+1 coefficients"):
+            map_F(ModelParams(lam=1.0, kappa=0.0), default_kernel_spec(1), 0.01, 1.0, 0, c)

@@ -129,7 +129,7 @@ def test_cubic_convolution_matches_direct_triple_sum(seed, K):
     # padded-FFT product vs O(K^3) direct sum oracle  [DERIVED]
     f = random_field(K, seed)
     fast = cubic_convolution(f.coefficients)
-    slow = cubic_convolution_direct(f).coefficients
+    slow = cubic_convolution_direct(f.coefficients)
     scale = max(1.0, np.max(np.abs(slow)))
     np.testing.assert_allclose(fast, slow, atol=1e-12 * scale)
 
