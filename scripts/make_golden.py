@@ -5,7 +5,9 @@
 
 Each golden is the output file of one `snls` command on a fixed config,
 made with this checkout's src/ (for `simulate`, also its `.final`
-snapshot).  versions.json records the numpy and Python versions that
+snapshot).  A golden whose name ends in `.stderr` is a command that
+fails on purpose: the file holds its exit code (`exit=<n>`) and then
+what it wrote to stderr.  versions.json records the numpy and Python versions that
 made them: tests/test_golden.py compares fresh outputs with the goldens
 byte for byte on that numpy version only, and to a relative 1e-8 on
 every version.  A change that moves output bits on purpose regenerates
@@ -16,6 +18,8 @@ from the goldens it replaces.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import platform
@@ -51,20 +55,30 @@ GOLDENS = {
     # symplectic writes key=value lines; conservation runs its default 100 steps
     "symplectic.txt": ("symplectic", _SYMPLECTIC),
     "conservation.csv": ("conservation", _SYMPLECTIC),
+    # the explicit control blows up on the simulate-k8 config: exit 2
+    "simulate-explicit-k8.stderr": ("simulate", {**_SIMULATE, "K": 8, "n_steps": 200,
+                                                 "fp_tol": 1e-12, "initial_data": "smooth",
+                                                 "tableau": "explicit"}),
 }
 
 
 def run(name, out_dir):
     """Make the golden `name` in out_dir; returns {file name: path} of the
-    files it writes (a simulate golden also writes `<name>.final`)."""
+    files it writes (a simulate golden also writes `<name>.final`).  A
+    `.stderr` golden is the command's exit code and stderr; any other
+    golden whose command exits nonzero is a RuntimeError with both."""
     command, values = GOLDENS[name]
     out = Path(out_dir) / name
-    with tempfile.TemporaryDirectory() as tmp:
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
         config = Path(tmp) / "golden.cfg"
         config.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
         rc = cli.main([command, "--config", str(config), "--out", str(out)])
+    if name.endswith(".stderr"):
+        out.write_text(f"exit={rc}\n{stderr.getvalue()}")
+        return {name: out}
     if rc != 0:
-        raise RuntimeError(f"snls {command} for {name} exited {rc}")
+        raise RuntimeError(f"snls {command} for {name} exited {rc}: {stderr.getvalue().strip()}")
     files = [out, out.with_name(name + ".final")] if command == "simulate" else [out]
     return {f.name: f for f in files}
 
