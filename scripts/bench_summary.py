@@ -23,7 +23,12 @@ section holds, per workload and end-to-end metric of BENCHMARK.json
 (whose `better` gives the direction): the change's median over the
 parent's, the number of seeds run untraced on both sides, on how many of
 those seeds the change is better, and whether the gap between the
-medians exceeds the parent's IQR.
+medians exceeds the parent's IQR.  Two flags judge it:
+`claim_rule_met`, that the change is better on at least 9 of every 10
+paired seeds (and at least 10 seeds are paired) with the medians' gap,
+in the better direction, above the parent's IQR; and `within_bound`,
+that the change's median is not worse than the parent's by more than
+the metric's relative `bound` in BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -87,7 +92,8 @@ def summarize(records):
 def compare(records, sides):
     """Change against parent per workload and end-to-end metric, paired by
     seed over untraced runs; a seed run on one side only is not paired."""
-    better = {m["name"]: m["better"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    metrics = {m["name"]: m for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+    better = {name: m["better"] for name, m in metrics.items()}
     by_seed = {}
     for label in ("parent", "change"):
         for (workload, trace, seed), r in records[label].items():
@@ -103,12 +109,17 @@ def compare(records, sides):
         c = sides["change"][workload]["metrics"][name]
         sign = 1 if better[name] == "higher" else -1
         seeds = parent.keys() & change.keys()
+        change_better = sum(sign * (change[s] - parent[s]) > 0 for s in seeds)
+        gain = sign * (c["median"] - p["median"])
         result.setdefault(workload, {})[name] = {
             "better": better[name],
             "ratio": c["median"] / p["median"],
             "seeds": len(seeds),
-            "change_better": sum(sign * (change[s] - parent[s]) > 0 for s in seeds),
+            "change_better": change_better,
             "gap_exceeds_parent_iqr": abs(c["median"] - p["median"]) > p["iqr"],
+            "claim_rule_met": len(seeds) >= 10 and 10 * change_better >= 9 * len(seeds)
+                              and gain > p["iqr"],
+            "within_bound": gain >= -metrics[name]["bound"] * abs(p["median"]),
         }
     return result
 

@@ -119,8 +119,10 @@ _KEY_TO_ATTR = {"lambda": "lam"}
 
 
 def parse_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse a flat key=value file; `overrides` wins over file values."""
+    """Parse a flat key=value file; `overrides` wins over file values.  A
+    key given twice in the file is a ConfigError naming both lines."""
     values: dict = {}
+    lines: dict = {}  # key -> its line
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -132,6 +134,9 @@ def parse_config(path, overrides: dict | None = None) -> RunConfig:
             key = key.strip()
             if key not in _FIELD_PARSERS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+            lines[key] = lineno
             try:
                 values[_KEY_TO_ATTR.get(key, key)] = _FIELD_PARSERS[key](val.strip())
             except ValueError as exc:

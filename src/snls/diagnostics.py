@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _check
-from .torus import cubic_convolution, mode_cutoff
+from .torus import _pad_size, mode_cutoff
 
 
 @np.errstate(over="ignore")
@@ -22,13 +22,16 @@ def mass(c: np.ndarray) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def energy_h0(c: np.ndarray, lam: float) -> float:
     """Deterministic Hamiltonian (1/2) sum k^2 |c_k|^2 + (lam/4) * quartic,
-    with the quartic evaluated on the truncated mode set."""
+    with the quartic sum_k conj(c_k) (|u|^2 u)_k on the truncated mode set:
+    by Parseval (1/n) sum_j |u(x_j)|^4 on n >= 4K+1 points, free of aliases."""
     lam = _check.real("lambda", lam)
-    kinetic = 0.5 * float(np.sum(_k_squared(mode_cutoff(c)) * np.abs(c) ** 2))
+    K = mode_cutoff(c)
+    kinetic = 0.5 * float(np.sum(_k_squared(K) * np.abs(c) ** 2))
     if lam == 0.0:
         return kinetic
-    quartic = np.vdot(c, cubic_convolution(c))
-    return kinetic + 0.25 * lam * float(np.real(quartic))
+    n = _pad_size(K)
+    u_sq = np.abs(np.fft.ifft(c, n, norm="forward")) ** 2
+    return kinetic + 0.25 * lam * float(np.sum(u_sq * u_sq)) / n
 
 
 @np.errstate(over="ignore")

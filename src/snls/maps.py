@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _check
 from .noise import CovarianceOp
-from .torus import SpectralField, _embed, _extract, _fast_len, _pad_size
+from .torus import SpectralField, _fast_len, _pad_size
 
 
 @dataclass(frozen=True)
@@ -114,22 +114,22 @@ def _toeplitz_index(K: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _midpoint_multipliers(K: int, t: float):
-    """Padded size n, map_F_midpoint_physical's stacked padded-grid multipliers
-    of its first round (1, 1/(ik) (0 at k=0), e^{-itk^2}/(ik)) and third
-    (e^{-itk^2}, (i/2)e^{itk^2}), and e^{itk^2} and (i/2)/(ik) on modes
-    -K..K (read-only: shared by every call)."""
+    """Padded size n and map_F_midpoint_physical's read-only tables: the first
+    round's (1, 1/(ik) (0 at k=0), e^{-itk^2}/(ik)) on modes -K..K; the
+    third's (e^{-itk^2}, (i/2)e^{itk^2})/n, rolled so that index i holds
+    mode i-2K; the layout phase e^{2 pi i K j/n}; and the last multipliers
+    (i/2)e^{itk^2}/(ik) and (i/2)/(ik) on -K..K."""
     n = _pad_size(K)
+    k = np.arange(-K, K + 1).astype(float)
+    inv_d = np.divide(1.0, 1j * k, out=np.zeros(2 * K + 1, dtype=np.complex128), where=k != 0)
     kpad = np.fft.fftfreq(n, d=1.0 / n)  # mode numbers of the padded grid
-    e_minus = np.exp(-1j * t * kpad**2)  # e^{it Laplacian}
-    e_plus = np.exp(1j * t * kpad**2)
-    inv_d = np.zeros(n, dtype=np.complex128)
-    nz = kpad != 0
-    inv_d[nz] = 1.0 / (1j * kpad[nz])
-    mults = (np.array((np.ones(n), inv_d, e_minus * inv_d)), np.array((e_minus, 0.5j * e_plus)),
-             _extract(e_plus, K), _extract(0.5j * inv_d, K))
-    for m in mults:
+    third = np.array((np.exp(-1j * t * kpad**2), 0.5j * np.exp(1j * t * kpad**2))) / n
+    tables = (np.array((np.ones(2 * K + 1), inv_d, np.exp(-1j * t * k**2) * inv_d)),
+              np.roll(third, 2 * K, axis=-1), np.exp(2j * np.pi * (K * np.arange(n) % n) / n),
+              np.array((np.exp(1j * t * k**2), np.ones(2 * K + 1))) * 0.5j * inv_d)
+    for m in tables:
         m.flags.writeable = False
-    return (n, *mults)
+    return (n, *tables)
 
 
 def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> SpectralField:
@@ -145,44 +145,47 @@ def map_F_midpoint_physical(params: ModelParams, t: float, v: SpectralField) -> 
     kk1=0 corrections) and S_B the lower-phase term (plus its k2k3=0
     corrections); all products are formed without intermediate
     truncation on a 4K-padded grid, in 10 padded transforms.
+
+    Coefficients are transformed in storage order, zero-padded to n, so
+    sample j of a field carries the layout phase omega_j = e^{2 pi i K j/n}:
+    the spectrum of a cubic product conj(a) b c holds modes -K..K at indices
+    0..2K, and that of a square b c mode m at index m+2K.  The forward
+    transforms are unnormalized; 1/n is in the third table and the last scale.
     """
     if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
-    grid = v.grid
-    K = grid.K
-    c = v.coefficients
-    n, first, third, e_plus_k, half_i_inv_d_k = _midpoint_multipliers(K, t)
+    c, K = v.coefficients, v.grid.K
+    n, first, third, phase, last = _midpoint_multipliers(K, t)
     # each round's transforms share one FFT call, stacked on a leading axis that
     # its multiplier table takes; physical samples are the unnormalized inverse transform
     stacked = (slice(None),) + (None,) * (c.ndim - 1)
-
-    cv = _embed(c, K, n)  # spectrum on padded grid
-    v0 = c[..., K, None]  # zero mode, broadcast over modes
     # physical samples of v, of its inverse derivative d^-1 v and of E(t) d^-1 v
-    u, inv_u, einv_u = np.fft.ifft(first[stacked] * cv, norm="forward")
+    u, inv_u, einv_u = np.fft.ifft(first[stacked] * c, n, norm="forward")
     u_sq = u * u
     # the S_A kk1 != 0 second piece, (v*v)_m untruncated and the S_B
     # square that needs E(-t)
-    spectra = np.fft.fft(np.array((np.conj(inv_u) * u_sq, u_sq, einv_u * einv_u)), norm="forward")
+    spectra = np.fft.fft(np.array((np.conj(inv_u) * u_sq, u_sq, einv_u * einv_u)))
 
     # S_A, kk1 != 0: (i/2) d^-1 { E(-t)[ conj(E(t)d^-1 v) * E(t)(v^2) ]
     #                             - conj(d^-1 v) * v^2 };
     # S_B: convolve conj(v) with G, where
     # G = (i/2)[ E(-t)((E(t)d^-1 v)^2) - (d^-1 v)^2 ]  (k2 k3 != 0 pairs)
     #   + t (2 v0 v - delta_0 v0^2)                    (k2 k3 = 0 pairs),
-    # all of it physical but the E(-t) term
+    # all of it physical but the E(-t) term.  S_B - t C, C being the spectrum
+    # of conj(v) v^2, is one transform of conj(v) (G - t v^2), where
+    # G - t v^2 = (i/2)[ ... ] - t (v - v0)^2 (phase omega^2)
     e_u_sq, g = np.fft.ifft(third[stacked] * spectra[1:], norm="forward")
-    g += t * v0 * (2.0 * u - v0) - 0.5j * inv_u * inv_u
-    # S_B - t C in one transform, C being the spectrum of conj(v) v^2;
+    u_nz = u - phase * c[..., K, None]  # v - v0
+    g -= 0.5j * inv_u * inv_u + t * u_nz * u_nz
     # only modes -K..K are kept from here on
-    piece1, s_b_cubic = _extract(np.fft.fft(
-        np.array((np.conj(einv_u) * e_u_sq, np.conj(u) * (g - t * u_sq))), norm="forward"), K)
-    piece2, u_sq_k = _extract(spectra[:2], K)
-    s_a = half_i_inv_d_k * (e_plus_k * piece1 - piece2)
+    piece1, s_b_cubic = np.fft.fft(
+        np.array((np.conj(einv_u) * e_u_sq, np.conj(u) * g)))[..., : 2 * K + 1]
+    piece2, t_u_sq_k = spectra[0, ..., : 2 * K + 1], t * spectra[1, ..., K : 3 * K + 1]
 
     # S_A, kk1 = 0: t conj(v0) (v*v)_k for k != 0;
     # at k = 0 the k1 sum runs over all retained modes
-    s_a0 = t * np.conj(v0) * u_sq_k
-    s_a0[..., K] = t * (np.conj(c) * u_sq_k).sum(axis=-1)
-
-    return SpectralField.wrap(-1j * params.lam * (s_a + s_a0 + s_b_cubic), grid)
+    c_conj = np.conj(c)
+    s_a0 = c_conj[..., K, None] * t_u_sq_k
+    s_a0[..., K] = (c_conj * t_u_sq_k).sum(axis=-1)
+    s = last[0] * piece1 - last[1] * piece2 + s_a0 + s_b_cubic
+    return SpectralField.wrap((-1j * params.lam / n) * s, v.grid)

@@ -80,21 +80,6 @@ def mode_cutoff(c: np.ndarray) -> int:
     return shape[-1] // 2
 
 
-def _embed(coeffs: np.ndarray, K: int, n: int) -> np.ndarray:
-    """Place modes -K..K into an n-length FFT spectrum (n >= 2K+1),
-    along the last axis."""
-    spec = np.zeros(coeffs.shape[:-1] + (n,), dtype=np.complex128)
-    spec[..., : K + 1] = coeffs[..., K:]
-    spec[..., n - K :] = coeffs[..., :K]
-    return spec
-
-
-def _extract(spec: np.ndarray, K: int) -> np.ndarray:
-    """Modes -K..K of FFT spectra along the last axis."""
-    n = spec.shape[-1]
-    return np.concatenate((spec[..., n - K :], spec[..., : K + 1]), axis=-1)
-
-
 def free_propagator(c: np.ndarray, t: float) -> np.ndarray:
     """e^{it Laplacian} on coefficients c: multiply coefficient k by e^{-i t k^2}."""
     t = _check.real("propagation time t", t)
@@ -138,16 +123,20 @@ def cubic_convolution(c: np.ndarray) -> np.ndarray:
 
     Output coefficient k is sum over k = -k1+k2+k3 (all indices in -K..K)
     of conj(c)_{k1} c_{k2} c_{k3}; oracles.cubic_convolution_direct is the direct sum.
+    c is transformed in storage order, zero-padded to n, so the product's
+    spectrum holds modes -K..K at indices 0..2K (see map_F_midpoint_physical).
     """
     K = mode_cutoff(c)
     n = _pad_size(K)
-    u = np.fft.ifft(_embed(c, K, n)) * n
-    spec = np.fft.fft(np.conj(u) * u * u) / n
-    return _extract(spec, K)
+    u = np.fft.ifft(c, n, norm="forward")
+    return np.fft.fft(np.conj(u) * u * u)[..., : 2 * K + 1] / n
 
 
 def write_snapshot(f: SpectralField, path) -> None:
-    """Field snapshot file: header `k_min,k_max`, then `k,re,im` per mode."""
+    """Field snapshot file: header `k_min,k_max`, then `k,re,im` per mode.
+    A batch of fields is a ValueError, raised before the file is opened."""
+    if f.coefficients.ndim != 1:
+        raise ValueError(f"a snapshot holds one field, got shape {f.coefficients.shape}")
     K = f.grid.K
     with open(path, "w") as fh:
         fh.write(f"{-K},{K}\n")

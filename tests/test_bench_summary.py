@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -50,7 +51,7 @@ def test_median_quartiles_and_iqr(bench_summary, tmp_path):
     # seeds 4 and 5 ran on the parent only
     assert summary["compare"] == {"simulate-k8": {"throughput": {
         "better": "higher", "ratio": 20.0 / 3.0, "seeds": 3, "change_better": 3,
-        "gap_exceeds_parent_iqr": True}}}
+        "gap_exceeds_parent_iqr": True, "claim_rule_met": False, "within_bound": True}}}
 
 
 def test_compare_counts_a_lower_is_better_metric_on_seeds_run_on_both_sides(
@@ -65,10 +66,49 @@ def test_compare_counts_a_lower_is_better_metric_on_seeds_run_on_both_sides(
     assert summary["sides"]["parent"]["simulate-k8"]["metrics"]["setup_s"]["iqr"] == 3.0
     assert summary["compare"] == {"simulate-k8": {"setup_s": {
         "better": "lower", "ratio": 1.0 / 2.5, "seeds": 3, "change_better": 2,
-        "gap_exceeds_parent_iqr": False}}}
+        "gap_exceeds_parent_iqr": False, "claim_rule_met": False, "within_bound": True}}}
     # without both a parent and a change there is nothing to compare
     assert bench_summary.main(["--out", str(out), f"a={parent}", f"b={change}"]) == 0
     assert "compare" not in json.loads(out.read_text())
+
+
+def _flags(bench_summary, tmp_path, parent, change, metric="throughput"):
+    # (claim_rule_met, within_bound) of one comparison, in a fresh directory
+    case = Path(tempfile.mkdtemp(dir=tmp_path))
+    parent = write_results(case / "parent", parent, metric=metric)
+    change = write_results(case / "change", change, metric=metric)
+    out = case / "BENCH.json"
+    assert bench_summary.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 0
+    got = json.loads(out.read_text())["compare"]["simulate-k8"][metric]
+    return got["claim_rule_met"], got["within_bound"]
+
+
+def test_claim_rule_needs_9_of_10_pairs_and_a_gap_above_the_parent_iqr(bench_summary, tmp_path):
+    # parent 100..109: median 104.5, IQR 4.5
+    parent = [100.0 + i for i in range(10)]
+    gain = [p + 6.0 for p in parent]  # 10/10 better, gap 6 > 4.5
+    assert _flags(bench_summary, tmp_path, parent, gain) == (True, True)
+    one_worse = gain[:9] + [parent[9] - 1.0]  # 9/10 better, median gap 6
+    assert _flags(bench_summary, tmp_path, parent, one_worse) == (True, True)
+    two_worse = gain[:8] + [parent[8] - 1.0, parent[9] - 1.0]  # 8/10
+    assert _flags(bench_summary, tmp_path, parent, two_worse) == (False, True)
+    small = [p + 4.0 for p in parent]  # 10/10 better, gap 4 <= 4.5
+    assert _flags(bench_summary, tmp_path, parent, small) == (False, True)
+    # 9 of 9 pairs: the rule reads ten pairs at least
+    assert _flags(bench_summary, tmp_path, parent[:9], gain[:9]) == (False, True)
+    # a lower-is-better metric gains downwards
+    assert _flags(bench_summary, tmp_path, parent, [p - 6.0 for p in parent],
+                  metric="setup_s") == (True, True)
+
+
+def test_within_bound_reads_the_bound_of_benchmark_json(bench_summary, tmp_path):
+    # throughput (higher, bound 0.2): a median of 0.8 times the parent's is
+    # at the bound, below it out; setup_s (lower, bound 0.25): 1.25 times
+    parent = [10.0, 10.0, 10.0]
+    assert _flags(bench_summary, tmp_path, parent, [8.0] * 3) == (False, True)
+    assert _flags(bench_summary, tmp_path, parent, [7.9] * 3) == (False, False)
+    assert _flags(bench_summary, tmp_path, parent, [12.5] * 3, metric="setup_s") == (False, True)
+    assert _flags(bench_summary, tmp_path, parent, [12.6] * 3, metric="setup_s") == (False, False)
 
 
 def test_per_layer_times_of_traced_runs_are_marked_wall_clock(bench_summary, tmp_path):

@@ -53,6 +53,15 @@ def test_seed_flag_overrides_config(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_repeated_config_key_exit_1(tmp_path, capsys):
+    # it ran at the last K=4 and exited 0; --seed overrides nothing here
+    cfg = write_cfg(tmp_path, "seed=1\nK=8\nn_steps=2\nK=4\n")
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "3"]) == 1
+    assert f"{cfg}:4: key 'K' repeats line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_exit_1(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert "error" in capsys.readouterr().err
@@ -269,7 +278,9 @@ def test_memory_error_exit_1(tmp_path, capsys, monkeypatch, exc, message):
       for key in ("fp_tol", "alpha", "t", "lambda", "kappa")),
 ])
 def test_nan_config_value_exit_1(tmp_path, capsys, key, value):
-    cfg = write_cfg(tmp_path, BASE + f"{key}={value}\n")
+    # the bad value replaces BASE's line for the key: a repeated key is refused
+    lines = [line for line in BASE.splitlines() if line.partition("=")[0] != key]
+    cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key}={value}"]) + "\n")
     assert main(["simulate", "--config", cfg]) == 1
     assert f"error: {key} must be finite" in capsys.readouterr().err
 

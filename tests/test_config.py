@@ -50,6 +50,16 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(p)
 
 
+def test_repeated_key_rejected_with_both_lines(tmp_path):
+    # the last K=4 used to win silently over K=8
+    p = write(tmp_path, "seed=1\nK=8\nn_steps=2\nK=4\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{p}:4: key 'K' repeats line 2")):
+        parse_config(p)
+    # an override is not a repeat: --seed still wins over the file's seed
+    p = write(tmp_path, "seed=1\nK=4\n")
+    assert parse_config(p, overrides={"seed": 9}).seed == 9
+
+
 def test_missing_seed_rejected(tmp_path):
     p = write(tmp_path, "K=4\n")
     with pytest.raises(ConfigError, match="seed"):

@@ -13,6 +13,7 @@ from snls.diagnostics import (
     sobolev_norm,
     symplectic_defect,
 )
+from snls.oracles import cubic_convolution_direct
 from snls.torus import free_propagator
 
 from helpers import random_field
@@ -54,6 +55,16 @@ def test_energy_h0_against_physical_quadrature():
     integrand = lambda x: 0.5 * np.abs(ux(x)) ** 2 + 0.25 * lam * np.abs(u(x)) ** 4
     val, _ = quad(integrand, 0.0, 2 * np.pi, limit=200, epsabs=1e-12)
     np.testing.assert_allclose(energy_h0(c, lam), val / (2 * np.pi), rtol=1e-9)
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_energy_h0_quartic_by_parseval_is_the_direct_quartic(K):
+    # (1/n) sum_j |u(x_j)|^4 on the padded grid against the direct sum
+    # sum_k conj(c_k) (|u|^2 u)_k over the truncated mode set
+    c, lam = random_field(K, 200 + K).coefficients, 1.7
+    kinetic = 0.5 * np.sum(np.arange(-K, K + 1) ** 2 * np.abs(c) ** 2)
+    want = kinetic + 0.25 * lam * np.real(np.vdot(c, cubic_convolution_direct(c)))
+    assert energy_h0(c, lam) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_energy_h0_lambda_zero_is_kinetic():

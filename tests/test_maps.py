@@ -15,7 +15,7 @@ from snls.noise import (
     sample_path,
 )
 from snls.oracles import map_F, orthogonality_defect
-from snls.torus import SpectralField, TorusGrid, free_propagator
+from snls.torus import SpectralField, TorusGrid, _pad_size, free_propagator
 
 from helpers import random_field
 
@@ -111,6 +111,23 @@ def test_fast_physical_path_matches_direct_sum(seed, K, t):
     slow = t * map_F(PARAMS, SPEC1, t, 1.0, 0, v.coefficients)
     scale = max(1.0, np.max(np.abs(slow)))
     np.testing.assert_allclose(fast, slow, atol=1e-10 * scale)
+
+
+@pytest.mark.parametrize("K", range(1, 13))
+def test_fast_path_matches_direct_sum_at_every_layout(K):
+    # the stored-order layout: the third-round table rolled by 2K and the
+    # slices 0..2K and K..3K of the spectra hold for every padded length n,
+    # n = 4K+1 or above it (K = 3, 4, 7, 9, 10); for one field and a batch
+    n_above = {K for K in range(1, 13) if _pad_size(K) > 4 * K + 1}
+    assert n_above == {3, 4, 7, 9, 10}
+    t = 0.07
+    c = np.stack([random_field(K, 100 * K + s).coefficients for s in range(3)])
+    slow = t * map_F(PARAMS, SPEC1, t, 1.0, 0, c)
+    fast = map_F_midpoint_physical(PARAMS, t, SpectralField(c, TorusGrid(K))).coefficients
+    one = map_F_midpoint_physical(PARAMS, t, SpectralField(c[0], TorusGrid(K))).coefficients
+    for got, want in ((fast, slow), (one, slow[0])):
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-10 * max(1.0, np.max(np.abs(want))))
 
 
 def test_maps_act_on_each_sample_of_a_batch():

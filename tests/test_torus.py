@@ -182,6 +182,16 @@ def test_snapshot_roundtrip_exact(tmp_path):
     np.testing.assert_array_equal(g.coefficients, f.coefficients)
 
 
+def test_snapshot_of_a_batch_is_refused_before_the_file_is_opened(tmp_path):
+    # it wrote the header and then raised numpy's TypeError, leaving the file truncated
+    batch = SpectralField(np.stack([random_field(3, s).coefficients for s in range(2)]),
+                          TorusGrid(3))
+    p = tmp_path / "snap.csv"
+    with pytest.raises(ValueError, match=re.escape("a snapshot holds one field, got shape (2, 7)")):
+        write_snapshot(batch, p)
+    assert not p.exists()
+
+
 @pytest.mark.parametrize("change", ["drop last", "drop first", "extra"])
 def test_snapshot_reader_checks_the_mode_count(tmp_path, change):
     p = tmp_path / "snap.csv"
