@@ -54,7 +54,7 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 def test_repeated_config_key_exit_1(tmp_path, capsys):
-    # it ran at the last K=4 and exited 0; --seed overrides nothing here
+    # refused, not run at the last K=4; --seed does not change that
     cfg = write_cfg(tmp_path, "seed=1\nK=8\nn_steps=2\nK=4\n")
     out = tmp_path / "run.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "3"]) == 1

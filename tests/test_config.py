@@ -51,7 +51,7 @@ def test_unknown_key_rejected(tmp_path):
 
 
 def test_repeated_key_rejected_with_both_lines(tmp_path):
-    # the last K=4 used to win silently over K=8
+    # neither K may win silently
     p = write(tmp_path, "seed=1\nK=8\nn_steps=2\nK=4\n")
     with pytest.raises(ConfigError, match=re.escape(f"{p}:4: key 'K' repeats line 2")):
         parse_config(p)

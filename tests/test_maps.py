@@ -118,7 +118,7 @@ def test_fast_path_matches_direct_sum_at_every_layout(K):
     # the stored-order layout: the third-round table rolled by 2K and the
     # slices 0..2K and K..3K of the spectra hold for every padded length n,
     # n = 4K+1 or above it (K = 3, 4, 7, 9, 10); for one field and a batch
-    n_above = {K for K in range(1, 13) if _pad_size(K) > 4 * K + 1}
+    n_above = {k for k in range(1, 13) if _pad_size(k) > 4 * k + 1}
     assert n_above == {3, 4, 7, 9, 10}
     t = 0.07
     c = np.stack([random_field(K, 100 * K + s).coefficients for s in range(3)])

@@ -183,7 +183,7 @@ def test_snapshot_roundtrip_exact(tmp_path):
 
 
 def test_snapshot_of_a_batch_is_refused_before_the_file_is_opened(tmp_path):
-    # it wrote the header and then raised numpy's TypeError, leaving the file truncated
+    # no file with a header and no modes is left behind
     batch = SpectralField(np.stack([random_field(3, s).coefficients for s in range(2)]),
                           TorusGrid(3))
     p = tmp_path / "snap.csv"
