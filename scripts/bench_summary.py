@@ -16,7 +16,9 @@ compare two moments of a drifting machine, not two programs.  Only the
 per-layer counts compare across sides.  The
 machine (nproc, CPU model) and the library versions are recorded once,
 and a run on any other machine or versions is refused: medians from two
-machines do not compare.
+machines do not compare.  So is a label whose runs come from more than
+one git sha, or from a checkout that was dirty or whose state perfbench
+could not read: its medians would not belong to one program.
 
 When the labels `parent` and `change` are both given, a `compare`
 section holds, per workload and end-to-end metric of BENCHMARK.json
@@ -152,6 +154,13 @@ def main(argv=None):
               file=sys.stderr)
         return 1
     machine, versions = json.loads(environments.pop())
+    for label, recs in records.items():
+        states = sorted({(r["git"]["sha"], r["git"]["dirty"]) for r in recs.values()}, key=str)
+        if len(states) > 1 or states[0][1] is not False:
+            runs = ", ".join(f"{sha} (dirty: {dirty})" for sha, dirty in states)
+            print(f"error: label {label!r} is not one clean checkout: runs of {runs}",
+                  file=sys.stderr)
+            return 1
 
     summary = {
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace T",

@@ -127,13 +127,6 @@ class FixedPointResult:
         return iter((self.x, self.iterations, self.residual, self.history))
 
 
-def _iterating(res, best, tol):
-    """Whether each sample iterates on after a sweep with residual res and
-    running minimum best: res is finite, above tol and at most
-    DIVERGENCE_FACTOR times best.  A NaN fails every comparison."""
-    return (res > tol) & (res < np.inf) & (res <= DIVERGENCE_FACTOR * best)
-
-
 def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> FixedPointResult:
     """Iterate x <- map(x) until norm(map(x), x) <= tol.
 
@@ -148,8 +141,9 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
 
     A sweep records its residuals in the trail and makes one test for
     any sample stopping; the per-sample masks run only from the first
-    sweep in which one does.  Everything else is read off the trail at
-    the end.
+    sweep in which one does, and in the last sweep.  From then on each
+    sweep records the count and residual of every sample still
+    iterating, so a sample keeps those of the sweep in which it stopped.
     """
     x = guess
     trail = []
@@ -160,38 +154,30 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
         res = np.asarray(norm(x_new, x), dtype=float)
         # fmin, unlike min, keeps the running minimum when res is NaN
         best = np.fmin(best, res)
-        going = _iterating(res, best, fp.tol)
+        # finite, above tol and at most DIVERGENCE_FACTOR times the
+        # running minimum; a NaN fails every comparison
+        going = (res > fp.tol) & (res < np.inf) & (res <= DIVERGENCE_FACTOR * best)
         if active is None:
-            if going.all() and going.size:
+            if going.all() and going.size and it < fp.max_iter:
                 trail.append(res)
                 x = x_new
                 continue
             active = np.ones(res.shape, dtype=bool)
+            residual, sweeps = res, it
         trail.append(np.where(active, res, np.nan))
+        residual = np.where(active, res, residual)
+        sweeps = np.where(active, it, sweeps)
         take = active & (going | (res <= fp.tol))  # iterating on, or converged
         active &= going
         x = x_new if take.all() else np.where(np.expand_dims(take, -1), x_new, x)
         if not active.any():
             break
-    return _from_trail(x, np.array(trail), fp.tol)
-
-
-def _from_trail(x, trail, tol) -> FixedPointResult:
-    """The FixedPointResult of a solve that ended at x with this trail.
-    A sample's last sweep is the first after which it did not iterate
-    on, or the last sweep made."""
-    sweeps = len(trail)
-    # NaN entries come only after a sample's last sweep, or as the
-    # residual it stopped on, so the running minimum is the solve's
-    going = _iterating(trail, np.fmin.accumulate(trail, axis=0), tol)
-    going[-1] = False
-    last = going.argmin(axis=0, keepdims=True)
-    residual = np.take_along_axis(trail, last, axis=0)[0, ...]
+    trail = np.array(trail)
     # a NaN or inf residual would hide the other samples' residuals
-    rows = trail.reshape(sweeps, -1)
+    rows = trail.reshape(len(trail), -1)
     history = np.fmax.reduce(rows, axis=1, where=np.isfinite(rows), initial=np.nan).tolist()
-    return FixedPointResult(x, sweeps, residual, history, (last + 1)[0, ...],
-                            np.asarray(residual <= tol), trail)
+    return FixedPointResult(x, len(trail), residual, history, sweeps,
+                            np.asarray(residual <= fp.tol), trail)
 
 
 # linear noise sweeps per evaluation of the nonlinear map in the stage
@@ -244,7 +230,6 @@ def step(
     if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
     X = increment(path, t_n, t_n + t)
-    noise = maps.noise_operator(phi, X)
     sqrt_t = np.sqrt(t)
     grid = u_n.grid
     u = u_n.coefficients
@@ -269,9 +254,11 @@ def step(
         return sobolev_norm(new - old, params.alpha)
 
     n = grid.n_modes
-    rho = sqrt_t * abs(tab.a1 * params.kappa) * np.abs(phi.phi).sum()
-    # an overflow rejects its sample through a non-finite residual
+    # an overflow, also of a huge finite Phi, rejects its sample through
+    # a non-finite residual
     with np.errstate(all="ignore"):
+        noise = maps.noise_operator(phi, X)
+        rho = sqrt_t * abs(tab.a1 * params.kappa) * np.abs(phi.phi).sum()
         if n <= maps.DIRECT_MAX_MODES and rho >= maps.EXACT_NOISE_MIN_RHO:
             # column j of B is B of unit field j, which sits on a leading axis
             lead = (1,) * (max(u.ndim, X.ndim) - 1)

@@ -83,7 +83,7 @@ def _normals(seed: int | tuple, level: int, n_modes: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceOp:
-    """Real, even Fourier multipliers Phi_k, k = -K..K in ascending order."""
+    """Real, finite, even Fourier multipliers Phi_k, k = -K..K in ascending order."""
 
     phi: np.ndarray
 
@@ -92,6 +92,10 @@ class CovarianceOp:
         phi.flags.writeable = False
         if phi.ndim != 1 or len(phi) % 2 != 1:
             raise ValueError("phi must hold an odd number of modes -K..K")
+        if not np.isfinite(phi).all():
+            i = np.argmin(np.isfinite(phi))
+            raise ValueError(
+                f"covariance coefficients must be finite, got Phi_{i - len(phi) // 2} = {phi[i]}")
         if not np.allclose(phi, phi[::-1], rtol=0, atol=0):
             raise ValueError("covariance coefficients must satisfy Phi_k = Phi_{-k}")
         object.__setattr__(self, "phi", phi)

@@ -19,15 +19,17 @@ def bench_summary():
     return module
 
 
-def write_results(directory, values, machine=MACHINE, metric="throughput", trace=0, units=None):
+def write_results(directory, values, machine=MACHINE, metric="throughput", trace=0, units=None,
+                  git=None):
     # one simulate-k8 run per value, seeds 1, 2, ..., holding `metric` in
-    # 1/s or else each metric of `units` (name -> unit) at that value
+    # 1/s or else each metric of `units` (name -> unit) at that value, of
+    # the git state `git` (a clean checkout of sha 000...0 by default)
     directory.mkdir(exist_ok=True)
     for seed, value in enumerate(values, 1):
         record = {
             "workload": "simulate-k8", "trace": trace, "seed": seed, "tiny": False,
             "seconds": 15.0, "failed": 0, "attempted": 100,
-            "git": {"sha": "0" * 40, "dirty": False},
+            "git": git or {"sha": "0" * 40, "dirty": False},
             "machine": machine, "versions": {"numpy": "2.0", "python": "3.11"},
             "metrics": {name: {"unit": unit, "value": value}
                         for name, unit in (units or {metric: "1/s"}).items()},
@@ -135,6 +137,31 @@ def test_results_from_two_machines_exit_1(bench_summary, tmp_path, capsys):
     out = tmp_path / "BENCH.json"
     assert bench_summary.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 1
     assert "2 machines" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_label_of_two_shas_exit_1(bench_summary, tmp_path, capsys):
+    # the change's runs 1-2 and its traced run come from two commits
+    parent = write_results(tmp_path / "parent", [1.0, 2.0])
+    change = write_results(tmp_path / "change", [1.0, 2.0], git={"sha": "a" * 40, "dirty": False})
+    write_results(tmp_path / "change", [3.0], trace=1, git={"sha": "b" * 40, "dirty": False})
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 1
+    err = capsys.readouterr().err
+    assert "label 'change' is not one clean checkout" in err
+    assert f"{'a' * 40} (dirty: False), {'b' * 40} (dirty: False)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dirty", [True, None])
+def test_a_label_of_a_dirty_checkout_exit_1(bench_summary, tmp_path, capsys, dirty):
+    # dirty None: perfbench could not read the checkout's state
+    parent = write_results(tmp_path / "parent", [1.0, 2.0], git={"sha": "c" * 40, "dirty": dirty})
+    change = write_results(tmp_path / "change", [1.0, 2.0])
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 1
+    assert (f"label 'parent' is not one clean checkout: runs of {'c' * 40} (dirty: {dirty})"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -26,10 +26,10 @@ from snls.integrator import (
     step,
 )
 from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen, noise_operator
-from snls.noise import default_phi, increment, sample_path
+from snls.noise import CovarianceOp, default_phi, increment, sample_path
 from snls.oracles import step_bound, validate_tableau
 from snls.torus import SpectralField, cubic_convolution, free_propagator, TorusGrid
-from snls.config import ConfigError, RunConfig
+from snls.config import ConfigError, RunConfig, initial_field
 
 from helpers import random_field
 
@@ -95,11 +95,24 @@ def test_fixed_point_rejects_expansion():
 
 
 def test_fixed_point_max_iter_exhaustion():
+    # slowly contracting: no sample of one problem or of a batch reaches
+    # tol in 3 iterations, so no sample stops before max_iter, and each
+    # ends on its last sweep's residual, as it does alone
     fp = FixedPointConfig(tol=1e-12, max_iter=3)
-    # slowly contracting: won't reach tol in 3 iterations
-    out = fixed_point_solve(lambda x: 0.999 * x + 1.0, 0.0, fp, lambda a, b: abs(a - b))
-    assert not out.converged
-    assert out.iterations == out.sample_iterations == 3
+
+    def solve(a):
+        return fixed_point_solve(lambda x: a * x + 1.0, np.zeros(a.shape), fp,
+                                 lambda new, old: np.abs(new - old)[..., 0])
+
+    for a in (np.array([0.999]), np.array([[0.999], [0.99], [-0.995]])):
+        out = solve(a)
+        assert out.iterations == 3 and not out.converged.any()
+        assert (out.sample_iterations == 3).all()
+        np.testing.assert_array_equal(out.residual, out.trail[-1])
+        for s in np.ndindex(a.shape[:-1]):
+            alone = solve(a[s])
+            assert alone.sample_iterations == 3 and not alone.converged
+            assert out.residual[s] == alone.residual == alone.trail[-1]
 
 
 def test_fixed_point_batch_keeps_per_sample_semantics():
@@ -118,6 +131,12 @@ def test_fixed_point_batch_keeps_per_sample_semantics():
     assert list(out.converged) == [True, False, False]
     assert list(out.sample_iterations) == [alone.iterations, diverging.iterations, 60]
     assert out.x[0, 0] == alone.x and out.residual[0] == alone.residual
+    # the slow sample iterates on after the first stop: its residual is
+    # its last sweep's, not the one it had when the first sample stopped
+    slow = fixed_point_solve(lambda x: 0.999 * x + 1.0, 1.0, fp, lambda p, q: abs(p - q))
+    assert out.residual[2] == slow.residual == slow.trail[-1]
+    assert out.residual[2] == pytest.approx(0.999**60, rel=1e-12)
+    assert out.x[2, 0] == slow.x
     assert out.iterations == 60 and len(out.history) == 60
     x, iterations, residual, history = out
     assert iterations == 60 and all(isinstance(h, float) for h in history)
@@ -261,6 +280,25 @@ def test_step_rejects_an_overflowing_sample_and_keeps_the_batch():
         np.testing.assert_allclose(out.state.coefficients[s], one.state.coefficients,
                                    rtol=0, atol=1e-14)
     assert not np.shares_memory(out.state.coefficients, u)
+
+
+@pytest.mark.parametrize("huge, converged", [(1e308, True), (1.5e308, False)])
+def test_step_with_a_huge_finite_phi_lets_no_overflow_escape(huge, converged):
+    # with Phi_-2 = Phi_2 = huge, sqrt(t)|a1 kappa| sum|Phi_k| overflows,
+    # and at 1.5e308 so does Phi_2 X_2 (X_2 = -1.39 on this path).  Both
+    # are formed inside the step's errstate: at 1e308 the noise solve
+    # (I - B)^-1 keeps the step mass-conserving, and at 1.5e308 the
+    # infinite B rejects the sample, which keeps its input state
+    K, t = 2, 0.01
+    u = initial_field("smooth", K, seed=1)
+    phi = CovarianceOp(np.array([huge, 1.0, 0.0, 1.0, huge]))
+    with np.errstate(all="raise"):
+        out = step(u, midpoint_tableau(), ModelParams(lam=1.0, kappa=1.0), phi,
+                   sample_path(1, t, 0, K), 0.0, t, FP)
+    assert out.converged == converged
+    assert mass(out.state.coefficients) == pytest.approx(mass(u.coefficients), rel=1e-14)
+    if not converged:
+        np.testing.assert_array_equal(out.state.coefficients, u.coefficients)
 
 
 def test_explicit_step_rejects_an_overflowing_K():

@@ -31,6 +31,19 @@ def test_covariance_requires_even_symmetry():
     CovarianceOp(np.array([3.0, 2.0, 3.0]))  # ok
 
 
+@pytest.mark.parametrize("phi, bad", [
+    ([np.inf, 1.0, 0.0, 1.0, np.inf], "Phi_-2 = inf"),
+    ([np.nan, 1.0, 0.0, 1.0, np.nan], "Phi_-2 = nan"),
+    ([1.0, 1.0, -np.inf, 1.0, 2.0], "Phi_0 = -inf"),  # not even either
+])
+def test_covariance_requires_finite_coefficients(phi, bad):
+    # an infinite Phi used to be accepted and give a step a NaN residual;
+    # a NaN one was refused as not even, since NaN != NaN.  Finiteness is
+    # checked first, so the message names the non-finite coefficient
+    with pytest.raises(ValueError, match=re.escape(f"must be finite, got {bad}")):
+        CovarianceOp(np.array(phi))
+
+
 def test_covariance_requires_odd_length():
     with pytest.raises(ValueError):
         CovarianceOp(np.array([1.0, 1.0]))

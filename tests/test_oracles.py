@@ -28,8 +28,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "snls"
 
 # numpy's transforms and the private helpers of the fast F map and the
 # padded cubic convolution
-FAST_MAP_NAMES = {"fft", "_midpoint_multipliers", "_horner", "_embed", "_extract",
-                  "_pad_size", "_fast_len"}
+FAST_MAP_NAMES = {"fft", "_midpoint_multipliers", "_horner", "_pad_size", "_fast_len"}
 
 
 def _oracle_imports(source: str) -> list:
@@ -95,7 +94,7 @@ def _names(source: str) -> set:
     ("from numpy.fft import rfft", {"fft"}),
     ("from .maps import _midpoint_multipliers", {"_midpoint_multipliers"}),
     ("from . import kernels\nkernels._horner(c, x)", {"_horner"}),
-    ("def f():\n    from .torus import _embed, _extract", {"_embed", "_extract"}),
+    ("def f():\n    from .torus import _fast_len, _pad_size", {"_fast_len", "_pad_size"}),
     ("getattr(torus, '_fast_len')(torus._pad_size(3))", {"_fast_len", "_pad_size"}),
     ('"""No fft here."""\nnp.convolve(a, b)', set()),
 ])
