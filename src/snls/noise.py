@@ -88,6 +88,9 @@ class CovarianceOp:
     phi: np.ndarray
 
     def __post_init__(self):
+        if np.iscomplexobj(self.phi):  # the float copy below would drop the imaginary parts
+            raise ValueError("covariance coefficients must be real, "
+                             f"got dtype {np.asarray(self.phi).dtype}")
         phi = np.array(self.phi, dtype=float)  # a read-only copy
         phi.flags.writeable = False
         if phi.ndim != 1 or len(phi) % 2 != 1:

@@ -22,6 +22,8 @@ from snls.experiments import (
     reference_solution,
 )
 from snls.diagnostics import sobolev_norm, symplectic_defect
+import snls.kernels
+from snls.kernels import ModeQuad, default_kernel_spec, kernel_K2d, kernel_exact
 from snls.integrator import ExperimentInvalidError, FixedPointConfig, midpoint_tableau, step
 from snls.maps import ModelParams
 from snls.noise import default_phi, sample_path
@@ -156,6 +158,43 @@ def test_cmd_kernel_error_refuses_a_seed_that_is_not_a_u64():
             cmd_kernel_error(1, seed=seed)
     top = 2**64 - 1
     assert cmd_kernel_error(1, seed=np.uint64(top)).rows == cmd_kernel_error(1, seed=top).rows
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2801])
+def test_cmd_kernel_error_is_the_per_step_size_loop(d, seed):
+    # the table as one kernel call per step size gives it.  Fails on a copy
+    # whose kernel_K2d interpolates every slice at the first step size (at
+    # d=2) and on one that takes every slice's exponentials at the first
+    # step's points
+    spec = default_kernel_spec(d)
+    q = ModeQuad(*_draw_quads(seed, d).T[:, :, None])
+    want = ErrorTable()
+    for t in KERNEL_T_VALUES[d]:
+        s = t * _S_FRACTIONS
+        worst = float(np.max(np.abs(kernel_K2d(spec, q, s, t) - kernel_exact(q, s))))
+        want.add_row(t, worst, worst, KERNEL_QUADS, 0, worst < 1e-15)
+    want.fit_slope()
+    got = cmd_kernel_error(d, seed)
+    assert got.rows == want.rows
+    assert (got.slope, got.fit_residual) == (want.slope, want.fit_residual)
+
+
+def test_cmd_kernel_error_calls_each_kernel_once(monkeypatch):
+    # one kernel_K2d, kernel_exact and interp_exp call per command over all
+    # its step sizes (7 and 10 of each at d=1 and 2 when called per step size)
+    calls = []
+    for module, name in ((snls.experiments, "kernel_K2d"), (snls.experiments, "kernel_exact"),
+                         (snls.kernels, "interp_exp")):
+        def counted(*args, _f=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for d in (1, 2):
+        calls.clear()
+        cmd_kernel_error(d, seed=1)
+        assert sorted(calls) == ["interp_exp", "kernel_K2d", "kernel_exact"]
 
 
 def test_cmd_local_error_refuses_bad_arguments(monkeypatch):

@@ -1,6 +1,9 @@
 """Resonance kernels: closed-form integrals against quadrature oracles,
 symmetries, and the approximation order."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +130,43 @@ def test_interp_exp_refuses_a_step_that_is_not_finite_and_positive(d, t):
         kernel_K2d(spec, ModeQuad(1, 2, 1, 2), 0.5, t)
 
 
+@pytest.mark.parametrize("steps, bad", [
+    ([0.1, np.nan], "nan"), ([0.1, 0.0], "0.0"), ([[0.1], [-0.5]], "-0.5"),
+    ([np.inf, 0.1], "inf"), (np.array([True]), "True"), (np.array(["0.1"]), "'0.1'"),
+])
+def test_interp_exp_refuses_an_array_step_by_its_value(steps, bad):
+    # an array of steps is checked entry by entry and the message names the
+    # first bad one; with numpy warnings as errors, a NaN step raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"step t must be finite and > 0, got {bad}")
+                           + "$"):
+            interp_exp(default_kernel_spec(2), 1.0, steps)
+
+
+@pytest.mark.parametrize("omega, bad", [
+    (np.inf, "inf"), (np.nan, "nan"), (np.array([[1.0], [-np.inf]]), "-inf"),
+])
+def test_interp_exp_refuses_a_frequency_that_is_not_finite(omega, bad):
+    # an infinite omega used to raise numpy's "invalid value encountered in
+    # multiply" under warnings as errors, and to give NaN coefficients otherwise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"frequency omega must be finite, got {bad}")
+                           + "$"):
+            interp_exp(default_kernel_spec(2), omega, 0.1)
+
+
+def test_interp_exp_takes_an_array_of_steps():
+    # one polynomial per step and frequency: (d,) + shape(t) + shape(omega),
+    # each the one that step alone gives, bit for bit
+    spec, omega, steps = default_kernel_spec(3), np.array([[2.0, -6.0, 0.0]]), [0.03, 2.0**-4]
+    got = interp_exp(spec, omega, np.reshape(steps, (2, 1)))
+    assert got.shape == (3, 2, 1, 1, 3)
+    for i, t in enumerate(steps):
+        assert got[:, i, 0].tobytes() == interp_exp(spec, omega, t).tobytes()
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(0, ())
@@ -170,6 +210,28 @@ def test_mode_quad_resonance_constraint():
         ModeQuad(k, k1, k2, k3)
     with pytest.raises(ValueError, match="broadcast"):
         ModeQuad(k[:2], k1, k2, k3)
+
+
+@pytest.mark.parametrize("modes, message", [
+    ((1.5, 0.5, 1, 1), "mode k must be an integer, got 1.5"),
+    ((True, 0, 1, 0), "mode k must be an integer, got True"),
+    (("1", 0, 1, 0), "mode k must be an integer, got '1'"),
+    ((1, None, 1, 0), "mode k1 must be an integer, got None"),
+    ((2, 1, np.array([1.0, 2.0]), np.array([2, 1])), "mode k2 must be an integer array, got "),
+    ((1, 0, 1, np.array([False])), "mode k3 must be an integer array, got "),
+])
+def test_mode_quad_refuses_modes_that_are_not_integers(modes, message):
+    # ModeQuad(1.5, 0.5, 1, 1) and ModeQuad(True, 0, 1, 0) used to be
+    # accepted, and ModeQuad("1", 0, 1, 0) raised numpy's UFuncTypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModeQuad(*modes)
+
+
+def test_mode_quad_takes_python_and_numpy_integers():
+    ModeQuad(np.int64(1), 2, np.uint8(1), 2)
+    ModeQuad(np.array([1, 2], dtype=np.int32), np.array([2, 1], dtype=np.uint16), 1, 2)
 
 
 # ------------------------------------------------------------ kernel K2d
@@ -269,6 +331,7 @@ def test_stacked_kernel_is_the_per_phase_kernel_bit_for_bit(d, t):
 
 
 def test_kernel_K2d_makes_one_interpolation_call(monkeypatch):
+    # one solve over the distinct frequencies of both phases
     calls = []
 
     def counted(spec, omega, t):
@@ -279,7 +342,45 @@ def test_kernel_K2d_makes_one_interpolation_call(monkeypatch):
     for q, s in kernel_cases():
         calls.clear()
         kernel_K2d(default_kernel_spec(2), q, s * 0.01, 0.01)
-        assert len(calls) == 1 and calls[0][0] == 2
+        distinct = np.unique(np.stack(np.broadcast_arrays(2.0 * q.k2 * q.k3, -2.0 * q.k * q.k1)))
+        assert calls == [distinct.shape]
+
+
+# rows k, k1, k2, k3 of three quads with both signs of a zero frequency,
+# which np.unique merges: -2.0*k*k1 is -0.0 in the first quad and 0.0 in
+# the second, and 2.0*k2*k3 is -0.0 in the third
+ZERO_MODES = np.array([[0, 0, 2], [3, -3, -3], [1, -1, 0], [2, -2, -1]])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("steps", [[2.0**-e for e in range(3, 8)], [0.03, 0.1, 1 / 3, 0.007]])
+def test_batched_kernels_are_the_per_step_kernels_bit_for_bit(d, steps):
+    # an array of steps, one per leading slice, gives each step's own
+    # kernels.  Fails on a copy that interpolates every slice at the first
+    # step (at d >= 2: the d=1 interpolant does not depend on the step) and
+    # on one that takes every slice's exponentials at the first step's
+    # points.  At the zero-mode quads the merged -0.0 and 0.0 frequencies
+    # must also give the per-phase kernel, which evaluates each sign alone
+    spec = default_kernel_spec(d)
+    cases = kernel_cases() + [(ModeQuad(*ZERO_MODES), 0.7),
+                              (ModeQuad(*ZERO_MODES[:, :, None]), np.linspace(0.0, 1.0, 65)[1:])]
+    for q, s_frac in cases:
+        shape = np.broadcast_shapes(np.shape(q.k), np.shape(s_frac))
+        ts = np.reshape(steps, (len(steps),) + (1,) * len(shape))
+        got_K2d, got_exact = kernel_K2d(spec, q, ts * s_frac, ts), kernel_exact(q, ts * s_frac)
+        for want, got in (([kernel_K2d(spec, q, t * s_frac, t) for t in steps], got_K2d),
+                          ([kernel_K2d_per_phase(spec, q, t * s_frac, t) for t in steps], got_K2d),
+                          ([np.exp(1j * (t * s_frac) * (-2.0 * q.k * q.k1 + 2.0 * q.k2 * q.k3))
+                            for t in steps], got_exact)):
+            assert got.shape == (len(steps),) + shape and got.dtype == complex
+            assert got.tobytes() == np.array(want).tobytes(), (d, shape)
+
+
+def test_kernel_K2d_refuses_steps_off_the_leading_axis():
+    q = ModeQuad(*_draw_quads(3, 2).T[:, :, None])  # quads (40, 1), s (64,): a result of rank 2
+    for t in (np.full((1, 40, 1), 0.1), np.full((1, 1, 64), 0.1), np.full((2, 1, 64), 0.1)):
+        with pytest.raises(ValueError, match=re.escape("steps t must be of shape (T, 1, ..., 1)")):
+            kernel_K2d(default_kernel_spec(2), q, np.linspace(0.0, 0.1, 64), t)
 
 
 def test_kernel_exact_on_resonance_free_quads():

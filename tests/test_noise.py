@@ -4,6 +4,7 @@ and the discrete Stratonovich identities."""
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ def test_covariance_requires_finite_coefficients(phi, bad):
     # checked first, so the message names the non-finite coefficient
     with pytest.raises(ValueError, match=re.escape(f"must be finite, got {bad}")):
         CovarianceOp(np.array(phi))
+
+
+def test_covariance_refuses_a_complex_phi():
+    # a complex Phi used to be stored as its real part, [1, 0, 0, 0, 1] here,
+    # with only a ComplexWarning, a traceback under warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="covariance coefficients must be real, got dtype "
+                                             "complex128"):
+            CovarianceOp(np.array([1, 0.5j, 0, 0.5j, 1]))
 
 
 def test_covariance_requires_odd_length():
