@@ -230,6 +230,7 @@ def test_mode_quad_refuses_modes_that_are_not_integers(modes, message):
 
 
 def test_mode_quad_takes_python_and_numpy_integers():
+    # fails on a copy that tests each mode with isinstance(mode, int)
     ModeQuad(np.int64(1), 2, np.uint8(1), 2)
     ModeQuad(np.array([1, 2], dtype=np.int32), np.array([2, 1], dtype=np.uint16), 1, 2)
 
