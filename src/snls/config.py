@@ -8,6 +8,7 @@ command's output is a pure function of its config.
 from __future__ import annotations
 
 import os
+import typing
 from dataclasses import dataclass
 from functools import partial
 
@@ -100,22 +101,12 @@ class RunConfig:
                 FixedPointConfig(tol=self.fp_tol, max_iter=self.fp_max_iter))
 
 
-_FIELD_PARSERS = {
-    "seed": int,
-    "K": int,
-    "t": float,
-    "n_steps": int,
-    "lambda": float,
-    "kappa": float,
-    "alpha": float,
-    "tableau": str,
-    "kernel_d": int,
-    "fp_tol": float,
-    "fp_max_iter": int,
-    "initial_data": str,
-    "out": str,
-}
-_KEY_TO_ATTR = {"lambda": "lam"}
+_ATTR_TO_KEY = {"lam": "lambda"}  # the one field whose key is not its name
+# each key, in field order, parses as its field's type: an int or a float
+# as itself, any other as a str
+_FIELD_PARSERS = {_ATTR_TO_KEY.get(name, name): hint if hint in (int, float) else str
+                  for name, hint in typing.get_type_hints(RunConfig).items()}
+_KEY_TO_ATTR = {key: attr for attr, key in _ATTR_TO_KEY.items()}
 
 
 def parse_config(path, overrides: dict | None = None) -> RunConfig:

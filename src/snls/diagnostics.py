@@ -81,14 +81,17 @@ def canonical_form(n_modes: int) -> np.ndarray:
 def symplectic_defect(step_closure, c: np.ndarray, h: float = 1e-5) -> float:
     """|| M^T J M - J ||_inf for the central-difference Jacobian M of a
     deterministic (frozen-noise) one-step map at the coefficients c of
-    one field.
+    one field, of shape (2K+1,); any other shape is a ValueError.
 
     step_closure maps a (2*dim, 2K+1) array of coefficients to one of
     the same shape; it is called once, on the 2*dim perturbed states
     c +- h e_i."""
     h = _check.real("finite-difference step h", h, gt=0, within=(0.0, np.finfo(float).max / 2),
                     must="finite and > 0 with 2h finite")
-    x0 = _pack(c)
+    mode_cutoff(c)  # refuses a 0-d array or an even length, as the functionals do
+    if np.ndim(c) != 1:
+        raise ValueError(f"expected the coefficients of one field, got shape {np.shape(c)}")
+    x0 = _pack(np.asarray(c))
     dim = len(x0)
     shifts = h * np.eye(dim)
     x = np.concatenate((x0 + shifts, x0 - shifts))  # row i: x0 + h e_i, row dim+i: x0 - h e_i

@@ -148,7 +148,8 @@ def cmd_local_error(
     u0 = initial_field(config.initial_data, config.K, seed=config.seed)
     scale = sobolev_norm(u0.coefficients, config.alpha)
 
-    u = SpectralField(np.broadcast_to(u0.coefficients, (samples, u0.grid.n_modes)), u0.grid)
+    # a read-only view of the checked initial data: no step writes its input
+    u = SpectralField.wrap(np.broadcast_to(u0.coefficients, (samples, u0.grid.n_modes)), u0.grid)
 
     seeds = tuple(config.seed + 1000 * i + 1 for i in range(samples))
     table = ErrorTable()
@@ -257,8 +258,9 @@ def cmd_symplectic(config: RunConfig):
     path = sample_path(config.seed, config.t, 0, config.K)
 
     def closure(c):
-        # every perturbed state is stepped, as one batch, on the one path
-        outcome = step(SpectralField(c, u0.grid), tab, params, phi, path, 0.0, config.t, fp)
+        # every perturbed state is stepped, as one batch, on the one path;
+        # symplectic_defect has just computed the states, so they are wrapped
+        outcome = step(SpectralField.wrap(c, u0.grid), tab, params, phi, path, 0.0, config.t, fp)
         if not outcome.converged.all():
             raise StepRejectedError(0, 0.0, outcome, fp.max_iter)
         return outcome.state.coefficients

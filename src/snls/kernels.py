@@ -89,9 +89,12 @@ def interp_exp(spec: KernelSpec, omega, t) -> np.ndarray:
     frequency omega: a leading axis of length d followed by the shape of
     t (none for one step) and the shape of omega."""
     t = _steps(t)
-    bad = ~np.isfinite(omega)
+    w = np.asarray(omega)
+    if w.size and w.dtype.kind not in "iuf":  # bool, complex, str or object
+        raise ValueError(f"frequency omega must be real, got {w.ravel()[:1].tolist()[0]!r}")
+    bad = ~np.isfinite(w)
     if bad.any():
-        raise ValueError(f"frequency omega must be finite, got {np.asarray(omega)[bad][0].item()}")
+        raise ValueError(f"frequency omega must be finite, got {w[bad][0].item()}")
     nodes = np.multiply.outer(t, np.asarray(spec.gamma, dtype=float))  # the steps' axes, then d
     batch, d = nodes.shape[:-1], spec.d
     vals = np.exp(1j * np.multiply.outer(nodes, omega)).reshape(batch + (d, np.size(omega)))
@@ -116,8 +119,13 @@ def _exp_table(omega, s):
     omega, and the table index of each omega and each s in their shapes
     (np.unique's inverse has another shape in numpy 1.x than in 2.x).
     np.unique merges -0.0 with 0.0, whose exponentials and interpolants
-    are the same bits."""
+    are the same bits.  A non-finite omega or s is refused: np.unique sorts
+    -inf first and inf and NaN last, so only the two ends are checked."""
     (w, w_index), (v, s_index) = (np.unique(x, return_inverse=True) for x in (omega, s))
+    for name, x in (("frequency omega", w), ("point s", v)):
+        for end in x[:1], x[-1:]:
+            if not np.isfinite(end).all():
+                raise ValueError(f"{name} must be finite, got {end[0]}")
     table = np.zeros((len(w), len(v)), complex)  # i omega s, exponentiated in place
     np.multiply.outer(w, v, out=table.imag)
     np.exp(table, out=table)
@@ -125,7 +133,7 @@ def _exp_table(omega, s):
 
 
 def kernel_exact(q: ModeQuad, s):
-    """e^{is(-2 k k1 + 2 k2 k3)}, broadcast over q and s."""
+    """e^{is(-2 k k1 + 2 k2 k3)}, broadcast over q and s; each s finite."""
     table, _, w_index, s_index = _exp_table(-2.0 * q.k * q.k1 + 2.0 * q.k2 * q.k3, s)
     return table[w_index, s_index]
 

@@ -5,8 +5,8 @@ ascending-k order along the last axis.  Leading axes, if any, index a
 batch of independent fields (Monte-Carlo samples) on the same grid.  All
 inner products and norms use the plain Fourier convention sum_k |c_k|^2
 (the 2*pi factor of the physical integral is dropped uniformly).  The
-propagator and the cubic product take and return such arrays; a
-SpectralField pairs one with its grid.
+propagator takes and returns such arrays; a SpectralField pairs one with
+its grid.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ class SpectralField:
     def wrap(cls, coefficients: np.ndarray, grid: TorusGrid) -> "SpectralField":
         """A field on `coefficients` as given, neither copied nor checked.
 
-        Internal: for complex (..., 2K+1) arrays the caller has just
-        computed and owns, as the maps and the stage solve do."""
+        Internal: for complex (..., 2K+1) arrays the library has just
+        computed, as the maps and the stage solve do; a read-only view
+        serves too, since no map or step writes its input."""
         f = object.__new__(cls)
         f.coefficients = coefficients
         f.grid = grid
@@ -116,20 +117,6 @@ def _fast_len(n: int) -> int:
 def _pad_size(K: int) -> int:
     # cubic products reach mode 3K; 4K+1 points keep aliases out of -K..K
     return _fast_len(4 * K + 1)
-
-
-def cubic_convolution(c: np.ndarray) -> np.ndarray:
-    """Spectrum of |u|^2 u on the truncated mode set, via padded transforms.
-
-    Output coefficient k is sum over k = -k1+k2+k3 (all indices in -K..K)
-    of conj(c)_{k1} c_{k2} c_{k3}; oracles.cubic_convolution_direct is the direct sum.
-    c is transformed in storage order, zero-padded to n, so the product's
-    spectrum holds modes -K..K at indices 0..2K (see map_F_midpoint_physical).
-    """
-    K = mode_cutoff(c)
-    n = _pad_size(K)
-    u = np.fft.ifft(c, n, norm="forward")
-    return np.fft.fft(np.conj(u) * u * u)[..., : 2 * K + 1] / n
 
 
 def write_snapshot(f: SpectralField, path) -> None:

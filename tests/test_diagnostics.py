@@ -1,5 +1,6 @@
 """Functionals and the Jacobian symplecticity probe."""
 
+import re
 import warnings
 
 import numpy as np
@@ -85,6 +86,8 @@ def test_symplectic_defect_identity_map():
     f = random_field(3, 0)
     # central differences carry ~eps*|x|/h rounding, so not exactly 0
     assert symplectic_defect(lambda u: u, f.coefficients) < 1e-10
+    # a list of coefficients is one field too (it raised AttributeError)
+    assert symplectic_defect(lambda u: u, list(f.coefficients)) < 1e-10
 
 
 def test_symplectic_defect_free_flow():
@@ -105,6 +108,20 @@ def test_symplectic_defect_rejects_bad_h():
     f = random_field(2, 2)
     with pytest.raises(ValueError):
         symplectic_defect(lambda u: u, f.coefficients, h=0.0)
+
+
+@pytest.mark.parametrize("c, message", [
+    (np.zeros((2, 5), complex), "expected the coefficients of one field, got shape (2, 5)"),
+    (np.array(1.0 + 0j), "expected 2K+1 coefficients along the last axis, got shape ()"),
+    (np.zeros(4, complex), "expected 2K+1 coefficients along the last axis, got shape (4,)"),
+])
+def test_symplectic_defect_refuses_coefficients_of_no_one_field(c, message):
+    # a batch used to fail in numpy's broadcasting, a 0-d array with an
+    # IndexError, and an even length returned a defect of 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            symplectic_defect(lambda u: u, c)
 
 
 def test_symplectic_defect_steps_every_column_in_one_batch():

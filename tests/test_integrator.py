@@ -27,8 +27,8 @@ from snls.integrator import (
 )
 from snls.maps import ModelParams, map_F_midpoint_physical, map_P_frozen, noise_operator
 from snls.noise import CovarianceOp, default_phi, increment, sample_path
-from snls.oracles import step_bound, validate_tableau
-from snls.torus import SpectralField, cubic_convolution, free_propagator, TorusGrid
+from snls.oracles import cubic_convolution_direct, step_bound, validate_tableau
+from snls.torus import SpectralField, free_propagator, TorusGrid
 from snls.config import ConfigError, RunConfig, initial_field
 
 from helpers import random_field
@@ -546,7 +546,7 @@ def test_midpoint_step_matches_ode_oracle_without_noise():
     def rhs(_, y):
         c = y[: 2 * K + 1] + 1j * y[2 * K + 1 :]
         k = grid.modes().astype(float)
-        dc = -1j * k**2 * c - 1j * lam * cubic_convolution(c)
+        dc = -1j * k**2 * c - 1j * lam * cubic_convolution_direct(c)
         return np.concatenate([dc.real, dc.imag])
 
     errors = []

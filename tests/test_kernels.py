@@ -157,6 +157,39 @@ def test_interp_exp_refuses_a_frequency_that_is_not_finite(omega, bad):
             interp_exp(default_kernel_spec(2), omega, 0.1)
 
 
+@pytest.mark.parametrize("omega, bad", [
+    (1 + 1j, "(1+1j)"), ("1.0", "'1.0'"), (None, "None"), (True, "True"),
+    (np.array([[2j], [1.0]]), "2j"),
+])
+def test_interp_exp_refuses_a_frequency_that_is_not_real(omega, bad):
+    # a complex omega used to be accepted, a str or None to raise numpy's TypeError;
+    # the message names the first entry of an array
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"frequency omega must be real, got {bad}")
+                           + "$"):
+            interp_exp(default_kernel_spec(2), omega, 0.1)
+
+
+@pytest.mark.parametrize("s, bad", [
+    (np.inf, "inf"), (np.nan, "nan"), (-np.inf, "-inf"),
+    (np.array([[0.1, np.nan], [0.2, 0.3]]), "nan"), (np.array([np.inf, -np.inf]), "-inf"),
+])
+@pytest.mark.parametrize("kernel", [
+    kernel_exact,
+    lambda q, s: kernel_K2d(default_kernel_spec(1), q, s, 0.1),
+    lambda q, s: kernel_K2d(default_kernel_spec(2), q, s, 0.1),
+], ids=["exact", "K2d-1", "K2d-2"])
+def test_kernels_refuse_a_point_that_is_not_finite(kernel, s, bad):
+    # an infinite s used to raise numpy's "invalid value encountered in
+    # multiply" under warnings as errors, a NaN one "... in exp", and both
+    # to give NaN otherwise; -inf sorts first, so it is the one named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"point s must be finite, got {bad}") + "$"):
+            kernel(ModeQuad(np.array([1, 2]), 2, 1, np.array([2, 3])), s)
+
+
 def test_interp_exp_takes_an_array_of_steps():
     # one polynomial per step and frequency: (d,) + shape(t) + shape(omega),
     # each the one that step alone gives, bit for bit

@@ -1,5 +1,5 @@
-"""Spectral grid and fields, the free propagator, dealiased cubic products
-and snapshots."""
+"""Spectral grid and fields, the free propagator, padded lengths and
+snapshots."""
 
 import os
 import re
@@ -18,13 +18,11 @@ from snls.torus import (
     TorusGrid,
     _fast_len,
     _pad_size,
-    cubic_convolution,
     free_propagator,
     read_snapshot,
     write_snapshot,
 )
 from snls.diagnostics import energy_h0, sobolev_norm
-from snls.oracles import cubic_convolution_direct
 
 from helpers import random_field
 
@@ -109,8 +107,8 @@ def test_free_propagator_refuses_a_phase_past_the_float_range():
 def test_array_functions_refuse_coefficients_of_no_odd_length(c):
     # each reads K from the last axis with torus.mode_cutoff
     message = re.escape(f"expected 2K+1 coefficients along the last axis, got shape {c.shape}")
-    for f in (lambda c: free_propagator(c, 0.1), cubic_convolution,
-              lambda c: sobolev_norm(c, 2.0), lambda c: energy_h0(c, 1.0)):
+    for f in (lambda c: free_propagator(c, 0.1), lambda c: sobolev_norm(c, 2.0),
+              lambda c: energy_h0(c, 1.0)):
         with pytest.raises(ValueError, match=message):
             f(c)
 
@@ -121,28 +119,6 @@ def test_free_propagator_phase_value():
     c[6] = 1.0  # k = 3
     g = free_propagator(c, 0.1)
     np.testing.assert_allclose(g[6], np.exp(-0.9j), atol=1e-14)
-
-
-@given(seed=st.integers(0, 2**32 - 1), K=st.integers(1, 8))
-@settings(max_examples=25, deadline=None)
-def test_cubic_convolution_matches_direct_triple_sum(seed, K):
-    # padded-FFT product vs O(K^3) direct sum oracle  [DERIVED]
-    f = random_field(K, seed)
-    fast = cubic_convolution(f.coefficients)
-    slow = cubic_convolution_direct(f.coefficients)
-    scale = max(1.0, np.max(np.abs(slow)))
-    np.testing.assert_allclose(fast, slow, atol=1e-12 * scale)
-
-
-def test_cubic_convolution_single_mode():
-    # conj(u) u u with only u_1 = a: output mode 1 gets |a|^2 a  [TRIVIAL]
-    c = np.zeros(7, dtype=complex)
-    a = 2.0 - 1.0j
-    c[4] = a  # k = 1
-    out = cubic_convolution(c)
-    expected = np.zeros(7, dtype=complex)
-    expected[4] = np.abs(a) ** 2 * a
-    np.testing.assert_allclose(out, expected, atol=1e-13)
 
 
 def test_fast_len_is_scipys_next_fast_len():
@@ -167,11 +143,6 @@ def test_library_imports_numpy_alone():
                           capture_output=True, text=True, check=True)
     n_modules = len(list((src / "snls").glob("*.py"))) - 1  # all but __init__
     assert proc.stdout.split() == [str(n_modules), "False", "False"]
-
-
-def test_cubic_convolution_zero_field():
-    out = cubic_convolution(np.zeros(9))
-    np.testing.assert_array_equal(out, 0.0)
 
 
 def test_snapshot_roundtrip_exact(tmp_path):
