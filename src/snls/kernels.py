@@ -9,6 +9,7 @@ of K_2d are reference code, in snls.oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,22 @@ class ModeQuad:
         if len(bad):
             i = tuple(bad[0])
             raise ValueError(f"quad ({k[i]},{k1[i]},{k2[i]},{k3[i]}) violates k+k1=k2+k3")
+        # integer-dtype modes keep every phase below 2^130; only Python ints
+        # past uint64, held in object arrays, can take one past the float range
+        if any(m.dtype == object for m in (k, k1, k2, k3)):
+            for i in np.ndindex(k.shape):
+                if not _finite_phases(k[i], k1[i], k2[i], k3[i]):
+                    raise ValueError(f"quad ({k[i]},{k1[i]},{k2[i]},{k3[i]}) has a phase "
+                                     "-2kk1, 2k2k3 or their sum past the float range")
+
+
+def _finite_phases(k, k1, k2, k3) -> bool:
+    """Whether the kernels' phases -2kk1 and 2k2k3, and their sum, are
+    finite floats."""
+    try:
+        return math.isfinite(-2.0 * float(k) * float(k1) + 2.0 * float(k2) * float(k3))
+    except OverflowError:  # a mode past the float range
+        return False
 
 
 def _steps(t):

@@ -128,8 +128,8 @@ class BrownianPath:
 
     A stacked path, drawn by sample_path from a tuple of S seeds, has
     increments of shape (S, 2K+1, n_cells); it drives S samples through
-    `increment`, and refine refines each.  mode_row and values take
-    single paths, and so do the Stratonovich sums of snls.oracles.
+    `increment`, and refine refines each.  The Stratonovich sums of
+    snls.oracles take single paths.
     """
 
     seed: int | tuple
@@ -146,18 +146,6 @@ class BrownianPath:
     @property
     def dt(self) -> float:
         return self.horizon / self.n_cells
-
-    def mode_row(self, k: int) -> np.ndarray:
-        if self.increments.ndim != 2:
-            raise ValueError("mode rows are read from a single path, not a stacked one")
-        k = _check.integer("mode k", k, -self.K, self.K)
-        return self.increments[k + self.K]
-
-    def values(self, k: int) -> np.ndarray:
-        """W_k at the grid points 0, dt, ..., horizon (length n_cells+1)."""
-        out = np.zeros(self.n_cells + 1)
-        np.cumsum(self.mode_row(k), out=out[1:])
-        return out
 
     def cell_index(self, s: float) -> int:
         """Index of the grid point at time s; s must sit on the grid."""

@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _check
 from .kernels import KernelSpec, ModeQuad, interp_exp
 from .maps import ModelParams
 from .noise import BrownianPath
@@ -112,11 +113,21 @@ def kernel_weight(spec: KernelSpec, q: ModeQuad, t: float, c: float, p: int):
     return total / t ** (p + 1)
 
 
+def path_values(path: BrownianPath, k: int) -> np.ndarray:
+    """W_k at the grid points 0, dt, ..., horizon (length n_cells+1)."""
+    if path.increments.ndim != 2:
+        raise ValueError("mode rows are read from a single path, not a stacked one")
+    k = _check.integer("mode k", k, -path.K, path.K)
+    out = np.zeros(path.n_cells + 1)
+    np.cumsum(path.increments[k + path.K], out=out[1:])
+    return out
+
+
 def strat_integral(path: BrownianPath, k2: int, k3: int, t: float) -> float:
     """Trapezoidal (Stratonovich) sum int_0^t W_{k2}(s) o dW_{k3}(s)."""
     j = path.cell_index(t)
-    w2 = path.values(k2)[: j + 1]
-    dw3 = path.mode_row(k3)[:j]
+    w2 = path_values(path, k2)[: j + 1]  # refuses a stacked path
+    dw3 = path.increments[_check.integer("mode k", k3, -path.K, path.K) + path.K, :j]
     return float(np.sum(0.5 * (w2[:-1] + w2[1:]) * dw3))
 
 
@@ -129,8 +140,8 @@ def symmetrized_midpoint_double(path: BrownianPath, k2: int, k3: int, t: float) 
     i23 = strat_integral(path, k2, k3, t)
     i32 = strat_integral(path, k3, k2, t)
     j = path.cell_index(t)
-    w2_t = path.values(k2)[j]
-    w3_t = path.values(k3)[j]
+    w2_t = path_values(path, k2)[j]
+    w3_t = path_values(path, k3)[j]
     return (i23 - 0.5 * w2_t * w3_t) + (i32 - 0.5 * w3_t * w2_t)
 
 

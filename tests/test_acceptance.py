@@ -32,6 +32,7 @@ from snls.oracles import (
     kernel_weight,
     map_F,
     orthogonality_defect,
+    path_values,
     step_bound,
     strat_integral,
     symmetrized_midpoint_double,
@@ -184,8 +185,8 @@ def test_criterion_6_stratonovich_identities():
         for (k2, k3) in ((2, 3), (1, -2)):
             i23 = strat_integral(path, k2, k3, 1.0)
             i32 = strat_integral(path, k3, k2, 1.0)
-            w2 = path.values(k2)[-1]
-            w3 = path.values(k3)[-1]
+            w2 = path_values(path, k2)[-1]
+            w3 = path_values(path, k3)[-1]
             worst_pair = max(worst_pair, abs(i23 + i32 - w2 * w3))
             worst_sym = max(
                 worst_sym, abs(symmetrized_midpoint_double(path, k2, k3, 1.0))

@@ -262,6 +262,32 @@ def test_mode_quad_refuses_modes_that_are_not_integers(modes, message):
             ModeQuad(*modes)
 
 
+def test_mode_quad_refuses_modes_whose_phases_pass_the_float_range():
+    # ModeQuad(10**200, 10**200, 10**200, 10**200) was accepted, and
+    # kernel_exact then refused "frequency omega must be finite, got nan",
+    # a frequency the caller never gave
+    big, e153 = 10**200, 10**153
+    cases = [
+        ((big, big, big, big), (big, big, big, big)),
+        ((10**400, 1, 10**400, 1), (10**400, 1, 10**400, 1)),  # no float holds the mode
+        ((15 * e153, -15 * e153, 0, 0), (15 * e153, -15 * e153, 0, 0)),  # -2kk1 = 4.5e308
+        ((17 * e153, -3 * e153, 7 * e153, 7 * e153),  # each phase ~1e308, the sum 2e308
+         (17 * e153, -3 * e153, 7 * e153, 7 * e153)),
+        ((np.array([1, 10**18]), 10**291, 10**291, np.array([1, 10**18])),  # the second quad
+         (10**18, 10**291, 10**291, 10**18)),
+    ]
+    for modes, quad in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"quad ({','.join(map(str, quad))}) has a phase -2kk1, 2k2k3 or their sum "
+                    "past the float range")):
+                ModeQuad(*modes)
+    # phases that stay finite pass, in Python ints and beside int64 arrays
+    ModeQuad(10**150, 10**150, 10**150, 10**150)
+    ModeQuad(np.array([1, 2]), big, big, np.array([1, 2]))
+
+
 def test_mode_quad_takes_python_and_numpy_integers():
     # fails on a copy that tests each mode with isinstance(mode, int)
     ModeQuad(np.int64(1), 2, np.uint8(1), 2)

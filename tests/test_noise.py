@@ -20,7 +20,7 @@ from snls.noise import (
     sample_path,
     _check_exact,
 )
-from snls.oracles import strat_integral, symmetrized_midpoint_double
+from snls.oracles import path_values, strat_integral, symmetrized_midpoint_double
 
 
 # ------------------------------------------------------------- covariance
@@ -110,13 +110,14 @@ def test_draws_are_pinned():
 def test_mode_symmetry():
     p = sample_path(11, 1.0, 4, 6)
     for k in range(1, 7):
-        np.testing.assert_array_equal(p.mode_row(k), p.mode_row(-k))
+        np.testing.assert_array_equal(p.increments[k + p.K], p.increments[-k + p.K])
 
 
 def test_distinct_modes_distinct_paths():
     p = sample_path(11, 1.0, 2, 3)
-    assert not np.array_equal(p.mode_row(1), p.mode_row(2))
-    assert not np.array_equal(sample_path(12, 1.0, 2, 3).mode_row(1), p.mode_row(1))
+    assert not np.array_equal(p.increments[1 + p.K], p.increments[2 + p.K])
+    other = sample_path(12, 1.0, 2, 3)
+    assert not np.array_equal(other.increments[1 + other.K], p.increments[1 + p.K])
 
 
 def test_n_base_grid():
@@ -203,7 +204,7 @@ def test_cell_index_and_increment_refuse_a_time_that_is_not_a_finite_real(time):
 def test_endpoint_variance_is_horizon():
     # [DERIVED] W_k(T) ~ N(0, T): sample variance over many seeds
     T = 2.5
-    vals = np.array([sample_path(s, T, 0, 1).values(1)[-1] for s in range(4000)])
+    vals = np.array([path_values(sample_path(s, T, 0, 1), 1)[-1] for s in range(4000)])
     assert abs(np.mean(vals)) < 0.1
     assert abs(np.var(vals) - T) < 0.2
 
@@ -211,9 +212,8 @@ def test_endpoint_variance_is_horizon():
 def test_refined_increment_variance():
     # level-3 cells have variance horizon/8
     T = 1.0
-    incs = np.concatenate(
-        [sample_path(s, T, 3, 1).mode_row(1) for s in range(500)]
-    )
+    paths = [sample_path(s, T, 3, 1) for s in range(500)]
+    incs = np.concatenate([p.increments[1 + p.K] for p in paths])
     assert abs(np.var(incs) - T / 8) < 0.01
 
 
@@ -254,8 +254,6 @@ def test_stacked_path_increments_are_per_path_increments():
         X = increment(stacked, t0, t1)
         for i, p in enumerate(paths):
             np.testing.assert_array_equal(X[i], increment(p, t0, t1))
-    with pytest.raises(ValueError):
-        stacked.values(1)
     for bad in (-1, 2**64):
         with pytest.raises(ValueError, match=f"seed must be in 0..2\\^64-1, got {bad}$"):
             sample_path((4, bad, 6), 1.0, 2, 2)
@@ -281,7 +279,7 @@ def test_pair_identity_pathwise(seed, level):
     for t in (p.dt, 0.5, 1.0):
         i23, i32 = strat_integral(p, 2, 3, t), strat_integral(p, 3, 2, t)
         j = p.cell_index(t)
-        prod = p.values(2)[j] * p.values(3)[j]
+        prod = path_values(p, 2)[j] * path_values(p, 3)[j]
         assert abs(i23 + i32 - prod) < 1e-13
 
 
@@ -298,7 +296,7 @@ def test_strat_integral_quadratic_variation_case():
     # int W o dW at the trapezoidal level equals W(t)^2/2 exactly
     p = sample_path(21, 1.0, 6, 1)
     val = strat_integral(p, 1, 1, 1.0)
-    w = p.values(1)[-1]
+    w = path_values(p, 1)[-1]
     assert abs(val - 0.5 * w * w) < 1e-13
 
 

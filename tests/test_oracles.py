@@ -5,6 +5,7 @@ code with the fast map they check; and their elementwise forms equal
 their per-element values."""
 
 import ast
+import re
 import warnings
 from pathlib import Path
 
@@ -13,12 +14,15 @@ import pytest
 
 from snls.kernels import ModeQuad, default_kernel_spec
 from snls.maps import ModelParams
+from snls.noise import sample_path
 from snls.oracles import (
     _resonant_sum,
     cubic_convolution_direct,
     kernel_weight,
     map_F,
     orthogonality_defect,
+    path_values,
+    strat_integral,
     weighted_exp_integral,
 )
 
@@ -179,3 +183,16 @@ def test_direct_sums_refuse_coefficients_of_no_odd_length():
             cubic_convolution_direct(c)
         with pytest.raises(ValueError, match="expected 2K\\+1 coefficients"):
             map_F(ModelParams(lam=1.0, kappa=0.0), default_kernel_spec(1), 0.01, 1.0, 0, c)
+
+
+def test_path_values_read_one_mode_of_a_single_path():
+    p = sample_path(3, 1.0, 2, 2)
+    assert path_values(p, -1).tolist() == [0.0, *np.cumsum(p.increments[1])]
+    with pytest.raises(ValueError, match="not a stacked one"):
+        path_values(sample_path((4, 5, 6), 1.0, 3, 2), 1)
+    # a mode past -K would wrap to another row as a negative index
+    for k, message in ((3, "in -2..2, got 3"), (-3, "in -2..2, got -3"),
+                       (1.0, "an integer, got 1.0")):
+        for read in (lambda: path_values(p, k), lambda: strat_integral(p, 1, k, 1.0)):
+            with pytest.raises(ValueError, match=re.escape(f"mode k must be {message}")):
+                read()
