@@ -267,16 +267,13 @@ def test_mode_quad_refuses_modes_whose_phases_pass_the_float_range():
     # kernel_exact then refused "frequency omega must be finite, got nan",
     # a frequency the caller never gave
     big, e153 = 10**200, 10**153
-    cases = [
-        ((big, big, big, big), (big, big, big, big)),
-        ((10**400, 1, 10**400, 1), (10**400, 1, 10**400, 1)),  # no float holds the mode
-        ((15 * e153, -15 * e153, 0, 0), (15 * e153, -15 * e153, 0, 0)),  # -2kk1 = 4.5e308
-        ((17 * e153, -3 * e153, 7 * e153, 7 * e153),  # each phase ~1e308, the sum 2e308
-         (17 * e153, -3 * e153, 7 * e153, 7 * e153)),
-        ((np.array([1, 10**18]), 10**291, 10**291, np.array([1, 10**18])),  # the second quad
-         (10**18, 10**291, 10**291, 10**18)),
-    ]
-    for modes, quad in cases:
+    cases = [(big, big, big, big),
+             (10**400, 1, 10**400, 1),  # no float holds the mode
+             (15 * e153, -15 * e153, 0, 0),  # -2kk1 = 4.5e308
+             (17 * e153, -3 * e153, 7 * e153, 7 * e153)]  # each phase ~1e308, the sum 2e308
+    # an int64 array beside Python ints: the second quad is named
+    mixed = (np.array([1, 10**18]), 10**291, 10**291, np.array([1, 10**18]))
+    for modes, quad in [(m, m) for m in cases] + [(mixed, (10**18, 10**291, 10**291, 10**18))]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(
