@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Fold perfbench result files into one committed BENCH_*.json.
 
-    python3 scripts/bench_summary.py --out BENCH_<n>.json parent=DIR change=DIR
+    python3 scripts/bench_summary.py --out BENCH_<n>.json parent=DIR change=DIR \
+        [--tier1 parent=LOG ...] [--tier1 change=LOG ...]
 
 Each LABEL=DIR names a directory of `perfbench/run.py` result files
 (`result-<workload>-seed<n>-trace<t>.json`, as in a checkout's
@@ -31,17 +32,34 @@ paired seeds (and at least 10 seeds are paired) with the medians' gap,
 in the better direction, above the parent's IQR; and `within_bound`,
 that the change's median is not worse than the parent's by more than
 the metric's relative `bound` in BENCHMARK.json.
+
+Each `--tier1 LABEL=LOG` (repeatable, one per run) names the saved
+stdout of one run of the tier-1 command with `--durations=10`
+(TIER1_COMMAND).  A `tier1` section then holds, per label, each run's
+wall seconds and pass count from pytest's final `N passed in X s` line,
+the median of those times, and the ten slowest entries of the median
+run (the lower middle one of an even count).  A log with failures or
+errors, with no summary line, or whose pass count differs from the
+label's other runs exits 1, naming the file.  The logs carry no machine
+record: run them on the machine of the perfbench results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+TIER1_COMMAND = ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q "
+                 "--continue-on-collection-errors --durations=10")
+# pytest's closing line, "634 passed, 2 warnings in 22.41s (0:00:22)" with
+# or without the ===== frame, and one entry of its --durations listing
+_SUMMARY = re.compile(r"^=*\s*(\d+ \w+(?:, \d+ \w+)*) in ([0-9.]+)s\b.*$")
+_DURATION = re.compile(r"^([0-9.]+)s (setup|call|teardown) +(\S.*)$")
 
 
 def quartiles(values):
@@ -126,34 +144,90 @@ def compare(records, sides):
     return result
 
 
+def tier1_run(path):
+    """{file, wall_s, passed, slowest} of one saved tier-1 log."""
+    lines = Path(path).read_text().splitlines()
+    found = [m for m in map(_SUMMARY.match, lines) if m]
+    if not found:
+        raise ValueError(f"{path}: no pytest summary line ('N passed in X s')")
+    counts = {word: int(n) for n, word in
+              (part.split(" ") for part in found[-1].group(1).split(", "))}
+    bad = {word: n for word, n in counts.items()
+           if word in ("failed", "error", "errors") and n}
+    if bad:
+        raise ValueError(f"{path}: the run has "
+                         + ", ".join(f"{n} {word}" for word, n in bad.items()))
+    slowest = []
+    for line in lines[next((i for i, line in enumerate(lines) if "slowest" in line
+                            and "durations" in line), len(lines)):]:
+        m = _DURATION.match(line)
+        if m:
+            slowest.append({"seconds": float(m.group(1)), "when": m.group(2),
+                            "test": m.group(3).strip()})
+    return {"file": str(path), "wall_s": float(found[-1].group(2)),
+            "passed": counts.get("passed", 0), "slowest": slowest[:10]}
+
+
+def tier1(logs):
+    """The tier1 section: per label, its runs' wall times and pass count,
+    their median and the slowest tests of the median run."""
+    section = {}
+    for label, paths in logs.items():
+        runs = [tier1_run(path) for path in paths]
+        if len({r["passed"] for r in runs}) > 1:
+            raise ValueError(f"tier-1 logs of label {label!r} pass different test counts: "
+                             + ", ".join(f"{r['file']} ({r['passed']})" for r in runs))
+        middle = sorted(runs, key=lambda r: r["wall_s"])[(len(runs) - 1) // 2]
+        section[label] = {
+            "runs": [{"file": r["file"], "wall_s": r["wall_s"]} for r in runs],
+            "wall_s_median": statistics.median(r["wall_s"] for r in runs),
+            "passed": runs[0]["passed"],
+            "median_run": middle["file"],
+            "slowest": middle["slowest"],
+        }
+    return section
+
+
+def _pairs(p, items, what):
+    """{label: [value, ...]} of LABEL=VALUE arguments."""
+    pairs = {}
+    for item in items:
+        label, sep, value = item.partition("=")
+        if not (sep and label and value):
+            p.error(f"expected LABEL={what}, got {item!r}")
+        pairs.setdefault(label, []).append(value)
+    return pairs
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("sides", nargs="+", metavar="LABEL=DIR")
+    p.add_argument("sides", nargs="*", metavar="LABEL=DIR")
+    p.add_argument("--tier1", action="append", default=[], metavar="LABEL=LOG",
+                   help="saved stdout of one tier-1 run with --durations=10 (repeatable)")
     p.add_argument("--out", required=True, help="summary file to write")
     args = p.parse_args(argv)
+    if not (args.sides or args.tier1):
+        p.error("give at least one LABEL=DIR or --tier1 LABEL=LOG")
 
-    labels = {}
-    for side in args.sides:
-        label, sep, directory = side.partition("=")
-        if not (sep and label and directory):
-            p.error(f"expected LABEL=DIR, got {side!r}")
-        if label in labels:
-            p.error(f"label {label!r} is given twice ({labels[label]} and {directory})")
-        labels[label] = directory
+    labels = _pairs(p, args.sides, "DIR")
+    for label, directories in labels.items():
+        if len(directories) > 1:
+            p.error(f"label {label!r} is given twice ({directories[0]} and {directories[1]})")
     try:
-        records = {label: load(d) for label, d in labels.items()}
+        records = {label: load(d) for label, (d,) in labels.items()}
+        tier1_section = tier1(_pairs(p, args.tier1, "LOG"))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     environments = {json.dumps([r["machine"], r["versions"]], sort_keys=True)
                     for recs in records.values() for r in recs.values()}
-    if len(environments) != 1:
+    if len(environments) > 1:
         print(f"error: results come from {len(environments)} machines or version sets",
               file=sys.stderr)
         return 1
-    machine, versions = json.loads(environments.pop())
+    machine, versions = json.loads(environments.pop()) if environments else (None, None)
     for label, recs in records.items():
         states = sorted({(r["git"]["sha"], r["git"]["dirty"]) for r in recs.values()}, key=str)
         if len(states) > 1 or states[0][1] is not False:
@@ -170,6 +244,9 @@ def main(argv=None):
     }
     if {"parent", "change"} <= records.keys():
         summary["compare"] = compare(records, summary["sides"])
+    if tier1_section:
+        summary["tier1_command"] = TIER1_COMMAND
+        summary["tier1"] = tier1_section
     Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")
     return 0
 

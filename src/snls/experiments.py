@@ -107,8 +107,9 @@ def cmd_local_error(
     """One-step H^alpha error of the midpoint scheme against a same-path
     refined reference, averaged in root mean square over sample paths.
 
-    Each step size runs its sample paths as one batch; a sample whose
-    coarse step or reference is rejected counts as a rejection."""
+    Each step size steps the one initial field on the stacked path of
+    its samples, which makes a batch; a sample whose coarse step or
+    reference is rejected counts as a rejection."""
     samples = _check.integer("samples", samples, 16)
     ref_level = _check.integer("ref_level", ref_level)
     _check.integer("ref_level", ref_level, 8, must=(
@@ -126,8 +127,8 @@ def cmd_local_error(
             f"seed {config.seed} is too large for {samples} local-error samples: "
             f"their path seeds run past 2^64-1; the largest usable seed is {max_seed}"
         )
-    # the stacked path holds samples * (2K+1) * 2^ref_level values; a
-    # shift, not 2**ref_level, which a huge ref_level would make huge
+    # sample_path counts samples * (2K+1) * 2^ref_level values; a shift,
+    # not 2**ref_level, which a huge ref_level would make huge
     max_K = ((MAX_PATH_VALUES >> ref_level) // samples - 1) // 2
     if max_K < 1:
         max_samples = (MAX_PATH_VALUES >> ref_level) // 3
@@ -148,15 +149,12 @@ def cmd_local_error(
     u0 = initial_field(config.initial_data, config.K, seed=config.seed)
     scale = sobolev_norm(u0.coefficients, config.alpha)
 
-    # a read-only view of the checked initial data: no step writes its input
-    u = SpectralField.wrap(np.broadcast_to(u0.coefficients, (samples, u0.grid.n_modes)), u0.grid)
-
     seeds = tuple(config.seed + 1000 * i + 1 for i in range(samples))
     table = ErrorTable()
     for t in ts:
         path = sample_path(seeds, t, ref_level, config.K)
-        coarse = step(u, tab, params, phi, path, 0.0, t, fp)
-        ref = reference_solution(u, params, phi, path, t, fp)
+        coarse = step(u0, tab, params, phi, path, 0.0, t, fp)
+        ref = reference_solution(u0, params, phi, path, t, fp)
         accepted = coarse.converged & ref.converged
         rejections = samples - int(np.count_nonzero(accepted))
         errors = sobolev_norm(coarse.state.coefficients - ref.state.coefficients,

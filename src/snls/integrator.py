@@ -224,9 +224,9 @@ def step(
     update is taken from the stage, 2U - u_n, and costs no evaluation;
     any other tableau evaluates both maps once more at the stage.
 
-    A stacked path with a batch of fields steps every sample at once;
-    a rejected solve is reported in the StepOutcome, not raised, and its
-    sample keeps u_n."""
+    A stacked path steps every sample at once, from one field or from a
+    batch of one field per sample; a rejected solve is reported in the
+    StepOutcome, not raised, and its sample keeps u_n."""
     if not t > 0:
         raise ValueError(f"step t must be > 0, got {t}")
     X = increment(path, t_n, t_n + t)

@@ -10,10 +10,11 @@ Brownian-bridge splitting.  Two implementation choices matter:
   the sum of their refined children bit for bit, and the Stratonovich
   product identities (snls.oracles) hold to rounding on every discrete path.
 
-* The mode-(-k) path is identical to the mode-k path (W_{-k} = W_k).
-  Together with Phi_k = Phi_{-k} this makes the complex noise field
-  sum_k Phi_k W_k e^{ikx} real-valued, and it is what makes the
-  stochastic discretisation map exactly mass-orthogonal pathwise.
+* A path stores each of the modes 0..K once, and mode -k is read from
+  the row of mode k (W_{-k} = W_k).  Together with Phi_k = Phi_{-k} this
+  makes the complex noise field sum_k Phi_k W_k e^{ikx} real-valued, and
+  it is what makes the stochastic discretisation map exactly
+  mass-orthogonal pathwise.
 
 Randomness is counter-based (Philox keyed by seed, mode and refinement
 level), so refining a path never perturbs previously drawn increments
@@ -32,7 +33,7 @@ from . import _check
 _GRAIN = 2.0**-40
 # the largest Brownian path sample_path draws, in doubles (1 GiB)
 MAX_PATH_VALUES = 2**27
-# the largest mode cutoff K: a path holds 2K+1 values per cell
+# the largest mode cutoff K: path sizes count 2K+1 values per cell
 MAX_K = (MAX_PATH_VALUES - 1) // 2
 # bound on |W_k| along a path: grain multiples below 2^13 are exact in
 # doubles, so sums of two values below 2^12 are still exact
@@ -121,13 +122,13 @@ class BrownianPath:
     """Per-mode real Wiener increments on a grid of n_base * 2^level
     cells over [0, horizon].
 
-    increments has shape (2K+1, n_cells); row i holds mode k = i - K.
-    Rows for -k and k are identical by construction.  n_base > 1 lets a
-    path align with a non-dyadic number of simulation steps while each
-    base cell stays dyadically refinable.
+    increments has shape (K+1, n_cells); row k holds mode k and, since
+    W_{-k} = W_k, mode -k too, so each mode is stored once.  n_base > 1
+    lets a path align with a non-dyadic number of simulation steps while
+    each base cell stays dyadically refinable.
 
     A stacked path, drawn by sample_path from a tuple of S seeds, has
-    increments of shape (S, 2K+1, n_cells); it drives S samples through
+    increments of shape (S, K+1, n_cells); it drives S samples through
     `increment`, and refine refines each.  The Stratonovich sums of
     snls.oracles take single paths.
     """
@@ -165,16 +166,23 @@ def sample_path(seed, horizon: float, level: int, K: int, n_base: int = 1) -> Br
     horizon = _check.real("horizon", horizon, gt=0)
     n_base = _check.integer("n_base", n_base, 1)
     K = _check.integer("K", K, 1)
+    _check_size(seed, K, n_base, level)
+    normals = _normals(seed, 0, K + 1, n_base)
+    rows = _quantize(np.sqrt(horizon / n_base) * normals)
+    for lev in range(1, level + 1):
+        rows = _split(rows, seed, lev, horizon)
+    _check_exact(rows)
+    return BrownianPath(seed, K, level, horizon, rows, n_base)
+
+
+def _check_size(seed, K: int, n_base: int, level: int) -> None:
+    """Raise if the level-`level` path of seed (a tuple for a stacked
+    path) would pass MAX_PATH_VALUES, at 2K+1 values per cell."""
     n_paths = len(seed) if isinstance(seed, tuple) else 1
     # a shift, not 2**level, which a huge level would make huge
     if n_paths * (2 * K + 1) * n_base > MAX_PATH_VALUES >> level:
         raise ValueError(f"{n_paths} path(s) at K={K}, n_base={n_base} and level={level} "
                          f"would hold more than {MAX_PATH_VALUES} values")
-    normals = _normals(seed, 0, K + 1, n_base)
-    rows = _quantize(np.sqrt(horizon / n_base) * normals)
-    for lev in range(1, level + 1):
-        rows = _split(rows, seed, lev, horizon)
-    return _mirrored(seed, K, level, horizon, rows, n_base)
 
 
 def _split(rows: np.ndarray, seed, level: int, horizon: float) -> np.ndarray:
@@ -191,24 +199,21 @@ def _split(rows: np.ndarray, seed, level: int, horizon: float) -> np.ndarray:
     return out
 
 
-def _mirrored(seed, K, level, horizon, rows, n_base) -> BrownianPath:
-    """The path with the increment rows of modes 0..K and W_{-k} = W_k."""
-    _check_exact(rows)
-    increments = np.concatenate([rows[..., :0:-1, :], rows], axis=-2)
-    return BrownianPath(seed, K, level, horizon, increments, n_base)
-
-
 def refine(path: BrownianPath) -> BrownianPath:
     """Bridge refinement; coarse increments are exact sums of children."""
-    rows = _split(path.increments[..., path.K:, :], path.seed, path.level + 1, path.horizon)
-    return _mirrored(path.seed, path.K, path.level + 1, path.horizon, rows, path.n_base)
+    level = path.level + 1
+    _check_size(path.seed, path.K, path.n_base, level)
+    rows = _split(path.increments, path.seed, level, path.horizon)
+    _check_exact(rows)
+    return BrownianPath(path.seed, path.K, level, path.horizon, rows, path.n_base)
 
 
 def increment(path: BrownianPath, t0: float, t1: float) -> np.ndarray:
     """Normalized increments W_{n,k} = (W_k(t1) - W_k(t0)) / sqrt(t1-t0),
-    of shape (2K+1,), or (S, 2K+1) for a stacked path."""
+    of shape (2K+1,) for modes -K..K, or (S, 2K+1) for a stacked path."""
     j0 = path.cell_index(t0)
     j1 = path.cell_index(t1)
     if j1 <= j0:
         raise ValueError(f"need t1 > t0 on the grid, got [{t0}, {t1}]")
-    return path.increments[..., j0:j1].sum(axis=-1) / np.sqrt((j1 - j0) * path.dt)
+    x = path.increments[..., j0:j1].sum(axis=-1) / np.sqrt((j1 - j0) * path.dt)
+    return np.concatenate((x[..., :0:-1], x), axis=-1)  # W_{-k} = W_k

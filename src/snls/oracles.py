@@ -119,7 +119,7 @@ def path_values(path: BrownianPath, k: int) -> np.ndarray:
         raise ValueError("mode rows are read from a single path, not a stacked one")
     k = _check.integer("mode k", k, -path.K, path.K)
     out = np.zeros(path.n_cells + 1)
-    np.cumsum(path.increments[k + path.K], out=out[1:])
+    np.cumsum(path.increments[abs(k)], out=out[1:])  # W_{-k} = W_k
     return out
 
 
@@ -127,7 +127,7 @@ def strat_integral(path: BrownianPath, k2: int, k3: int, t: float) -> float:
     """Trapezoidal (Stratonovich) sum int_0^t W_{k2}(s) o dW_{k3}(s)."""
     j = path.cell_index(t)
     w2 = path_values(path, k2)[: j + 1]  # refuses a stacked path
-    dw3 = path.increments[_check.integer("mode k", k3, -path.K, path.K) + path.K, :j]
+    dw3 = path.increments[abs(_check.integer("mode k", k3, -path.K, path.K)), :j]
     return float(np.sum(0.5 * (w2[:-1] + w2[1:]) * dw3))
 
 

@@ -174,3 +174,65 @@ def test_repeated_label_is_a_usage_error(bench_summary, tmp_path, capsys):
     assert exc.value.code == 2
     assert "label 'parent' is given twice" in capsys.readouterr().err
     assert not out.exists()
+
+
+def write_tier1_log(path, wall_s, summary="{n} passed in {wall_s}s", n=634):
+    # the stdout of one `pytest -q --durations=10` run: progress dots, the
+    # durations listing (3.0 s down) and the closing summary line
+    path.write_text("\n".join([
+        "." * 72 + " [100%]",
+        "=" * 29 + " slowest 10 durations " + "=" * 29,
+        *(f"{3.0 - 0.25 * i:.2f}s call     tests/test_x.py::test_{i}" for i in range(10)),
+        summary.format(n=n, wall_s=wall_s),
+    ]) + "\n")
+    return str(path)
+
+
+def test_tier1_section_holds_each_run_the_median_and_the_median_runs_slowest(
+        bench_summary, tmp_path):
+    parent = [write_tier1_log(tmp_path / f"p{i}.log", w) for i, w in enumerate((24.1, 22.0, 23.5))]
+    change = [write_tier1_log(tmp_path / f"c{i}.log", w, n=640,
+                              summary="{n} passed, 2 warnings in {wall_s}s (0:00:21)")
+              for i, w in enumerate((21.0, 20.5))]
+    out = tmp_path / "BENCH.json"
+    argv = ["--out", str(out)]
+    for label, logs in (("parent", parent), ("change", change)):
+        argv += [arg for log in logs for arg in ("--tier1", f"{label}={log}")]
+    assert bench_summary.main(argv) == 0
+    summary = json.loads(out.read_text())
+    assert summary["tier1_command"].endswith("--durations=10")
+    got = summary["tier1"]["parent"]
+    assert got["runs"] == [{"file": parent[0], "wall_s": 24.1}, {"file": parent[1], "wall_s": 22.0},
+                           {"file": parent[2], "wall_s": 23.5}]
+    assert (got["wall_s_median"], got["passed"], got["median_run"]) == (23.5, 634, parent[2])
+    assert len(got["slowest"]) == 10
+    assert got["slowest"][0] == {"seconds": 3.0, "when": "call", "test": "tests/test_x.py::test_0"}
+    # an even count: the median time, and the slowest tests of the lower middle run
+    got = summary["tier1"]["change"]
+    assert (got["wall_s_median"], got["passed"], got["median_run"]) == (20.75, 640, change[1])
+
+
+@pytest.mark.parametrize("summary, problem", [
+    ("1 failed, 633 passed in 22.0s", "the run has 1 failed"),
+    ("==== 633 passed, 2 errors in 22.0s ====", "the run has 2 errors"),
+    ("Interrupted: 1 error during collection", "no pytest summary line"),
+])
+def test_tier1_log_with_failures_or_no_summary_exit_1(bench_summary, tmp_path, capsys, summary,
+                                                       problem):
+    good = write_tier1_log(tmp_path / "good.log", 22.0)
+    bad = write_tier1_log(tmp_path / "bad.log", 22.0, summary=summary)
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main(["--out", str(out), "--tier1", f"change={good}",
+                               "--tier1", f"change={bad}"]) == 1
+    assert f"error: {bad}: {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tier1_logs_of_one_label_must_pass_the_same_count(bench_summary, tmp_path, capsys):
+    a = write_tier1_log(tmp_path / "a.log", 22.0)
+    b = write_tier1_log(tmp_path / "b.log", 22.0, n=633)
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main(["--out", str(out), "--tier1", f"change={a}",
+                               "--tier1", f"change={b}"]) == 1
+    assert f"{a} (634), {b} (633)" in capsys.readouterr().err
+    assert not out.exists()

@@ -93,31 +93,45 @@ def test_direct_sampling_matches_iterated_refinement():
                           refine(refine(refine(base))).increments)
 
 
+def _mirrored(rows):
+    """The rows of modes -K..K, from a path's rows of modes 0..K."""
+    return np.concatenate([rows[:0:-1], rows])
+
+
 def test_draws_are_pinned():
     # SHA-256 of the increments of sample paths and of their refinements,
-    # as first drawn.  A change to the draws trips this test, and so would
-    # a change in numpy's Philox generator or its ziggurat normals.
+    # as first drawn, in rows of modes -K..K.  A change to the draws trips
+    # this test, and so would a change in numpy's Philox generator or its
+    # ziggurat normals.
     h = hashlib.sha256()
     for K in range(1, 9):
         for level in (0, 1, 3, 8):
             for nb in (1, 3, 7):
                 p = sample_path(K * 100 + level, 0.37, level, K, n_base=nb)
-                h.update(p.increments.tobytes())
-                h.update(refine(p).increments.tobytes())
+                h.update(_mirrored(p.increments).tobytes())
+                h.update(_mirrored(refine(p).increments).tobytes())
     assert h.hexdigest() == "68d95b8fd1e46a6b1819f052f2bd3ea3013af07ae76346afd62cafbdc5e879c5"
 
 
 def test_mode_symmetry():
+    # a path stores modes 0..K once; increment gives modes -K..K with X_{-k} == X_k
     p = sample_path(11, 1.0, 4, 6)
-    for k in range(1, 7):
-        np.testing.assert_array_equal(p.increments[k + p.K], p.increments[-k + p.K])
+    stacked = sample_path((11, 12), 1.0, 4, 6)
+    assert p.increments.shape == (7, 16) and stacked.increments.shape == (2, 7, 16)
+    for K in (1, 2, 5):
+        assert sample_path(3, 1.0, 0, K).increments.shape == (K + 1, 1)
+    for t0, t1 in ((0.0, 1.0), (0.25, 0.5), (0.625, 0.6875)):
+        for X in (increment(p, t0, t1), increment(stacked, t0, t1)):
+            assert X.shape[-1] == 13
+            for k in range(1, 7):
+                np.testing.assert_array_equal(X[..., k + p.K], X[..., -k + p.K])
 
 
 def test_distinct_modes_distinct_paths():
     p = sample_path(11, 1.0, 2, 3)
-    assert not np.array_equal(p.increments[1 + p.K], p.increments[2 + p.K])
+    assert not np.array_equal(p.increments[1], p.increments[2])
     other = sample_path(12, 1.0, 2, 3)
-    assert not np.array_equal(other.increments[1 + other.K], p.increments[1 + p.K])
+    assert not np.array_equal(other.increments[1], p.increments[1])
 
 
 def test_n_base_grid():
@@ -167,6 +181,23 @@ def test_sample_path_validation():
             sample_path(1, 1.0, **args)
 
 
+def test_refine_refuses_a_path_past_the_size_bound(monkeypatch):
+    # refine used to double a path with no size check, so a path drawn at
+    # the bound refined to twice MAX_PATH_VALUES.  The bound counts 2K+1
+    # values per cell: 3 at K=1
+    monkeypatch.setattr("snls.noise.MAX_PATH_VALUES", 48)
+    paths = [sample_path(1, 1.0, 4, 1), sample_path((1, 2), 1.0, 3, 1)]  # 3 x 16, 2 x 3 x 8
+
+    def split(*args):
+        raise AssertionError("refine split a path past the bound")
+
+    monkeypatch.setattr("snls.noise._split", split)  # refused before any allocation
+    for path in paths:
+        with pytest.raises(ValueError, match=f"and level={path.level + 1} would hold more "
+                                             "than 48 values"):
+            refine(path)
+
+
 def test_paths_past_the_exact_range_are_refused():
     # |W| ~ sqrt(horizon) = 2^15, far past the 2^12 of exact sums
     with pytest.raises(ValueError, match="2\\^12"):
@@ -213,7 +244,7 @@ def test_refined_increment_variance():
     # level-3 cells have variance horizon/8
     T = 1.0
     paths = [sample_path(s, T, 3, 1) for s in range(500)]
-    incs = np.concatenate([p.increments[1 + p.K] for p in paths])
+    incs = np.concatenate([p.increments[1] for p in paths])
     assert abs(np.var(incs) - T / 8) < 0.01
 
 
@@ -223,7 +254,7 @@ def test_refined_increment_variance():
 def test_increment_normalization():
     p = sample_path(3, 1.0, 4, 2)
     X = increment(p, 0.25, 0.75)
-    raw = p.increments[:, 4:12].sum(axis=1)
+    raw = p.increments[np.abs(np.arange(-2, 3)), 4:12].sum(axis=1)  # modes -2..2
     np.testing.assert_array_equal(X, raw / np.sqrt(0.5))
 
 
@@ -249,7 +280,7 @@ def test_stacked_path_increments_are_per_path_increments():
                     assert fine.increments[i].tobytes() == refine(p).increments.tobytes()
     paths = [sample_path(s, 1.0, 3, 2) for s in seeds]
     stacked = sample_path(seeds, 1.0, 3, 2)
-    assert stacked.increments.shape == (3, 5, 8)
+    assert stacked.increments.shape == (3, 3, 8)
     for t0, t1 in ((0.0, 1.0), (0.25, 0.5)):
         X = increment(stacked, t0, t1)
         for i, p in enumerate(paths):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snls.config import RunConfig, initial_field
 from snls.diagnostics import mass, sobolev_norm
 from snls.integrator import FixedPointConfig, midpoint_tableau, step
 from snls.maps import DIRECT_MAX_MODES, ModelParams
@@ -48,13 +49,43 @@ def test_batched_step_is_bitwise_the_single_step(modes, data, samples, t, lam, k
     u = smooth_field(K, seed, samples)
     seeds = tuple(seed + s for s in range(samples))
     paths = [sample_path(s, t, 0, K) for s in seeds]
-    out = step(u, midpoint_tableau(), params, phi, sample_path(seeds, t, 0, K), 0.0, t, FP)
+    stacked = sample_path(seeds, t, 0, K)
+    out = step(u, midpoint_tableau(), params, phi, stacked, 0.0, t, FP)
     for s, path in enumerate(paths):
         one = step(SpectralField(u.coefficients[s], u.grid), midpoint_tableau(), params, phi,
                    path, 0.0, t, FP)
         np.testing.assert_array_equal(out.state.coefficients[s], one.state.coefficients)
         assert (out.iterations[s], out.converged[s]) == (one.iterations, one.converged)
         assert out.residual[s] == one.residual
+    # one field on the stacked path is the batch of its copies (cmd_local_error's batch)
+    assert_one_field_is_its_tiled_batch(u.coefficients[0], u.grid, params, phi, stacked, t, FP)
+
+
+def assert_one_field_is_its_tiled_batch(c, grid, params, phi, path, t, fp):
+    """step of field c on a stacked path equals the step of c tiled once
+    per sample, bit for bit; returns that outcome."""
+    tiled = np.tile(c, (len(path.seed), 1))
+    one = step(SpectralField(c, grid), midpoint_tableau(), params, phi, path, 0.0, t, fp)
+    batch = step(SpectralField(tiled, grid), midpoint_tableau(), params, phi, path, 0.0, t, fp)
+    assert one.state.coefficients.shape == tiled.shape
+    assert one.state.coefficients.tobytes() == batch.state.coefficients.tobytes()
+    np.testing.assert_array_equal(one.iterations, batch.iterations)
+    np.testing.assert_array_equal(one.converged, batch.converged)
+    return one
+
+
+def test_one_field_on_a_stacked_path_keeps_it_where_a_sample_is_rejected():
+    # cmd_local_error's coarse step at t=2^-4 for config seed 8 with
+    # lambda=12.5 and kappa=1.5: sample 6 (path seed 6009) is rejected, as
+    # in test_batched_local_error_step_matches_serial_steps, and keeps u0
+    cfg = RunConfig(seed=8, K=8, lam=12.5, kappa=1.5, alpha=2.0)
+    t, samples = 2.0**-4, 16
+    u0 = initial_field(cfg.initial_data, cfg.K, seed=cfg.seed)
+    params, phi, _, fp = cfg.stepping()
+    path = sample_path(tuple(cfg.seed + 1000 * i + 1 for i in range(samples)), t, 8, cfg.K)
+    out = assert_one_field_is_its_tiled_batch(u0.coefficients, u0.grid, params, phi, path, t, fp)
+    assert np.flatnonzero(~out.converged).tolist() == [6]
+    np.testing.assert_array_equal(out.state.coefficients[6], u0.coefficients)
 
 
 @given(K=st.integers(1, 24), t=steps, lam=couplings, kappa=noise_levels, seed=seeds)
