@@ -152,18 +152,11 @@ def tier1_run(path):
         raise ValueError(f"{path}: no pytest summary line ('N passed in X s')")
     counts = {word: int(n) for n, word in
               (part.split(" ") for part in found[-1].group(1).split(", "))}
-    bad = {word: n for word, n in counts.items()
-           if word in ("failed", "error", "errors") and n}
+    bad = [f"{n} {word}" for word, n in counts.items() if word in ("failed", "error", "errors")]
     if bad:
-        raise ValueError(f"{path}: the run has "
-                         + ", ".join(f"{n} {word}" for word, n in bad.items()))
-    slowest = []
-    for line in lines[next((i for i, line in enumerate(lines) if "slowest" in line
-                            and "durations" in line), len(lines)):]:
-        m = _DURATION.match(line)
-        if m:
-            slowest.append({"seconds": float(m.group(1)), "when": m.group(2),
-                            "test": m.group(3).strip()})
+        raise ValueError(f"{path}: the run has {', '.join(bad)}")
+    slowest = [{"seconds": float(m.group(1)), "when": m.group(2), "test": m.group(3).strip()}
+               for m in map(_DURATION.match, lines) if m]
     return {"file": str(path), "wall_s": float(found[-1].group(2)),
             "passed": counts.get("passed", 0), "slowest": slowest[:10]}
 

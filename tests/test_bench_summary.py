@@ -190,7 +190,8 @@ def write_tier1_log(path, wall_s, summary="{n} passed in {wall_s}s", n=634):
 
 def test_tier1_section_holds_each_run_the_median_and_the_median_runs_slowest(
         bench_summary, tmp_path):
-    parent = [write_tier1_log(tmp_path / f"p{i}.log", w) for i, w in enumerate((24.1, 22.0, 23.5))]
+    walls = (24.1, 22.0, 23.5)
+    parent = [write_tier1_log(tmp_path / f"p{i}.log", w) for i, w in enumerate(walls)]
     change = [write_tier1_log(tmp_path / f"c{i}.log", w, n=640,
                               summary="{n} passed, 2 warnings in {wall_s}s (0:00:21)")
               for i, w in enumerate((21.0, 20.5))]
@@ -202,8 +203,7 @@ def test_tier1_section_holds_each_run_the_median_and_the_median_runs_slowest(
     summary = json.loads(out.read_text())
     assert summary["tier1_command"].endswith("--durations=10")
     got = summary["tier1"]["parent"]
-    assert got["runs"] == [{"file": parent[0], "wall_s": 24.1}, {"file": parent[1], "wall_s": 22.0},
-                           {"file": parent[2], "wall_s": 23.5}]
+    assert got["runs"] == [{"file": log, "wall_s": w} for log, w in zip(parent, walls)]
     assert (got["wall_s_median"], got["passed"], got["median_run"]) == (23.5, 634, parent[2])
     assert len(got["slowest"]) == 10
     assert got["slowest"][0] == {"seconds": 3.0, "when": "call", "test": "tests/test_x.py::test_0"}
