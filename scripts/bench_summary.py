@@ -33,6 +33,16 @@ in the better direction, above the parent's IQR; and `within_bound`,
 that the change's median is not worse than the parent's by more than
 the metric's relative `bound` in BENCHMARK.json.
 
+setup_s is scaled by a calibration burst, so a swing in the machine's
+speed during set-up can move it with no change to the program.  To tell
+the two apart, each label and workload also holds `setup_wall_s`: the
+median of the untraced result files' `wall_setup_samples`, the unscaled
+wall-clock set-up of every process.  In `compare`, the setup_s entry
+then holds `wall_ratio_diagnostic`, the change's setup_wall_s over the
+parent's.  It is a diagnostic, not a gate: neither flag reads it, and a
+calibrated ratio that moves while it stays near 1 points at the
+calibration.
+
 Each `--tier1 LABEL=LOG` (repeatable, one per run) names the saved
 stdout of one run of the tier-1 command with `--durations=10`
 (TIER1_COMMAND).  A `tier1` section then holds, per label, each run's
@@ -88,8 +98,10 @@ def summarize(records):
     for (workload, trace, seed), r in sorted(records.items()):
         w = workloads.setdefault(workload, {"seeds": [], "traced_seeds": [], "seconds": [],
                                             "failed": 0, "attempted": 0, "git": [],
-                                            "metrics": {}})
+                                            "metrics": {}, "setup_wall_s": []})
         w["traced_seeds" if trace else "seeds"].append(seed)
+        if not trace:
+            w["setup_wall_s"].extend(r.get("wall_setup_samples", []))
         if r["seconds"] not in w["seconds"]:
             w["seconds"].append(r["seconds"])
         w["failed"] += r["failed"]
@@ -102,6 +114,9 @@ def summarize(records):
             if trace and m["unit"] in ("s", "us"):
                 metric["clock"] = "wall"
     for w in workloads.values():
+        samples = w.pop("setup_wall_s")
+        if samples:
+            w["setup_wall_s"] = statistics.median(samples)
         for m in w["metrics"].values():
             values = m.pop("values")
             q1, med, q3 = quartiles(values)
@@ -141,6 +156,11 @@ def compare(records, sides):
                               and gain > p["iqr"],
             "within_bound": gain >= -metrics[name]["bound"] * abs(p["median"]),
         }
+    for workload, entries in result.items():
+        p = sides["parent"][workload].get("setup_wall_s")
+        c = sides["change"][workload].get("setup_wall_s")
+        if "setup_s" in entries and p and c:
+            entries["setup_s"]["wall_ratio_diagnostic"] = c / p
     return result
 
 

@@ -139,19 +139,28 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
     Nothing is raised; the caller reads converged and decides what a
     rejected sample holds.
 
-    A sweep records its residuals in the trail and makes one test for
-    any sample stopping; the per-sample masks run only from the first
-    sweep in which one does, and in the last sweep.  From then on each
-    sweep records the count and residual of every sample still
+    The first residual chooses the path: a number runs the sweeps in
+    Python floats (_solve_one), an array runs them in numpy over the
+    batch, and both stop every sample in the same sweep on the same x.
+    In the batch, a sweep records its residuals in the trail and makes
+    one test for any sample stopping; the per-sample masks run only from
+    the first sweep in which one does, and in the last sweep.  From then
+    on each sweep records the count and residual of every sample still
     iterating, so a sample keeps those of the sweep in which it stopped.
     """
+    x_new = iteration_map(guess)
+    res = norm(x_new, guess)
+    if np.ndim(res) == 0:
+        return _solve_one(iteration_map, guess, x_new, float(res), fp, norm)
     x = guess
     trail = []
     best = np.inf
     active = None  # every sample iterates until the first one stops
     for it in range(1, fp.max_iter + 1):
-        x_new = iteration_map(x)
-        res = np.asarray(norm(x_new, x), dtype=float)
+        if it > 1:
+            x_new = iteration_map(x)
+            res = norm(x_new, x)
+        res = np.asarray(res, dtype=float)
         # fmin, unlike min, keeps the running minimum when res is NaN
         best = np.fmin(best, res)
         # finite, above tol and at most DIVERGENCE_FACTOR times the
@@ -178,6 +187,30 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
     history = np.fmax.reduce(rows, axis=1, where=np.isfinite(rows), initial=np.nan).tolist()
     return FixedPointResult(x, len(trail), residual, history, sweeps,
                             np.asarray(residual <= fp.tol), trail)
+
+
+def _solve_one(iteration_map, x, x_new, res, fp, norm) -> FixedPointResult:
+    """fixed_point_solve's sweeps for one problem, from its first sweep
+    (x_new and the float res): the batch path's stop rules in floats."""
+    trail = [res]
+    best = math.inf
+    while True:
+        # best first: min keeps it when res is NaN, as np.fmin does
+        best = min(best, res)
+        if res <= fp.tol:
+            x = x_new
+            break
+        if not res < math.inf or res > DIVERGENCE_FACTOR * best:
+            break  # rejected: x stays the last iterate
+        x = x_new
+        if len(trail) == fp.max_iter:
+            break
+        x_new = iteration_map(x)
+        res = float(norm(x_new, x))
+        trail.append(res)
+    history = [r if math.isfinite(r) else math.nan for r in trail]
+    return FixedPointResult(x, len(trail), np.asarray(res), history, np.asarray(len(trail)),
+                            np.asarray(res <= fp.tol), np.array(trail))
 
 
 # linear noise sweeps per evaluation of the nonlinear map in the stage

@@ -20,10 +20,11 @@ def bench_summary():
 
 
 def write_results(directory, values, machine=MACHINE, metric="throughput", trace=0, units=None,
-                  git=None):
+                  git=None, wall_setup=None):
     # one simulate-k8 run per value, seeds 1, 2, ..., holding `metric` in
     # 1/s or else each metric of `units` (name -> unit) at that value, of
-    # the git state `git` (a clean checkout of sha 000...0 by default)
+    # the git state `git` (a clean checkout of sha 000...0 by default),
+    # with wall_setup[seed - 1], if given, as its wall_setup_samples
     directory.mkdir(exist_ok=True)
     for seed, value in enumerate(values, 1):
         record = {
@@ -34,6 +35,8 @@ def write_results(directory, values, machine=MACHINE, metric="throughput", trace
             "metrics": {name: {"unit": unit, "value": value}
                         for name, unit in (units or {metric: "1/s"}).items()},
         }
+        if wall_setup is not None:
+            record["wall_setup_samples"] = wall_setup[seed - 1]
         path = directory / f"result-simulate-k8-seed{seed}-trace{trace}.json"
         path.write_text(json.dumps(record))
     return str(directory)
@@ -129,6 +132,35 @@ def test_per_layer_times_of_traced_runs_are_marked_wall_clock(bench_summary, tmp
         "unit": "us", "n": 1, "median": 167.0, "q1": 167.0, "q3": 167.0, "iqr": 0.0,
         "clock": "wall"}
     assert metrics["setup_s"]["median"] == 1.5
+
+
+def test_wall_clock_setup_is_a_diagnostic_ratio_beside_setup_s(bench_summary, tmp_path):
+    # the calibrated setup_s doubles while the wall-clock set-up holds: the
+    # machine's speed swung, not the program.  setup_wall_s pools the
+    # untraced runs' samples, and its ratio sits in the setup_s entry
+    # without moving either flag
+    units = {"setup_s": "s"}
+    parent = write_results(tmp_path / "parent", [1.0, 1.0, 1.0], units=units,
+                           wall_setup=[[2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
+    write_results(tmp_path / "parent", [1.0], trace=1, units={"trace.overhead": "ratio"},
+                  wall_setup=[[100.0]])  # a traced run's set-up is not pooled
+    change = write_results(tmp_path / "change", [2.0, 2.0, 2.0], units=units,
+                           wall_setup=[[4.0, 4.0], [4.0, 5.0], [5.0, 5.0]])
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["sides"]["parent"]["simulate-k8"]["setup_wall_s"] == 4.5
+    assert summary["sides"]["change"]["simulate-k8"]["setup_wall_s"] == 4.5
+    assert summary["compare"] == {"simulate-k8": {"setup_s": {
+        "better": "lower", "ratio": 2.0, "seeds": 3, "change_better": 0,
+        "gap_exceeds_parent_iqr": True, "claim_rule_met": False, "within_bound": False,
+        "wall_ratio_diagnostic": 1.0}}}
+    # without wall_setup_samples there is neither figure
+    bare = write_results(tmp_path / "bare", [1.0, 1.0, 1.0], units=units)
+    assert bench_summary.main(["--out", str(out), f"parent={bare}", f"change={change}"]) == 0
+    summary = json.loads(out.read_text())
+    assert "setup_wall_s" not in summary["sides"]["parent"]["simulate-k8"]
+    assert "wall_ratio_diagnostic" not in summary["compare"]["simulate-k8"]["setup_s"]
 
 
 def test_results_from_two_machines_exit_1(bench_summary, tmp_path, capsys):

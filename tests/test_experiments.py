@@ -70,6 +70,21 @@ def test_reference_solution_requires_fine_path():
         reference_solution(u0, params, phi, shallow, 0.01, FixedPointConfig())
 
 
+@pytest.mark.parametrize("T", [1.0, 1e-13, 1e-20])
+def test_reference_solution_counts_substeps_at_any_horizon(T):
+    # the guard counts substeps, so a tiny horizon, where an absolute
+    # slack on the substep size would swamp both sides, still refuses a
+    # 128-cell path and steps a 256-cell one
+    u0 = initial_field("smooth", 2)
+    params = ModelParams(lam=1.0, kappa=1.0)
+    phi = default_phi(2)
+    with pytest.raises(ValueError, match=r"too coarse for a reference \(128 substeps < 256\)"):
+        reference_solution(u0, params, phi, sample_path(1, T, 7, 2), T, FixedPointConfig())
+    if T == 1e-20:
+        ref = reference_solution(u0, params, phi, sample_path(1, T, 8, 2), T, FixedPointConfig())
+        assert ref.converged
+
+
 def test_reference_solution_convergence_on_same_path():
     # [DERIVED] Richardson self-consistency: against the same coarse step,
     # a level-9 reference and a level-8 reference nearly agree

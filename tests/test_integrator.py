@@ -253,8 +253,32 @@ def test_batched_solve_ends_every_sample_as_it_ends_alone(batch):
         np.testing.assert_array_equal(out.trail[:n, s], one.trail)
         assert np.isnan(out.trail[n:, s]).all()
         finite = np.where(np.isfinite(residuals), residuals, np.nan)
+        np.testing.assert_array_equal(one.history, finite)
+        assert all(type(h) is float for h in one.history)
         expected_history[:n] = np.fmax(expected_history[:n], finite)
     np.testing.assert_array_equal(out.history, expected_history)
+    assert all(type(h) is float for h in out.history)
+
+
+@given(a=st.one_of(*SLOPES.values()), c=st.floats(-2.0, 2.0), guess=st.floats(-3.0, 3.0),
+       max_iter=st.sampled_from([1, 3, 60]))
+@settings(max_examples=60, deadline=None)
+def test_solve_from_a_float_follows_the_scalar_reference(a, c, guess, max_iter):
+    # a float x with a float norm runs the float path: it stops where the
+    # scalar reference stops, with the result types of the batch path
+    fp = FixedPointConfig(tol=1e-12, max_iter=max_iter)
+    out = fixed_point_solve(lambda x: a * x + c, guess, fp, lambda new, old: abs(new - old))
+    x, n, residuals = lone_reference(a, c, guess, fp)
+    assert type(out.iterations) is int and out.iterations == n
+    assert out.x == x
+    np.testing.assert_array_equal(out.trail, residuals)
+    assert out.trail.shape == (n,) and out.trail.dtype == float
+    assert out.residual.shape == out.sample_iterations.shape == out.converged.shape == ()
+    np.testing.assert_array_equal(out.residual, residuals[-1])
+    assert out.sample_iterations == n
+    assert out.converged == (residuals[-1] <= fp.tol)
+    np.testing.assert_array_equal(out.history,
+                                  np.where(np.isfinite(residuals), residuals, np.nan))
     assert all(type(h) is float for h in out.history)
 
 
