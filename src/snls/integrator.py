@@ -108,20 +108,29 @@ class FixedPointResult:
     (x, iterations, residual, history).
 
     residual, sample_iterations and converged hold one entry per sample
-    (0-d for one problem), iterations counts the sweeps made (the
-    largest per-sample count) and history the largest finite residual
-    over the samples still iterating at each sweep (NaN if none is).
-    trail holds every sample's residual at every sweep, shape
-    (iterations, *batch), NaN after the sweep in which the sample stopped.
+    (0-d for one problem).  trail holds every sample's residual at every
+    sweep, shape (iterations, *batch), NaN after the sweep in which the
+    sample stopped; iterations and history are read off it.
     """
 
     x: object
-    iterations: int
     residual: np.ndarray
-    history: list
     sample_iterations: np.ndarray
     converged: np.ndarray
     trail: np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        """The sweeps made: the largest per-sample count."""
+        return len(self.trail)
+
+    @property
+    def history(self) -> list:
+        """The largest finite residual over the samples still iterating
+        at each sweep (NaN if none is)."""
+        # a NaN or inf residual would hide the other samples' residuals
+        rows = self.trail.reshape(len(self.trail), -1)
+        return np.fmax.reduce(rows, axis=1, where=np.isfinite(rows), initial=np.nan).tolist()
 
     def __iter__(self):
         return iter((self.x, self.iterations, self.residual, self.history))
@@ -142,11 +151,9 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
     The first residual chooses the path: a number runs the sweeps in
     Python floats (_solve_one), an array runs them in numpy over the
     batch, and both stop every sample in the same sweep on the same x.
-    In the batch, a sweep records its residuals in the trail and makes
-    one test for any sample stopping; the per-sample masks run only from
-    the first sweep in which one does, and in the last sweep.  From then
-    on each sweep records the count and residual of every sample still
-    iterating, so a sample keeps those of the sweep in which it stopped.
+    In the batch, a stopped sample's residual reads NaN from the next
+    sweep on, which fails every stop test, and each sample's residual
+    is read off the trail at its last sweep.
     """
     x_new = iteration_map(guess)
     res = norm(x_new, guess)
@@ -155,38 +162,29 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
     x = guess
     trail = []
     best = np.inf
-    active = None  # every sample iterates until the first one stops
+    active = np.ones(np.shape(res), dtype=bool)
+    sweeps = np.zeros(np.shape(res), dtype=int)
     for it in range(1, fp.max_iter + 1):
         if it > 1:
             x_new = iteration_map(x)
             res = norm(x_new, x)
-        res = np.asarray(res, dtype=float)
+        res = np.where(active, np.asarray(res, dtype=float), np.nan)
+        trail.append(res)
+        sweeps += active
         # fmin, unlike min, keeps the running minimum when res is NaN
         best = np.fmin(best, res)
         # finite, above tol and at most DIVERGENCE_FACTOR times the
-        # running minimum; a NaN fails every comparison
-        going = (res > fp.tol) & (res < np.inf) & (res <= DIVERGENCE_FACTOR * best)
-        if active is None:
-            if going.all() and going.size and it < fp.max_iter:
-                trail.append(res)
-                x = x_new
-                continue
-            active = np.ones(res.shape, dtype=bool)
-            residual, sweeps = res, it
-        trail.append(np.where(active, res, np.nan))
-        residual = np.where(active, res, residual)
-        sweeps = np.where(active, it, sweeps)
-        take = active & (going | (res <= fp.tol))  # iterating on, or converged
-        active &= going
+        # running minimum; a NaN, as a stopped sample's, fails every test
+        active = (res > fp.tol) & (res < np.inf) & (res <= DIVERGENCE_FACTOR * best)
+        take = active | (res <= fp.tol)  # iterating on, or converged
         x = x_new if take.all() else np.where(np.expand_dims(take, -1), x_new, x)
         if not active.any():
             break
     trail = np.array(trail)
-    # a NaN or inf residual would hide the other samples' residuals
+    # each sample's residual is its trail entry at its last sweep
     rows = trail.reshape(len(trail), -1)
-    history = np.fmax.reduce(rows, axis=1, where=np.isfinite(rows), initial=np.nan).tolist()
-    return FixedPointResult(x, len(trail), residual, history, sweeps,
-                            np.asarray(residual <= fp.tol), trail)
+    residual = rows[sweeps.ravel() - 1, np.arange(rows.shape[1])].reshape(sweeps.shape)
+    return FixedPointResult(x, residual, sweeps, np.asarray(residual <= fp.tol), trail)
 
 
 def _solve_one(iteration_map, x, x_new, res, fp, norm) -> FixedPointResult:
@@ -208,8 +206,7 @@ def _solve_one(iteration_map, x, x_new, res, fp, norm) -> FixedPointResult:
         x_new = iteration_map(x)
         res = float(norm(x_new, x))
         trail.append(res)
-    history = [r if math.isfinite(r) else math.nan for r in trail]
-    return FixedPointResult(x, len(trail), np.asarray(res), history, np.asarray(len(trail)),
+    return FixedPointResult(x, np.asarray(res), np.asarray(len(trail)),
                             np.asarray(res <= fp.tol), np.array(trail))
 
 

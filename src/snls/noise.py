@@ -149,10 +149,11 @@ class BrownianPath:
         return self.horizon / self.n_cells
 
     def cell_index(self, s: float) -> int:
-        """Index of the grid point at time s; s must sit on the grid."""
+        """Index of the grid point at time s; s must sit on the grid, to
+        a slack that grows with the index as the rounding of s / dt does."""
         j = _check.real("time", s) / self.dt
         j_round = int(round(j))
-        if not 0 <= j_round <= self.n_cells or abs(j - j_round) > 1e-9:
+        if not 0 <= j_round <= self.n_cells or abs(j - j_round) > 1e-9 + 1e-12 * j_round:
             raise ValueError(f"time {s} is not on the level-{self.level} grid")
         return j_round
 

@@ -268,3 +268,9 @@ def test_tier1_logs_of_one_label_must_pass_the_same_count(bench_summary, tmp_pat
                                "--tier1", f"change={b}"]) == 1
     assert f"{a} (634), {b} (633)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_ci_runs_the_tier1_command_the_summary_records(bench_summary):
+    # CI's tier1-log artifact feeds --tier1, so CI must run TIER1_COMMAND
+    workflow = SCRIPT.parents[1] / ".github" / "workflows" / "tier1.yml"
+    assert bench_summary.TIER1_COMMAND in workflow.read_text()

@@ -193,7 +193,9 @@ def mixed_batches(draw):
     a = np.array([draw(SLOPES[kind]) for kind in kinds])
     c = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=len(a), max_size=len(a))))
     guess = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(a), max_size=len(a)))
-    return a, c, np.array(guess)[:, None], draw(st.integers(1, 60))
+    # the batch shape: flat, or two axes when the count allows
+    shape = (len(a) // 2, 2) if len(a) % 2 == 0 and draw(st.booleans()) else (len(a),)
+    return a, c, np.array(guess)[:, None], draw(st.integers(1, 60)), shape
 
 
 def lone_reference(a, c, x, fp):
@@ -220,8 +222,9 @@ def test_batched_solve_ends_every_sample_as_it_ends_alone(batch):
     # one batch mixes every way a sample can stop; each sample ends with
     # the x, count, residual, verdict and trail of its lone solve, which
     # follows the scalar reference, and the history is the largest finite
-    # residual of the samples still iterating at each sweep
-    a, c, guess, max_iter = batch
+    # residual of the samples still iterating at each sweep; a batch of
+    # two axes solves each sample as the flat batch does
+    a, c, guess, max_iter, shape = batch
     fp = FixedPointConfig(tol=1e-12, max_iter=max_iter)
 
     def solve(a, c, guess, norm):
@@ -258,6 +261,17 @@ def test_batched_solve_ends_every_sample_as_it_ends_alone(batch):
         expected_history[:n] = np.fmax(expected_history[:n], finite)
     np.testing.assert_array_equal(out.history, expected_history)
     assert all(type(h) is float for h in out.history)
+    if len(shape) == 2:
+        two = solve(a.reshape(*shape, 1), c.reshape(*shape, 1), guess.reshape(*shape, 1),
+                    lambda r: r[..., 0])
+        assert two.trail.shape == (out.iterations, *shape)
+        assert two.residual.shape == two.sample_iterations.shape == two.converged.shape == shape
+        np.testing.assert_array_equal(two.x.reshape(out.x.shape), out.x)
+        np.testing.assert_array_equal(two.residual.ravel(), out.residual)
+        np.testing.assert_array_equal(two.sample_iterations.ravel(), out.sample_iterations)
+        np.testing.assert_array_equal(two.converged.ravel(), out.converged)
+        np.testing.assert_array_equal(two.trail.reshape(out.trail.shape), out.trail)
+        np.testing.assert_array_equal(two.history, out.history)
 
 
 @given(a=st.one_of(*SLOPES.values()), c=st.floats(-2.0, 2.0), guess=st.floats(-3.0, 3.0),

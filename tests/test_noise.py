@@ -222,6 +222,19 @@ def test_cell_index_off_grid_rejected():
         p.cell_index(1.25)
 
 
+def test_cell_index_finds_every_step_past_2_to_23_cells():
+    # a simulate run of 10^7 steps of t = 0.01 reads its increments at
+    # n t and n t + t; past 2^23 cells the rounding of s / dt outgrows an
+    # absolute slack, and step 2^23 + 1 starts at 83886.09999999999.
+    # One stored cell stands for the path: cell_index reads only the grid
+    t, n_steps = 0.01, 10**7
+    p = BrownianPath(0, 1, 0, n_steps * t, np.zeros((2, 1)), n_base=n_steps)
+    for n in (*range(2**23 - 2, 2**23 + 4), n_steps - 1):
+        assert p.cell_index(n * t) == n and p.cell_index(n * t + t) == n + 1
+    with pytest.raises(ValueError, match="not on the level-0 grid"):
+        p.cell_index((2**23 + 1.5) * t)
+
+
 @pytest.mark.parametrize("time", ["x", None, True, math.nan, math.inf, 1 + 0j])
 def test_cell_index_and_increment_refuse_a_time_that_is_not_a_finite_real(time):
     p = sample_path(0, 1.0, 2, 1)
