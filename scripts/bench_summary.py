@@ -31,7 +31,11 @@ medians exceeds the parent's IQR.  Two flags judge it:
 paired seeds (and at least 10 seeds are paired) with the medians' gap,
 in the better direction, above the parent's IQR; and `within_bound`,
 that the change's median is not worse than the parent's by more than
-the metric's relative `bound` in BENCHMARK.json.
+the metric's relative `bound` in BENCHMARK.json.  Beside the metrics,
+each workload run on both sides holds `failed_share`: each side's
+failed units over its attempted ones, pooled over all its runs, and the
+flag `failed_share_not_larger`, that the change's share is at most the
+parent's.
 
 setup_s is scaled by a calibration burst, so a swing in the machine's
 speed during set-up can move it with no change to the program.  To tell
@@ -156,6 +160,11 @@ def compare(records, sides):
                               and gain > p["iqr"],
             "within_bound": gain >= -metrics[name]["bound"] * abs(p["median"]),
         }
+    for workload in sorted(sides["parent"].keys() & sides["change"].keys()):
+        share = {label: sides[label][workload]["failed"] / sides[label][workload]["attempted"]
+                 for label in ("parent", "change")}
+        share["failed_share_not_larger"] = share["change"] <= share["parent"]
+        result.setdefault(workload, {})["failed_share"] = share
     for workload, entries in result.items():
         p = sides["parent"][workload].get("setup_wall_s")
         c = sides["change"][workload].get("setup_wall_s")

@@ -96,7 +96,9 @@ class StepRejectedError(ExperimentInvalidError):
         first = np.unravel_index(np.argmin(outcome.converged), np.shape(outcome.converged))
         self.iterations = int(outcome.iterations[first])
         self.residual = float(outcome.residual[first])
-        reason = (f"did not converge in {max_iter} iterations" if self.iterations == max_iter
+        # a non-finite residual rejects its sample in any sweep, the last included
+        reason = (f"did not converge in {max_iter} iterations"
+                  if self.iterations == max_iter and math.isfinite(self.residual)
                   else f"diverging after {self.iterations} iterations")
         super().__init__(f"step {step_index} from t={time:.6g}: fixed-point iteration "
                          f"{reason} (residual {self.residual:.3e})")
@@ -148,66 +150,49 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
     Nothing is raised; the caller reads converged and decides what a
     rejected sample holds.
 
-    The first residual chooses the path: a number runs the sweeps in
-    Python floats (_solve_one), an array runs them in numpy over the
-    batch, and both stop every sample in the same sweep on the same x.
-    In the batch, a stopped sample's residual reads NaN from the next
-    sweep on, which fails every stop test, and each sample's residual
-    is read off the trail at its last sweep.
+    Each sweep runs the map and the norm on the whole batch, and then
+    the stop rules per sample in Python floats, over the samples still
+    iterating; a stopped sample's residual reads NaN in the trail.
     """
-    x_new = iteration_map(guess)
-    res = norm(x_new, guess)
-    if np.ndim(res) == 0:
-        return _solve_one(iteration_map, guess, x_new, float(res), fp, norm)
     x = guess
-    trail = []
-    best = np.inf
-    active = np.ones(np.shape(res), dtype=bool)
-    sweeps = np.zeros(np.shape(res), dtype=int)
-    for it in range(1, fp.max_iter + 1):
-        if it > 1:
+    x_new = iteration_map(x)
+    res = norm(x_new, x)
+    shape = np.shape(res)
+    size = math.prod(shape)
+    going = range(size)
+    best, last, sweeps = [math.inf] * size, [math.nan] * size, [0] * size
+    trail = []  # sweep after sweep, NaN for a stopped sample
+    for n in range(1, fp.max_iter + 1):
+        if n > 1:
             x_new = iteration_map(x)
             res = norm(x_new, x)
-        res = np.where(active, np.asarray(res, dtype=float), np.nan)
-        trail.append(res)
-        sweeps += active
-        # fmin, unlike min, keeps the running minimum when res is NaN
-        best = np.fmin(best, res)
-        # finite, above tol and at most DIVERGENCE_FACTOR times the
-        # running minimum; a NaN, as a stopped sample's, fails every test
-        active = (res > fp.tol) & (res < np.inf) & (res <= DIVERGENCE_FACTOR * best)
-        take = active | (res <= fp.tol)  # iterating on, or converged
-        x = x_new if take.all() else np.where(np.expand_dims(take, -1), x_new, x)
-        if not active.any():
-            break
-    trail = np.array(trail)
-    # each sample's residual is its trail entry at its last sweep
-    rows = trail.reshape(len(trail), -1)
-    residual = rows[sweeps.ravel() - 1, np.arange(rows.shape[1])].reshape(sweeps.shape)
-    return FixedPointResult(x, residual, sweeps, np.asarray(residual <= fp.tol), trail)
-
-
-def _solve_one(iteration_map, x, x_new, res, fp, norm) -> FixedPointResult:
-    """fixed_point_solve's sweeps for one problem, from its first sweep
-    (x_new and the float res): the batch path's stop rules in floats."""
-    trail = [res]
-    best = math.inf
-    while True:
-        # best first: min keeps it when res is NaN, as np.fmin does
-        best = min(best, res)
-        if res <= fp.tol:
+        values = np.ravel(res).tolist() if shape else [float(res)]
+        row = [math.nan] * size
+        take = [False] * size  # converged, or iterating on
+        still = []
+        for i in going:
+            r = row[i] = last[i] = values[i]
+            sweeps[i] += 1
+            # min keeps the running minimum when r is NaN
+            best[i] = min(best[i], r)
+            if r <= fp.tol:
+                take[i] = True
+            elif r < math.inf and r <= DIVERGENCE_FACTOR * best[i]:
+                take[i] = True
+                still.append(i)
+            # else rejected: the sample stays at its last iterate
+        trail += row
+        going = still
+        if all(take):
             x = x_new
+        elif any(take):
+            x = np.where(np.reshape(take, (*shape, 1)), x_new, x)
+        if not going:
             break
-        if not res < math.inf or res > DIVERGENCE_FACTOR * best:
-            break  # rejected: x stays the last iterate
-        x = x_new
-        if len(trail) == fp.max_iter:
-            break
-        x_new = iteration_map(x)
-        res = float(norm(x_new, x))
-        trail.append(res)
-    return FixedPointResult(x, np.asarray(res), np.asarray(len(trail)),
-                            np.asarray(res <= fp.tol), np.array(trail))
+    residual = np.array(last, dtype=float).reshape(shape)
+    return FixedPointResult(x, residual, np.array(sweeps, dtype=int).reshape(shape),
+                            np.asarray(residual <= fp.tol),
+                            np.array(trail, dtype=float).reshape(n, *shape))
 
 
 # linear noise sweeps per evaluation of the nonlinear map in the stage

@@ -9,6 +9,7 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_summary.py"
 MACHINE = {"cpu_model": "test cpu", "nproc": 2}
+NO_FAILURES = {"parent": 0.0, "change": 0.0, "failed_share_not_larger": True}
 
 
 @pytest.fixture(scope="module")
@@ -20,16 +21,17 @@ def bench_summary():
 
 
 def write_results(directory, values, machine=MACHINE, metric="throughput", trace=0, units=None,
-                  git=None, wall_setup=None):
+                  git=None, wall_setup=None, failed=None):
     # one simulate-k8 run per value, seeds 1, 2, ..., holding `metric` in
     # 1/s or else each metric of `units` (name -> unit) at that value, of
     # the git state `git` (a clean checkout of sha 000...0 by default),
-    # with wall_setup[seed - 1], if given, as its wall_setup_samples
+    # with wall_setup[seed - 1], if given, as its wall_setup_samples, and
+    # failed[seed - 1] (0 by default) of its 100 attempted units failed
     directory.mkdir(exist_ok=True)
     for seed, value in enumerate(values, 1):
         record = {
             "workload": "simulate-k8", "trace": trace, "seed": seed, "tiny": False,
-            "seconds": 15.0, "failed": 0, "attempted": 100,
+            "seconds": 15.0, "failed": failed[seed - 1] if failed else 0, "attempted": 100,
             "git": git or {"sha": "0" * 40, "dirty": False},
             "machine": machine, "versions": {"numpy": "2.0", "python": "3.11"},
             "metrics": {name: {"unit": unit, "value": value}
@@ -56,7 +58,8 @@ def test_median_quartiles_and_iqr(bench_summary, tmp_path):
     # seeds 4 and 5 ran on the parent only
     assert summary["compare"] == {"simulate-k8": {"throughput": {
         "better": "higher", "ratio": 20.0 / 3.0, "seeds": 3, "change_better": 3,
-        "gap_exceeds_parent_iqr": True, "claim_rule_met": False, "within_bound": True}}}
+        "gap_exceeds_parent_iqr": True, "claim_rule_met": False, "within_bound": True},
+        "failed_share": NO_FAILURES}}
 
 
 def test_compare_counts_a_lower_is_better_metric_on_seeds_run_on_both_sides(
@@ -71,7 +74,8 @@ def test_compare_counts_a_lower_is_better_metric_on_seeds_run_on_both_sides(
     assert summary["sides"]["parent"]["simulate-k8"]["metrics"]["setup_s"]["iqr"] == 3.0
     assert summary["compare"] == {"simulate-k8": {"setup_s": {
         "better": "lower", "ratio": 1.0 / 2.5, "seeds": 3, "change_better": 2,
-        "gap_exceeds_parent_iqr": False, "claim_rule_met": False, "within_bound": True}}}
+        "gap_exceeds_parent_iqr": False, "claim_rule_met": False, "within_bound": True},
+        "failed_share": NO_FAILURES}}
     # without both a parent and a change there is nothing to compare
     assert bench_summary.main(["--out", str(out), f"a={parent}", f"b={change}"]) == 0
     assert "compare" not in json.loads(out.read_text())
@@ -154,13 +158,34 @@ def test_wall_clock_setup_is_a_diagnostic_ratio_beside_setup_s(bench_summary, tm
     assert summary["compare"] == {"simulate-k8": {"setup_s": {
         "better": "lower", "ratio": 2.0, "seeds": 3, "change_better": 0,
         "gap_exceeds_parent_iqr": True, "claim_rule_met": False, "within_bound": False,
-        "wall_ratio_diagnostic": 1.0}}}
+        "wall_ratio_diagnostic": 1.0}, "failed_share": NO_FAILURES}}
     # without wall_setup_samples there is neither figure
     bare = write_results(tmp_path / "bare", [1.0, 1.0, 1.0], units=units)
     assert bench_summary.main(["--out", str(out), f"parent={bare}", f"change={change}"]) == 0
     summary = json.loads(out.read_text())
     assert "setup_wall_s" not in summary["sides"]["parent"]["simulate-k8"]
     assert "wall_ratio_diagnostic" not in summary["compare"]["simulate-k8"]["setup_s"]
+
+
+def test_compare_flags_a_larger_failed_share(bench_summary, tmp_path):
+    # each side's failed units over its attempted ones, traced runs
+    # included: 1 of 400 on the parent against 2 of 300 on the change
+    parent = write_results(tmp_path / "parent", [1.0, 1.0, 1.0], failed=[0, 1, 0])
+    write_results(tmp_path / "parent", [1.0], trace=1, units={"trace.overhead": "ratio"})
+    change = write_results(tmp_path / "change", [1.0, 1.0, 1.0], failed=[0, 0, 2])
+    out = tmp_path / "BENCH.json"
+    assert bench_summary.main(["--out", str(out), f"parent={parent}", f"change={change}"]) == 0
+    assert json.loads(out.read_text())["compare"]["simulate-k8"]["failed_share"] == {
+        "parent": 1 / 400, "change": 2 / 300, "failed_share_not_larger": False}
+    # an equal share, and none, are not larger
+    untraced = write_results(tmp_path / "untraced", [1.0, 1.0, 1.0], failed=[0, 1, 0])
+    for failed in ([1, 0, 0], [0, 0, 0]):
+        change = write_results(tmp_path / "change", [1.0, 1.0, 1.0], failed=failed)
+        assert bench_summary.main(["--out", str(out), f"parent={untraced}",
+                                   f"change={change}"]) == 0
+        share = json.loads(out.read_text())["compare"]["simulate-k8"]["failed_share"]
+        assert share == {"parent": 1 / 300, "change": sum(failed) / 300,
+                         "failed_share_not_larger": True}
 
 
 def test_results_from_two_machines_exit_1(bench_summary, tmp_path, capsys):

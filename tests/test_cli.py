@@ -144,6 +144,16 @@ def test_overflowing_step_exit_2(tmp_path, capsys):
     assert "diverging after 1 iterations (residual inf)" in err
 
 
+def test_overflow_on_the_last_allowed_sweep_is_diverging(tmp_path, capsys):
+    # a non-finite residual rejects its sample whatever the sweep: one in
+    # the last sweep fp_max_iter allows is not a solve that ran out of sweeps
+    cfg = write_cfg(tmp_path, "seed=1\nK=4\nt=0.01\nn_steps=3\nlambda=1e300\nfp_max_iter=1\n")
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "diverging after 1 iterations (residual inf)" in err
+    assert "did not converge" not in err
+
+
 def test_huge_kappa_is_a_cayley_step(tmp_path):
     # the noise part of this stage is solved exactly: (I - B)^-1 with a
     # huge skew-Hermitian B is finite and mass-conserving, and so is the run

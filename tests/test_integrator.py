@@ -176,6 +176,29 @@ def test_fixed_point_history_keeps_the_finite_residuals():
     assert alone.iterations == 1 and len(alone.history) == 1 and np.isnan(alone.history[0])
 
 
+def test_fixed_point_solve_on_an_empty_batch():
+    # no sample to iterate: one sweep of the map, an empty trail row with
+    # a NaN history, and per-sample results of their usual dtypes
+    out = fixed_point_solve(lambda x: 0.5 * x + 1.0, np.zeros((0, 3)), FP,
+                            lambda new, old: np.abs(new - old).sum(axis=-1))
+    assert out.iterations == 1 and out.trail.shape == (1, 0) and out.trail.dtype == float
+    assert len(out.history) == 1 and np.isnan(out.history[0])
+    assert out.x.shape == (0, 3)
+    assert out.residual.shape == out.sample_iterations.shape == out.converged.shape == (0,)
+    assert out.sample_iterations.dtype == np.int64
+    assert out.residual.dtype == float and out.converged.dtype == bool
+
+
+def test_step_on_an_empty_batch():
+    K = 4
+    u = SpectralField(np.zeros((0, 2 * K + 1), dtype=complex), TorusGrid(K))
+    out = step(u, midpoint_tableau(), ModelParams(lam=1.0, kappa=1.0), default_phi(K),
+               sample_path(1, 0.01, 0, K), 0.0, 0.01, FP)
+    assert out.state.coefficients.shape == (0, 2 * K + 1)
+    assert out.iterations.shape == (0,) and out.iterations.dtype == np.int64
+    assert out.residual.dtype == float and out.converged.dtype == bool
+
+
 # slopes a of the per-sample map x <- a x + c: contracting, expanding,
 # too slow for max_iter, and a NaN or inf slope that rejects in sweep 1
 SLOPES = {
@@ -278,8 +301,8 @@ def test_batched_solve_ends_every_sample_as_it_ends_alone(batch):
        max_iter=st.sampled_from([1, 3, 60]))
 @settings(max_examples=60, deadline=None)
 def test_solve_from_a_float_follows_the_scalar_reference(a, c, guess, max_iter):
-    # a float x with a float norm runs the float path: it stops where the
-    # scalar reference stops, with the result types of the batch path
+    # a float x with a float norm stops where the scalar reference stops,
+    # with the result types of a batch: 0-d arrays and an int sweep count
     fp = FixedPointConfig(tol=1e-12, max_iter=max_iter)
     out = fixed_point_solve(lambda x: a * x + c, guess, fp, lambda new, old: abs(new - old))
     x, n, residuals = lone_reference(a, c, guess, fp)
