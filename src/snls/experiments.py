@@ -17,7 +17,6 @@ from .diagnostics import sobolev_norm, symplectic_defect
 from .integrator import (
     ExperimentInvalidError,
     FixedPointConfig,
-    StepOutcome,
     StepRejectedError,
     midpoint_tableau,
     simulate,
@@ -73,13 +72,12 @@ def reference_solution(
     path: BrownianPath,
     t_end: float,
     fp: FixedPointConfig,
-) -> StepOutcome:
+) -> tuple[SpectralField, np.ndarray]:
     """Midpoint run at the path's finest resolution over [0, t_end];
     the strong-error oracle for coarse runs on the same randomness.
 
-    converged marks the samples that passed every substep (one field on
-    one path is a batch with no batch axes), with per-sample iterations
-    summed and the largest residual over the substeps."""
+    Returns the final field and, per sample, whether every substep
+    converged (0-d for one field on one path)."""
     n_sub = path.cell_index(t_end)
     if n_sub < 256:
         raise ValueError(
@@ -87,15 +85,12 @@ def reference_solution(
         )
     tab = midpoint_tableau()
     dt = path.dt
-    u = u0
-    iterations, residual, converged = 0, 0.0, True
+    u, converged = u0, True
     for j in range(n_sub):
         outcome = step(u, tab, params, phi, path, j * dt, dt, fp)
         u = outcome.state
-        iterations = iterations + outcome.iterations
-        residual = np.maximum(residual, outcome.residual)
-        converged = converged & outcome.converged
-    return StepOutcome(u, iterations, residual, converged)
+        converged = converged & outcome.solve.converged
+    return u, converged
 
 
 def cmd_local_error(
@@ -154,10 +149,10 @@ def cmd_local_error(
     for t in ts:
         path = sample_path(seeds, t, ref_level, config.K)
         coarse = step(u0, tab, params, phi, path, 0.0, t, fp)
-        ref = reference_solution(u0, params, phi, path, t, fp)
-        accepted = coarse.converged & ref.converged
+        ref, ref_converged = reference_solution(u0, params, phi, path, t, fp)
+        accepted = coarse.solve.converged & ref_converged
         rejections = samples - int(np.count_nonzero(accepted))
-        errors = sobolev_norm(coarse.state.coefficients - ref.state.coefficients,
+        errors = sobolev_norm(coarse.state.coefficients - ref.coefficients,
                               config.alpha)[accepted]
         if rejections > 0.2 * samples:
             rejected = [seeds[i] for i in np.flatnonzero(~accepted)]
@@ -259,8 +254,8 @@ def cmd_symplectic(config: RunConfig):
         # every perturbed state is stepped, as one batch, on the one path;
         # symplectic_defect has just computed the states, so they are wrapped
         outcome = step(SpectralField.wrap(c, u0.grid), tab, params, phi, path, 0.0, config.t, fp)
-        if not outcome.converged.all():
-            raise StepRejectedError(0, 0.0, outcome, fp.max_iter)
+        if not outcome.solve.converged.all():
+            raise StepRejectedError(0, 0.0, outcome)
         return outcome.state.coefficients
 
     defect = symplectic_defect(closure, u0.coefficients, h=SYMPLECTIC_H)

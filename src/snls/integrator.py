@@ -70,14 +70,11 @@ class FixedPointConfig:
 
 @dataclass
 class StepOutcome:
-    """Result of a step.  iterations, residual and converged hold one
-    entry per sample (0-d for one field), and a sample that was not
-    converged keeps its input state."""
+    """Result of a step: the new state and the stage solve that made it.
+    A sample whose solve was not converged keeps its input state."""
 
     state: SpectralField
-    iterations: np.ndarray
-    residual: np.ndarray
-    converged: np.ndarray
+    solve: FixedPointResult
 
 
 class ExperimentInvalidError(RuntimeError):
@@ -90,16 +87,21 @@ class StepRejectedError(ExperimentInvalidError):
     step_index and time (its start) name the step, and for a batch the
     first rejected sample gives iterations and residual."""
 
-    def __init__(self, step_index, time, outcome: StepOutcome, max_iter):
+    def __init__(self, step_index, time, outcome: StepOutcome):
         self.step_index = step_index
         self.time = time
-        first = np.unravel_index(np.argmin(outcome.converged), np.shape(outcome.converged))
-        self.iterations = int(outcome.iterations[first])
-        self.residual = float(outcome.residual[first])
-        # a non-finite residual rejects its sample in any sweep, the last included
-        reason = (f"did not converge in {max_iter} iterations"
-                  if self.iterations == max_iter and math.isfinite(self.residual)
-                  else f"diverging after {self.iterations} iterations")
+        solve = outcome.solve
+        first = np.unravel_index(np.argmin(solve.converged), np.shape(solve.converged))
+        self.iterations = int(solve.sample_iterations[first])
+        self.residual = float(solve.residual[first])
+        # the solver's rule on the sample's trail column: a last residual not
+        # finite or past DIVERGENCE_FACTOR times the column's minimum; fmin skips
+        # the NaNs after the last sweep, and unlike nanmin no all-NaN column warns
+        best = np.fmin.reduce(solve.trail[(slice(None), *first)])
+        diverging = not (math.isfinite(self.residual)
+                         and self.residual <= DIVERGENCE_FACTOR * best)
+        reason = (f"diverging after {self.iterations} iterations" if diverging
+                  else f"did not converge in {self.iterations} iterations")
         super().__init__(f"step {step_index} from t={time:.6g}: fixed-point iteration "
                          f"{reason} (residual {self.residual:.3e})")
 
@@ -296,8 +298,7 @@ def step(
         state = free_propagator(update, t)
     if not solve.converged.all():
         state = np.where(np.expand_dims(solve.converged, -1), state, u)
-    return StepOutcome(SpectralField.wrap(state, grid), solve.sample_iterations, solve.residual,
-                       solve.converged)
+    return StepOutcome(SpectralField.wrap(state, grid), solve)
 
 
 @dataclass
@@ -360,10 +361,10 @@ def simulate(config) -> RunRecord:
                            config.K, n_base=config.n_steps)
     for n in range(config.n_steps):
         outcome = step(u, tab, params, phi, path, n * config.t, config.t, fp)
-        if not outcome.converged:
-            raise StepRejectedError(n, n * config.t, outcome, fp.max_iter)
+        if not outcome.solve.converged:
+            raise StepRejectedError(n, n * config.t, outcome)
         u = outcome.state
         record.add_row(n + 1, (n + 1) * config.t, *diagnostics(u, n + 1),
-                       int(outcome.iterations), float(outcome.residual), 0)
+                       int(outcome.solve.sample_iterations), float(outcome.solve.residual), 0)
     record.final_state = u
     return record

@@ -31,7 +31,9 @@ from . import _check
 
 # quantization grain for increments; keeps dyadic sums exact in doubles
 _GRAIN = 2.0**-40
-# the largest Brownian path sample_path draws, in doubles (1 GiB)
+# path sizes are bounded at 2K+1 doubles per cell (1 GiB), though a path
+# stores K+1 (about half): the count of the one-row-per-mode layout, kept
+# so that nothing that layout refused is accepted
 MAX_PATH_VALUES = 2**27
 # the largest mode cutoff K: path sizes count 2K+1 values per cell
 MAX_K = (MAX_PATH_VALUES - 1) // 2

@@ -93,7 +93,7 @@ def test_criterion_2_pathwise_symplecticity():
                 # v is the batch of perturbed states, stepped on the one
                 # path; a rejected sample would be the identity map
                 outcome = step(SpectralField(v, u.grid), tab, params, phi, path, 0.0, t, fp)
-                assert outcome.converged.all()
+                assert outcome.solve.converged.all()
                 return outcome.state.coefficients
 
             worst = max(worst, symplectic_defect(closure, u.coefficients, h=h))
@@ -107,7 +107,7 @@ def test_criterion_2_pathwise_symplecticity():
 
     def explicit_closure(v):
         outcome = step(SpectralField(v, u.grid), etab, params, phi, path, 0.0, te, fp)
-        assert outcome.converged.all()
+        assert outcome.solve.converged.all()
         return outcome.state.coefficients
 
     explicit = symplectic_defect(explicit_closure, u.coefficients, h=h)

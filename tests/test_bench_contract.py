@@ -86,7 +86,7 @@ def _no_oracle(*args):
 @pytest.mark.parametrize("samples", [None, 3])
 def test_step_never_calls_the_oracle(tableau, samples, monkeypatch):
     monkeypatch.setattr(snls.integrator, "map_F", _no_oracle)
-    assert np.all(_step(tableau, samples).converged)
+    assert np.all(_step(tableau, samples).solve.converged)
 
 
 @pytest.mark.parametrize("samples", [None, 3])

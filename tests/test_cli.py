@@ -154,6 +154,18 @@ def test_overflow_on_the_last_allowed_sweep_is_diverging(tmp_path, capsys):
     assert "did not converge" not in err
 
 
+@pytest.mark.parametrize("limit", ["fp_max_iter=5\n", ""], ids=["fp_max_iter=5", "default"])
+def test_divergence_on_the_last_allowed_sweep_is_diverging(tmp_path, capsys, limit):
+    # the fifth sweep's residual, 180.3, is past DIVERGENCE_FACTOR times
+    # the minimum of the first four (2.981): the same divergence whether
+    # fp_max_iter stops the solve there or would allow a sixth sweep
+    cfg = write_cfg(tmp_path, "seed=5\nK=6\nt=5.0\nn_steps=2\nlambda=5.0\n" + limit)
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert ("step 0 from t=0: fixed-point iteration diverging after 5 iterations "
+            "(residual 1.803e+02)") in err
+
+
 def test_huge_kappa_is_a_cayley_step(tmp_path):
     # the noise part of this stage is solved exactly: (I - B)^-1 with a
     # huge skew-Hermitian B is finite and mass-conserving, and so is the run

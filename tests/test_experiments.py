@@ -81,8 +81,9 @@ def test_reference_solution_counts_substeps_at_any_horizon(T):
     with pytest.raises(ValueError, match=r"too coarse for a reference \(128 substeps < 256\)"):
         reference_solution(u0, params, phi, sample_path(1, T, 7, 2), T, FixedPointConfig())
     if T == 1e-20:
-        ref = reference_solution(u0, params, phi, sample_path(1, T, 8, 2), T, FixedPointConfig())
-        assert ref.converged
+        _, converged = reference_solution(u0, params, phi, sample_path(1, T, 8, 2), T,
+                                          FixedPointConfig())
+        assert converged
 
 
 def test_reference_solution_convergence_on_same_path():
@@ -97,13 +98,13 @@ def test_reference_solution_convergence_on_same_path():
 
     p8 = sample_path(5, t, 8, K)
     p9 = refine(p8)
-    r8 = reference_solution(u0, params, phi, p8, t, FixedPointConfig())
-    r9 = reference_solution(u0, params, phi, p9, t, FixedPointConfig())
-    assert r8.converged and r9.converged
+    r8, converged8 = reference_solution(u0, params, phi, p8, t, FixedPointConfig())
+    r9, converged9 = reference_solution(u0, params, phi, p9, t, FixedPointConfig())
+    assert converged8 and converged9
 
     # refinement-to-refinement gap is O(substep); a path misalignment
     # would instead show up at the O(sqrt(t)) noise scale (~0.2 here)
-    assert sobolev_norm(r8.state.coefficients - r9.state.coefficients, 2.0) < 1e-3
+    assert sobolev_norm(r8.coefficients - r9.coefficients, 2.0) < 1e-3
 
 
 def test_cmd_local_error_minimum_samples():
@@ -140,8 +141,8 @@ def test_cmd_local_error_rejection_names_the_rejected_path_seeds():
     for seed, rejected in ((2004, True), (4004, True), (9004, False), (12004, True)):
         path = sample_path(seed, t, 8, cfg.K)
         coarse = step(u0, tab, params, phi, path, 0.0, t, fp)
-        ref = reference_solution(u0, params, phi, path, t, fp)
-        assert bool(coarse.converged and ref.converged) is not rejected
+        _, ref_converged = reference_solution(u0, params, phi, path, t, fp)
+        assert bool(coarse.solve.converged and ref_converged) is not rejected
 
 
 def test_cmd_local_error_degenerate_when_linear():
@@ -337,22 +338,22 @@ def test_batched_local_error_step_matches_serial_steps():
     u = SpectralField(np.tile(u0.coefficients, (samples, 1)), u0.grid)
     path = sample_path(seeds, t, 8, cfg.K)
     coarse = step(u, tab, params, phi, path, 0.0, t, fp)
-    ref = reference_solution(u, params, phi, path, t, fp)
+    ref, ref_converged = reference_solution(u, params, phi, path, t, fp)
 
     rejected = set()
     for i, p in enumerate(paths):
         one = step(u0, tab, params, phi, p, 0.0, t, fp)
-        assert coarse.iterations[i] == one.iterations
-        if not one.converged:
+        assert coarse.solve.sample_iterations[i] == one.solve.sample_iterations
+        if not one.solve.converged:
             rejected.add(i)
             np.testing.assert_array_equal(one.state.coefficients, u0.coefficients)
             continue
-        one_ref = reference_solution(u0, params, phi, p, t, fp)
-        if not one_ref.converged:
+        one_ref, one_ref_converged = reference_solution(u0, params, phi, p, t, fp)
+        if not one_ref_converged:
             rejected.add(i)
             continue
-        for batched, serial in ((coarse.state, one.state), (ref.state, one_ref.state)):
+        for batched, serial in ((coarse.state, one.state), (ref, one_ref)):
             diff = batched.coefficients[i] - serial.coefficients
             assert sobolev_norm(diff, 2.0) <= 1e-12 * sobolev_norm(serial.coefficients, 2.0)
     assert rejected == {6}
-    assert set(np.flatnonzero(~(coarse.converged & ref.converged))) == rejected
+    assert set(np.flatnonzero(~(coarse.solve.converged & ref_converged))) == rejected

@@ -2,6 +2,7 @@
 deterministic ODE oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from snls.integrator import (
     NOISE_SWEEPS,
     ExperimentInvalidError,
     FixedPointConfig,
+    FixedPointResult,
+    StepOutcome,
     StepRejectedError,
     Tableau,
     explicit_tableau,
@@ -195,8 +198,9 @@ def test_step_on_an_empty_batch():
     out = step(u, midpoint_tableau(), ModelParams(lam=1.0, kappa=1.0), default_phi(K),
                sample_path(1, 0.01, 0, K), 0.0, 0.01, FP)
     assert out.state.coefficients.shape == (0, 2 * K + 1)
-    assert out.iterations.shape == (0,) and out.iterations.dtype == np.int64
-    assert out.residual.dtype == float and out.converged.dtype == bool
+    iterations = out.solve.sample_iterations
+    assert iterations.shape == (0,) and iterations.dtype == np.int64
+    assert out.solve.residual.dtype == float and out.solve.converged.dtype == bool
 
 
 # slopes a of the per-sample map x <- a x + c: contracting, expanding,
@@ -331,13 +335,13 @@ def test_step_rejects_an_overflowing_sample_and_keeps_the_batch():
     with np.errstate(all="raise"):  # no warning escapes the stage solve
         out = step(SpectralField(u, TorusGrid(K)), midpoint_tableau(), params, phi, path,
                    0.0, t, FP)
-    assert list(out.converged) == [True, False, True]
-    assert out.iterations[1] == 1 and not np.isfinite(out.residual[1])
+    assert list(out.solve.converged) == [True, False, True]
+    assert out.solve.sample_iterations[1] == 1 and not np.isfinite(out.solve.residual[1])
     np.testing.assert_array_equal(out.state.coefficients[1], u[1])
     for s in (0, 2):
         one = step(SpectralField(u[s], TorusGrid(K)), midpoint_tableau(), params, phi,
                    sample_path(1 + s, t, 0, K), 0.0, t, FP)
-        assert out.iterations[s] == one.iterations
+        assert out.solve.sample_iterations[s] == one.solve.sample_iterations
         np.testing.assert_allclose(out.state.coefficients[s], one.state.coefficients,
                                    rtol=0, atol=1e-14)
     assert not np.shares_memory(out.state.coefficients, u)
@@ -356,7 +360,7 @@ def test_step_with_a_huge_finite_phi_lets_no_overflow_escape(huge, converged):
     with np.errstate(all="raise"):
         out = step(u, midpoint_tableau(), ModelParams(lam=1.0, kappa=1.0), phi,
                    sample_path(1, t, 0, K), 0.0, t, FP)
-    assert out.converged == converged
+    assert out.solve.converged == converged
     assert mass(out.state.coefficients) == pytest.approx(mass(u.coefficients), rel=1e-14)
     if not converged:
         np.testing.assert_array_equal(out.state.coefficients, u.coefficients)
@@ -369,7 +373,8 @@ def test_explicit_step_rejects_an_overflowing_K():
     u = SpectralField(np.full(2 * K + 1, 1e150 + 0j), TorusGrid(K))
     out = step(u, explicit_tableau(), ModelParams(lam=1.0, kappa=1.0), default_phi(K),
                sample_path(1, t, 0, K), 0.0, t, FP)
-    assert not out.converged and out.iterations == 1 and np.isnan(out.residual)
+    solve = out.solve
+    assert not solve.converged and solve.sample_iterations == 1 and np.isnan(solve.residual)
     np.testing.assert_array_equal(out.state.coefficients, u.coefficients)
 
 
@@ -381,10 +386,10 @@ def test_batched_step_matches_single_steps():
     u = SpectralField(np.stack([f.coefficients for f in fields]), fields[0].grid)
     out = step(u, midpoint_tableau(), params, default_phi(K), sample_path((0, 1, 2), t, 0, K),
                0.0, t, FP)
-    assert out.converged.all()
+    assert out.solve.converged.all()
     for i, (f, p) in enumerate(zip(fields, paths)):
         one = step(f, midpoint_tableau(), params, default_phi(K), p, 0.0, t, FP)
-        assert out.iterations[i] == one.iterations
+        assert out.solve.sample_iterations[i] == one.solve.sample_iterations
         np.testing.assert_allclose(out.state.coefficients[i], one.state.coefficients,
                                    rtol=0, atol=1e-14)
 
@@ -419,7 +424,7 @@ def test_step_conserves_mass_midpoint():
     out = step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, 0.01, FP)
     m = mass(u.coefficients)
     assert abs(mass(out.state.coefficients) - m) < 1e-12 * m
-    assert out.converged and out.residual <= FP.tol
+    assert out.solve.converged and out.solve.residual <= FP.tol
 
 
 @pytest.mark.parametrize("samples", [None, 3])
@@ -451,12 +456,12 @@ def test_stage_solves_the_stage_equation_like_plain_picard(samples):
 
     picard = fixed_point_solve(stage_map, u.coefficients, FP, norm)
     out = step(u, midpoint_tableau(), params, phi, path, 0.0, t, FP)
-    assert np.all(out.converged) and np.all(picard.converged)
+    assert np.all(out.solve.converged) and np.all(picard.converged)
     stage = 0.5 * (free_propagator(out.state.coefficients, -t) + u.coefficients)
     assert np.all(norm(stage_map(stage), stage) <= FP.tol)
     scale = sobolev_norm(picard.x, params.alpha)
     assert np.all(norm(stage, picard.x) <= 1e-12 * scale)
-    assert np.all(out.iterations < picard.sample_iterations)
+    assert np.all(out.solve.sample_iterations < picard.sample_iterations)
 
 
 def _counting(monkeypatch, name):
@@ -487,8 +492,8 @@ def test_step_map_evaluation_counts(tableau, extra_F, monkeypatch):
         P_calls.clear()
         out = step(random_field(K, 3, scale=0.2), tableau(), ModelParams(lam=1.0, kappa=1.0),
                    default_phi(K), sample_path(1, t, 0, K), 0.0, t, FP)
-        assert out.converged
-        n = int(out.iterations)
+        assert out.solve.converged
+        n = int(out.solve.sample_iterations)
         assert len(F_calls) == n + extra_F
         assert len(P_calls) == (1 if exact else NOISE_SWEEPS * (n + 1)) + extra_F
 
@@ -519,7 +524,7 @@ def test_exact_and_richardson_noise_solves_give_the_same_stage(samples, monkeypa
     for gate in (0.0, np.inf):
         monkeypatch.setattr(snls.maps, "EXACT_NOISE_MIN_RHO", gate)
         out = step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, t, FP)
-        assert np.all(out.converged)
+        assert np.all(out.solve.converged)
         stages.append(0.5 * (free_propagator(out.state.coefficients, -t) + u.coefficients))
     assert np.all(sobolev_norm(stages[0] - stages[1], params.alpha) <= FP.tol)
 
@@ -542,7 +547,7 @@ def test_midpoint_update_from_the_stage_is_the_evaluated_update(samples):
         path = sample_path(tuple(seeds), t, 0, K)
     X = increment(path, 0.0, t)
     out = step(u, tab, params, phi, path, 0.0, t, FP)
-    assert np.all(out.converged)
+    assert np.all(out.solve.converged)
     U = SpectralField(0.5 * (free_propagator(out.state.coefficients, -t) + u.coefficients),
                       u.grid)
     update = (u.coefficients + tab.b0 * map_F_midpoint_physical(params, t, U).coefficients
@@ -567,8 +572,9 @@ def test_step_rejects_oversized_step():
     u = random_field(K, 3, scale=2.0)
     path = sample_path(1, 10.0, 0, K)
     out = step(u, midpoint_tableau(), params, default_phi(K), path, 0.0, 10.0, FP)
-    assert not out.converged
-    assert out.converged.shape == out.iterations.shape == out.residual.shape == ()
+    assert not out.solve.converged
+    solve = out.solve
+    assert solve.converged.shape == solve.sample_iterations.shape == solve.residual.shape == ()
     np.testing.assert_array_equal(out.state.coefficients, u.coefficients)
 
 
@@ -711,3 +717,33 @@ def test_simulate_rejection_names_an_exhausted_max_iter():
     assert exc.value.step_index == 0 and exc.value.iterations == 2
     assert str(exc.value).startswith("step 0 from t=0: fixed-point iteration "
                                      "did not converge in 2 iterations (residual ")
+
+
+def test_rejection_reason_is_read_off_the_first_rejected_samples_trail():
+    # a hand-made solve of four samples at max_iter=5: one converged, one
+    # still contracting when max_iter ran out, one past DIVERGENCE_FACTOR
+    # times its minimum on the last sweep (6.0 > 10 * 0.5), one NaN at
+    # sweep 1.  Each rejected sample comes first in turn and names its own
+    # reason, sweep count and residual, with no warning on the NaN column
+    nan = np.nan
+    samples = [
+        ([1.0, 1e-13, nan, nan, nan], 2, None),
+        ([1.0, 0.9, 0.8, 0.7, 0.6], 5, "did not converge in 5 iterations (residual 6.000e-01)"),
+        ([1.0, 0.5, 2.0, 4.0, 6.0], 5, "diverging after 5 iterations (residual 6.000e+00)"),
+        ([nan] * 5, 1, "diverging after 1 iterations (residual nan)"),
+    ]
+    state = SpectralField(np.zeros((4, 3), dtype=complex), TorusGrid(1))
+    for first in (1, 2, 3):
+        batch = [samples[0], samples[first]] + [s for s in samples[1:] if s is not samples[first]]
+        trail = np.array([column for column, _, _ in batch]).T
+        iterations = np.array([n for _, n, _ in batch])
+        residual = trail[iterations - 1, np.arange(4)]
+        converged = np.array([reason is None for _, _, reason in batch])
+        solve = FixedPointResult(None, residual, iterations, converged, trail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            error = StepRejectedError(3, 0.5, StepOutcome(state, solve))
+        column, n, reason = samples[first]
+        assert error.iterations == n
+        np.testing.assert_array_equal(error.residual, column[n - 1])
+        assert str(error) == f"step 3 from t=0.5: fixed-point iteration {reason}"

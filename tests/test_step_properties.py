@@ -55,8 +55,9 @@ def test_batched_step_is_bitwise_the_single_step(modes, data, samples, t, lam, k
         one = step(SpectralField(u.coefficients[s], u.grid), midpoint_tableau(), params, phi,
                    path, 0.0, t, FP)
         np.testing.assert_array_equal(out.state.coefficients[s], one.state.coefficients)
-        assert (out.iterations[s], out.converged[s]) == (one.iterations, one.converged)
-        assert out.residual[s] == one.residual
+        assert (out.solve.sample_iterations[s], out.solve.converged[s]) == (
+            one.solve.sample_iterations, one.solve.converged)
+        assert out.solve.residual[s] == one.solve.residual
     # one field on the stacked path is the batch of its copies (cmd_local_error's batch)
     assert_one_field_is_its_tiled_batch(u.coefficients[0], u.grid, params, phi, stacked, t, FP)
 
@@ -69,8 +70,8 @@ def assert_one_field_is_its_tiled_batch(c, grid, params, phi, path, t, fp):
     batch = step(SpectralField(tiled, grid), midpoint_tableau(), params, phi, path, 0.0, t, fp)
     assert one.state.coefficients.shape == tiled.shape
     assert one.state.coefficients.tobytes() == batch.state.coefficients.tobytes()
-    np.testing.assert_array_equal(one.iterations, batch.iterations)
-    np.testing.assert_array_equal(one.converged, batch.converged)
+    np.testing.assert_array_equal(one.solve.sample_iterations, batch.solve.sample_iterations)
+    np.testing.assert_array_equal(one.solve.converged, batch.solve.converged)
     return one
 
 
@@ -84,7 +85,7 @@ def test_one_field_on_a_stacked_path_keeps_it_where_a_sample_is_rejected():
     params, phi, _, fp = cfg.stepping()
     path = sample_path(tuple(cfg.seed + 1000 * i + 1 for i in range(samples)), t, 8, cfg.K)
     out = assert_one_field_is_its_tiled_batch(u0.coefficients, u0.grid, params, phi, path, t, fp)
-    assert np.flatnonzero(~out.converged).tolist() == [6]
+    assert np.flatnonzero(~out.solve.converged).tolist() == [6]
     np.testing.assert_array_equal(out.state.coefficients[6], u0.coefficients)
 
 
@@ -97,7 +98,7 @@ def test_step_conserves_mass_pathwise(K, t, lam, kappa, seed):
     u = smooth_field(K, seed)
     out = step(u, midpoint_tableau(), ModelParams(lam=lam, kappa=kappa), default_phi(K),
                sample_path(seed, t, 0, K), 0.0, t, FP)
-    if out.converged:
+    if out.solve.converged:
         m = mass(u.coefficients)
         assert abs(mass(out.state.coefficients) - m) <= 1e-12 * m
     else:  # a rejected step keeps its input
@@ -119,6 +120,6 @@ def test_step_is_gauge_invariant(K, t, lam, kappa, seed, theta):
     out = step(u, midpoint_tableau(), params, phi, path, 0.0, t, FP)
     turned = step(SpectralField(gauge * u.coefficients, u.grid), midpoint_tableau(), params,
                   phi, path, 0.0, t, FP)
-    assert out.converged and turned.converged
+    assert out.solve.converged and turned.solve.converged
     defect = sobolev_norm(turned.state.coefficients - gauge * out.state.coefficients, 2.0)
     assert defect <= 1e-12 * sobolev_norm(out.state.coefficients, 2.0)
