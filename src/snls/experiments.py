@@ -99,8 +99,8 @@ def cmd_local_error(
     t_values=tuple(2.0**-e for e in range(4, 10)),
     ref_level: int = 8,
 ) -> ErrorTable:
-    """One-step H^alpha error of the midpoint scheme against a same-path
-    refined reference, averaged in root mean square over sample paths.
+    """One-step H^alpha error of the configured tableau's step against a
+    same-path refined midpoint reference, root-mean-square over sample paths.
 
     Each step size steps the one initial field on the stacked path of
     its samples, which makes a batch; a sample whose coarse step or

@@ -94,14 +94,8 @@ class StepRejectedError(ExperimentInvalidError):
         first = np.unravel_index(np.argmin(solve.converged), np.shape(solve.converged))
         self.iterations = int(solve.sample_iterations[first])
         self.residual = float(solve.residual[first])
-        # the solver's rule on the sample's trail column: a last residual not
-        # finite or past DIVERGENCE_FACTOR times the column's minimum; fmin skips
-        # the NaNs after the last sweep, and unlike nanmin no all-NaN column warns
-        best = np.fmin.reduce(solve.trail[(slice(None), *first)])
-        diverging = not (math.isfinite(self.residual)
-                         and self.residual <= DIVERGENCE_FACTOR * best)
-        reason = (f"diverging after {self.iterations} iterations" if diverging
-                  else f"did not converge in {self.iterations} iterations")
+        reason = (f"did not converge in {self.iterations} iterations" if solve.exhausted[first]
+                  else f"diverging after {self.iterations} iterations")
         super().__init__(f"step {step_index} from t={time:.6g}: fixed-point iteration "
                          f"{reason} (residual {self.residual:.3e})")
 
@@ -111,10 +105,11 @@ class FixedPointResult:
     """What fixed_point_solve found; unpacks as the tuple
     (x, iterations, residual, history).
 
-    residual, sample_iterations and converged hold one entry per sample
-    (0-d for one problem).  trail holds every sample's residual at every
-    sweep, shape (iterations, *batch), NaN after the sweep in which the
-    sample stopped; iterations and history are read off it.
+    residual, sample_iterations, converged and exhausted (still iterating
+    when max_iter ran out) hold one entry per sample (0-d for one
+    problem).  trail holds every sample's residual at every sweep, shape
+    (iterations, *batch), NaN after the sweep in which the sample
+    stopped; iterations and history are read off it.
     """
 
     x: object
@@ -122,6 +117,7 @@ class FixedPointResult:
     sample_iterations: np.ndarray
     converged: np.ndarray
     trail: np.ndarray
+    exhausted: np.ndarray
 
     @property
     def iterations(self) -> int:
@@ -192,9 +188,12 @@ def fixed_point_solve(iteration_map, guess, fp: FixedPointConfig, norm) -> Fixed
         if not going:
             break
     residual = np.array(last, dtype=float).reshape(shape)
+    exhausted = np.zeros(size, dtype=bool)
+    exhausted[going] = True  # empty unless the loop ran out of sweeps
     return FixedPointResult(x, residual, np.array(sweeps, dtype=int).reshape(shape),
                             np.asarray(residual <= fp.tol),
-                            np.array(trail, dtype=float).reshape(n, *shape))
+                            np.array(trail, dtype=float).reshape(n, *shape),
+                            exhausted.reshape(shape))
 
 
 # linear noise sweeps per evaluation of the nonlinear map in the stage

@@ -132,6 +132,7 @@ def test_fixed_point_batch_keeps_per_sample_semantics():
     diverging = fixed_point_solve(lambda x: 2.0 * x + 1.0, 1.0, fp, lambda p, q: abs(p - q))
     assert alone.converged and not diverging.converged
     assert list(out.converged) == [True, False, False]
+    assert list(out.exhausted) == [False, False, True]
     assert list(out.sample_iterations) == [alone.iterations, diverging.iterations, 60]
     assert out.x[0, 0] == alone.x and out.residual[0] == alone.residual
     # the slow sample iterates on after the first stop: its residual is
@@ -190,6 +191,7 @@ def test_fixed_point_solve_on_an_empty_batch():
     assert out.residual.shape == out.sample_iterations.shape == out.converged.shape == (0,)
     assert out.sample_iterations.dtype == np.int64
     assert out.residual.dtype == float and out.converged.dtype == bool
+    assert out.exhausted.shape == (0,) and out.exhausted.dtype == bool
 
 
 def test_step_on_an_empty_batch():
@@ -227,8 +229,9 @@ def mixed_batches(draw):
 
 def lone_reference(a, c, x, fp):
     """The stopping rules of fixed_point_solve on one scalar x <- a x + c,
-    in Python floats: (x, sweeps, residuals), x frozen at the solution or
-    at the last iterate before a rejecting sweep."""
+    in Python floats: (x, sweeps, residuals, exhausted), x frozen at the
+    solution or at the last iterate before a rejecting sweep, exhausted
+    true when max_iter ran out."""
     residuals, best = [], math.inf
     for _ in range(fp.max_iter):
         new = a * x + c
@@ -236,18 +239,18 @@ def lone_reference(a, c, x, fp):
         residuals.append(res)
         best = min(best, res) if res == res else best
         if res <= fp.tol:
-            return new, len(residuals), residuals
+            return new, len(residuals), residuals, False
         if not res < math.inf or res > DIVERGENCE_FACTOR * best:
-            return x, len(residuals), residuals
+            return x, len(residuals), residuals, False
         x = new
-    return x, fp.max_iter, residuals
+    return x, fp.max_iter, residuals, True
 
 
 @given(batch=mixed_batches())
 @settings(max_examples=60, deadline=None)
 def test_batched_solve_ends_every_sample_as_it_ends_alone(batch):
     # one batch mixes every way a sample can stop; each sample ends with
-    # the x, count, residual, verdict and trail of its lone solve, which
+    # the x, count, residual, verdicts and trail of its lone solve, which
     # follows the scalar reference, and the history is the largest finite
     # residual of the samples still iterating at each sweep; a batch of
     # two axes solves each sample as the flat batch does
@@ -271,12 +274,14 @@ def test_batched_solve_ends_every_sample_as_it_ends_alone(batch):
     assert out.iterations == max(one.iterations for one in alone)
     expected_history = np.full(out.iterations, np.nan)
     for s, one in enumerate(alone):
-        x, n, residuals = lone_reference(float(a[s]), float(c[s]), float(guess[s, 0]), fp)
+        x, n, residuals, exhausted = lone_reference(float(a[s]), float(c[s]),
+                                                    float(guess[s, 0]), fp)
         assert one.iterations == one.sample_iterations == n == out.sample_iterations[s]
         np.testing.assert_array_equal(one.x, [x])
         np.testing.assert_array_equal(one.trail, residuals)
         np.testing.assert_array_equal(one.residual, residuals[-1])
         assert one.converged == (residuals[-1] <= fp.tol)
+        assert one.exhausted == out.exhausted[s] == exhausted
         np.testing.assert_array_equal(out.x[s], one.x)
         np.testing.assert_array_equal(out.residual[s], one.residual)
         assert out.converged[s] == one.converged
@@ -297,6 +302,7 @@ def test_batched_solve_ends_every_sample_as_it_ends_alone(batch):
         np.testing.assert_array_equal(two.residual.ravel(), out.residual)
         np.testing.assert_array_equal(two.sample_iterations.ravel(), out.sample_iterations)
         np.testing.assert_array_equal(two.converged.ravel(), out.converged)
+        np.testing.assert_array_equal(two.exhausted.ravel(), out.exhausted)
         np.testing.assert_array_equal(two.trail.reshape(out.trail.shape), out.trail)
         np.testing.assert_array_equal(two.history, out.history)
 
@@ -309,7 +315,7 @@ def test_solve_from_a_float_follows_the_scalar_reference(a, c, guess, max_iter):
     # with the result types of a batch: 0-d arrays and an int sweep count
     fp = FixedPointConfig(tol=1e-12, max_iter=max_iter)
     out = fixed_point_solve(lambda x: a * x + c, guess, fp, lambda new, old: abs(new - old))
-    x, n, residuals = lone_reference(a, c, guess, fp)
+    x, n, residuals, exhausted = lone_reference(a, c, guess, fp)
     assert type(out.iterations) is int and out.iterations == n
     assert out.x == x
     np.testing.assert_array_equal(out.trail, residuals)
@@ -318,6 +324,7 @@ def test_solve_from_a_float_follows_the_scalar_reference(a, c, guess, max_iter):
     np.testing.assert_array_equal(out.residual, residuals[-1])
     assert out.sample_iterations == n
     assert out.converged == (residuals[-1] <= fp.tol)
+    assert out.exhausted.shape == () and out.exhausted == exhausted
     np.testing.assert_array_equal(out.history,
                                   np.where(np.isfinite(residuals), residuals, np.nan))
     assert all(type(h) is float for h in out.history)
@@ -719,31 +726,34 @@ def test_simulate_rejection_names_an_exhausted_max_iter():
                                      "did not converge in 2 iterations (residual ")
 
 
-def test_rejection_reason_is_read_off_the_first_rejected_samples_trail():
+def test_rejection_reason_is_read_off_the_solves_exhausted_record():
     # a hand-made solve of four samples at max_iter=5: one converged, one
-    # still contracting when max_iter ran out, one past DIVERGENCE_FACTOR
-    # times its minimum on the last sweep (6.0 > 10 * 0.5), one NaN at
-    # sweep 1.  Each rejected sample comes first in turn and names its own
-    # reason, sweep count and residual, with no warning on the NaN column
+    # still contracting when max_iter ran out (the only exhausted one),
+    # one past DIVERGENCE_FACTOR times its minimum on the last sweep
+    # (6.0 > 10 * 0.5), one NaN at sweep 1.  Each rejected sample comes
+    # first in turn and names its own reason, sweep count and residual,
+    # with no warning on the NaN column
     nan = np.nan
     samples = [
-        ([1.0, 1e-13, nan, nan, nan], 2, None),
-        ([1.0, 0.9, 0.8, 0.7, 0.6], 5, "did not converge in 5 iterations (residual 6.000e-01)"),
-        ([1.0, 0.5, 2.0, 4.0, 6.0], 5, "diverging after 5 iterations (residual 6.000e+00)"),
-        ([nan] * 5, 1, "diverging after 1 iterations (residual nan)"),
+        ([1.0, 1e-13, nan, nan, nan], 2, False, None),
+        ([1.0, 0.9, 0.8, 0.7, 0.6], 5, True,
+         "did not converge in 5 iterations (residual 6.000e-01)"),
+        ([1.0, 0.5, 2.0, 4.0, 6.0], 5, False, "diverging after 5 iterations (residual 6.000e+00)"),
+        ([nan] * 5, 1, False, "diverging after 1 iterations (residual nan)"),
     ]
     state = SpectralField(np.zeros((4, 3), dtype=complex), TorusGrid(1))
     for first in (1, 2, 3):
         batch = [samples[0], samples[first]] + [s for s in samples[1:] if s is not samples[first]]
-        trail = np.array([column for column, _, _ in batch]).T
-        iterations = np.array([n for _, n, _ in batch])
+        trail = np.array([column for column, _, _, _ in batch]).T
+        iterations = np.array([n for _, n, _, _ in batch])
         residual = trail[iterations - 1, np.arange(4)]
-        converged = np.array([reason is None for _, _, reason in batch])
-        solve = FixedPointResult(None, residual, iterations, converged, trail)
+        converged = np.array([reason is None for _, _, _, reason in batch])
+        exhausted = np.array([out for _, _, out, _ in batch])
+        solve = FixedPointResult(None, residual, iterations, converged, trail, exhausted)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             error = StepRejectedError(3, 0.5, StepOutcome(state, solve))
-        column, n, reason = samples[first]
+        column, n, _, reason = samples[first]
         assert error.iterations == n
         np.testing.assert_array_equal(error.residual, column[n - 1])
         assert str(error) == f"step 3 from t=0.5: fixed-point iteration {reason}"
